@@ -9,8 +9,6 @@ exact: equal keys iff isomorphic.  Intended for desk scale (n up to ~10).
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .hypergraph import Hypergraph
 
 
@@ -117,13 +115,3 @@ def canonical_relabeling(g: Hypergraph) -> Hypergraph:
     """The canonical representative itself (same n, r; relabeled edges)."""
     return Hypergraph(g.n, g.r, canonical_form(g))
 
-
-def isomorphic_bruteforce(g: Hypergraph, h: Hypergraph) -> bool:
-    """Reference check: try all n! vertex bijections.  Test oracle only."""
-    if g.n != h.n or g.r != h.r or g.m != h.m:
-        return False
-    h_edges = set(h.edges)
-    for perm in permutations(range(g.n)):
-        if all(tuple(sorted(perm[v] for v in e)) in h_edges for e in g.edges):
-            return True
-    return False

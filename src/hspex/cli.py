@@ -9,7 +9,6 @@ byte-identical JSON; wall-clock timings are only emitted behind --timings.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -60,20 +59,11 @@ def _parse_range(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HSPEX_THREADS")
-    return int(env) if env else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hspex",
         description="p-spectral radius and structural checks for uniform hypergraphs",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker cap (advisory; env HSPEX_THREADS is the fallback)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     rho = sub.add_parser("rho", help="solve the p-spectral radius of a .hg file")
@@ -189,7 +179,7 @@ def _cmd_extremal(args) -> int:
     payload = res.to_json_dict(timings=args.timings)
     payload["argmax_keys"] = [canonical_key_string(g) for g in res.argmax]
     print(dumps(payload))
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if res.non_converged else EXIT_OK
 
 
 def _cmd_saturate(args) -> int:
@@ -205,7 +195,9 @@ def _cmd_experiment(args) -> int:
     n_list = _parse_range(args.n)
     cfg = SolverConfig(starts=args.starts, seed=args.seed)
     if name == "degree-bound":
-        report = run_degree_bound_suite(args.count, seed=args.seed)
+        report = run_degree_bound_suite(
+            args.count, seed=args.seed, config=SolverConfig(starts=args.starts)
+        )
     elif name == "ratio-scaling":
         report = run_ratio_scaling(_load_family(args.forbid), args.p, n_list, cfg)
     elif name == "bridgeless-tight":
@@ -230,7 +222,6 @@ def _cmd_experiment(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _ = _threads(args)  # advisory; modules are single-threaded today
     try:
         if args.command == "rho":
             return _cmd_rho(args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -169,6 +169,8 @@ def run_degree_bound_suite(
     eigenvector is strictly positive, check
     principal_ratio + 1e-9 >= (max_deg/min_deg)^(1/(p+r-2)).
     Non-converged solves are recorded, excluded from the verdict, counted.
+    Each solve's seed is drawn from `seed`, replacing the seed of `config`
+    (default: 4 starts), so the instance stream does not depend on `config`.
     """
     from .spectral import solve_rho_p
 
@@ -187,7 +189,7 @@ def run_degree_bound_suite(
         m = rng.randint(m_lo, m_hi)
         g = random_connected_hypergraph(n, r, m, rng.randrange(2**31))
         for p in p_set:
-            cfg = config or SolverConfig(starts=4, seed=rng.randrange(2**31))
+            cfg = replace(config or SolverConfig(starts=4), seed=rng.randrange(2**31))
             sol = solve_rho_p(g, p, cfg)
             positive = bool((sol.x > 0).all())
             gamma = principal_ratio(sol.x)

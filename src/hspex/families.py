@@ -161,6 +161,7 @@ class _SweepData:
     max_edges: int
     pi_argmax_masks: tuple[int, ...]
     maximal_masks: tuple[int, ...]
+    maximal_reps: Optional[tuple[Hypergraph, ...]] = None  # filled on first use
 
 
 _sweep_cache: dict[tuple, _SweepData] = {}
@@ -368,15 +369,22 @@ class ExtremalResult:
         return out
 
 
-def extremal_pi(fam: Family, n: int) -> ExtremalResult:
-    """Maximum edge count over members on exactly n labeled vertices."""
+def _swept(
+    fam: Family, n: int, guard_bits: int
+) -> tuple[ForbiddenFamily, list[tuple[int, ...]], _SweepData]:
+    """Sweep of a plain forbidden family within the guard; raises if it has no members."""
     ffam = _check_sweepable(fam)
-    _guard(n, ffam.r, ENUM_GUARD_BITS)
-    t0 = time.perf_counter()
-    cand = _candidate_edges(n, ffam.r)
+    _guard(n, ffam.r, guard_bits)
     data = _sweep(ffam, n)
     if data.count == 0:
         raise TooLarge("family has no members at this n (edgeless forbidden graph)")
+    return ffam, _candidate_edges(n, ffam.r), data
+
+
+def extremal_pi(fam: Family, n: int) -> ExtremalResult:
+    """Maximum edge count over members on exactly n labeled vertices."""
+    t0 = time.perf_counter()
+    ffam, cand, data = _swept(fam, n, ENUM_GUARD_BITS)
     graphs = [_mask_to_graph(m, cand, n, ffam.r) for m in data.pi_argmax_masks]
     reps = _dedup_isomorphs(graphs)
     return ExtremalResult(
@@ -401,13 +409,8 @@ def extremal_lambda_p(
     member must be edge-maximal); ``full=True`` audits every member instead.
     One representative per isomorphism class is solved.
     """
-    ffam = _check_sweepable(fam)
-    _guard(n, ffam.r, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     t0 = time.perf_counter()
-    cand = _candidate_edges(n, ffam.r)
-    data = _sweep(ffam, n)
-    if data.count == 0:
-        raise TooLarge("family has no members at this n (edgeless forbidden graph)")
+    ffam, cand, data = _swept(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     if full:
         graphs = [
             _mask_to_graph(m, cand, n, ffam.r) for m in _iter_member_masks(ffam, n)
@@ -439,16 +442,10 @@ def extremal_lambda_p(
     )
 
 
-_maximal_reps_cache: dict[tuple, tuple[Hypergraph, ...]] = {}
-
-
 def _maximal_representatives(
     fam: ForbiddenFamily, n: int, data: _SweepData, cand: list[tuple[int, ...]]
 ) -> list[Hypergraph]:
-    key = _family_signature(fam) + (n,)
-    hit = _maximal_reps_cache.get(key)
-    if hit is None:
+    if data.maximal_reps is None:
         graphs = [_mask_to_graph(m, cand, n, fam.r) for m in data.maximal_masks]
-        hit = tuple(_dedup_isomorphs(graphs))
-        _maximal_reps_cache[key] = hit
-    return list(hit)
+        data.maximal_reps = tuple(_dedup_isomorphs(graphs))
+    return list(data.maximal_reps)

@@ -96,21 +96,7 @@ class Hypergraph:
 
     def is_connected(self) -> bool:
         """True iff one component covers all n vertices; n <= 1 is connected."""
-        if self.n <= 1:
-            return True
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            for v in e:
-                adj[v].update(e)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> list[tuple[int, ...]]:
         """Vertex sets of connected components, each sorted, listed by smallest id."""

@@ -46,38 +46,64 @@ def _as_weights(g: Hypergraph, x) -> np.ndarray:
     return arr
 
 
-def _edge_term_sum(edges: Sequence[tuple[int, ...]], x: np.ndarray, r: int) -> float:
-    """r! * sum of per-edge products; the one shared evaluation path."""
-    if not edges:
-        return 0.0
-    idx = np.array(edges, dtype=np.intp)
-    return float(math.factorial(r) * np.sum(np.prod(x[idx], axis=1)))
+class _Lagrangian:
+    """L and its gradient over one edge list; the one evaluation path.
+
+    Built from (edges, n, r); caches the (m, r) index array, the
+    leave-one-out columns and r!, (r-1)!.  Edges are summed in the order
+    given, which callers keep sorted.
+    """
+
+    def __init__(self, edges: Sequence[tuple[int, ...]], n: int, r: int):
+        self.n = n
+        self.rfact = math.factorial(r)
+        self.rm1fact = math.factorial(r - 1)
+        self.idx = np.array(edges, dtype=np.intp) if edges else None
+        self.loo_cols = [[k for k in range(r) if k != j] for j in range(r)]
+
+    def value(self, x: np.ndarray) -> float:
+        """r! * sum of per-edge products."""
+        if self.idx is None:
+            return 0.0
+        return float(self.rfact * np.sum(np.prod(x[self.idx], axis=1)))
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Per-vertex (1/r) dL/dx_v."""
+        out = np.zeros(self.n)
+        if self.idx is None:
+            return out
+        for j, cols in enumerate(self.loo_cols):
+            loo = np.prod(x[self.idx[:, cols]], axis=1)
+            out += np.bincount(self.idx[:, j], weights=loo, minlength=self.n)
+        return self.rm1fact * out
+
+    def residual(self, xp: np.ndarray, grad: np.ndarray, rho: float) -> float:
+        """max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
+        return float(np.max(np.abs(rho * xp - grad))) if self.n else 0.0
+
+    def euler_residual(
+        self, x: np.ndarray, xp: np.ndarray, grad: np.ndarray
+    ) -> tuple[float, float]:
+        """(rho estimate, residual) with Euler's rho = sum x_v grad_v = L on the sphere."""
+        rho_est = float(np.dot(x, grad))
+        return rho_est, self.residual(xp, grad, rho_est)
 
 
 def lagrangian(g: Hypergraph, x) -> float:
     """L_G(x) = r! * sum over edges of the product of the edge's weights."""
-    return _edge_term_sum(g.edges, _as_weights(g, x), g.r)
+    return _Lagrangian(g.edges, g.n, g.r).value(_as_weights(g, x))
 
 
 def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
     """Per-vertex (1/r) dL/dx_v = (r-1)! * sum_{e : v in e} prod_{w in e - v} x_w."""
-    arr = _as_weights(g, x)
-    out = np.zeros(g.n)
-    if g.m == 0:
-        return out
-    idx = np.array(g.edges, dtype=np.intp)
-    for j in range(g.r):
-        cols = [k for k in range(g.r) if k != j]
-        loo = np.prod(arr[idx[:, cols]], axis=1)
-        out += np.bincount(idx[:, j], weights=loo, minlength=g.n)
-    return math.factorial(g.r - 1) * out
+    return _Lagrangian(g.edges, g.n, g.r).grad(_as_weights(g, x))
 
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     """max over vertices of |rho * x_v^(p-1) - gradient_v|."""
     arr = _as_weights(g, x)
-    grad = lagrangian_gradient(g, arr)
-    return float(np.max(np.abs(rho * np.power(arr, p - 1.0) - grad))) if g.n else 0.0
+    ev = _Lagrangian(g.edges, g.n, g.r)
+    return ev.residual(np.power(arr, p - 1.0), ev.grad(arr), rho)
 
 
 def p_norm(x, p: float) -> float:
@@ -130,7 +156,7 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
         if z in e and u not in e:
             terms.add(tuple(sorted(w for w in e if w != z)) + (u,))
     ordered = sorted(tuple(sorted(t)) for t in terms)
-    return _edge_term_sum(ordered, arr, g.r)
+    return _Lagrangian(ordered, g.n, g.r).value(arr)
 
 
 # --- solver ------------------------------------------------------------------
@@ -185,45 +211,13 @@ class SpectralSolution:
         }
 
 
-class _Kernel:
-    """Cached edge arrays for one graph's solve; pure evaluation helpers."""
-
-    def __init__(self, g: Hypergraph):
-        self.g = g
-        self.n, self.r = g.n, g.r
-        self.rfact = math.factorial(g.r)
-        self.rm1fact = math.factorial(g.r - 1)
-        self.idx = np.array(g.edges, dtype=np.intp) if g.m else None
-        self.loo_cols = [[k for k in range(g.r) if k != j] for j in range(g.r)]
-
-    def value(self, x: np.ndarray) -> float:
-        if self.idx is None:
-            return 0.0
-        return float(self.rfact * np.sum(np.prod(x[self.idx], axis=1)))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        if self.idx is None:
-            return out
-        for j in range(self.r):
-            loo = np.prod(x[self.idx[:, self.loo_cols[j]]], axis=1)
-            out += np.bincount(self.idx[:, j], weights=loo, minlength=self.n)
-        return self.rm1fact * out
-
-
 def _normalize_p(x: np.ndarray, p: float) -> np.ndarray:
     nrm = np.sum(x**p) ** (1.0 / p)
     return x / nrm
 
 
-def _residual_of(x: np.ndarray, grad: np.ndarray, p: float) -> tuple[float, float]:
-    rho_est = float(np.dot(x, grad))  # Euler: sum x_v g_v = L for unit vectors
-    res = float(np.max(np.abs(rho_est * np.power(x, p - 1.0) - grad)))
-    return rho_est, res
-
-
 def _fixed_point_run(
-    kernel: _Kernel, x: np.ndarray, p: float, tol: float, budget: int, alpha: float
+    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha: float
 ) -> tuple[np.ndarray, float, int, bool]:
     """Shifted nonlinear power iteration; returns (best x, best L, iters, converged).
 
@@ -239,8 +233,7 @@ def _fixed_point_run(
     while it < budget:
         grad = kernel.grad(x)
         xp = np.power(x, p - 1.0)
-        rho_est = float(np.dot(x, grad))  # Euler: sum x_v g_v = L on the sphere
-        res = float(np.max(np.abs(rho_est * xp - grad)))
+        rho_est, res = kernel.euler_residual(x, xp, grad)
         if res <= tol * max(1.0, rho_est):
             return x, kernel.value(x), it, True
         if it and it % 512 == 0:
@@ -282,7 +275,7 @@ def _fixed_point_run(
 
 
 def _projected_gradient_run(
-    kernel: _Kernel, x: np.ndarray, p: float, tol: float, budget: int, alpha: float
+    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha: float
 ) -> tuple[np.ndarray, float, int, bool]:
     """Ascent on the p-sphere with halving line search, then fixed-point polish.
 
@@ -296,7 +289,7 @@ def _projected_gradient_run(
     ascent_cap = min(budget // 2, 2000)
     while it < ascent_cap:
         grad = kernel.grad(x)
-        rho_est, res = _residual_of(x, grad, p)
+        rho_est, res = kernel.euler_residual(x, np.power(x, p - 1.0), grad)
         if res <= tol * max(1.0, rho_est):
             return x, kernel.value(x), it, True
         top = float(np.max(grad))
@@ -349,7 +342,7 @@ def solve_rho_p(
     if g.m == 0:
         return SpectralSolution(0.0, uniform, p, 0.0, 0, 1, 0.0, ())
 
-    kernel = _Kernel(g)
+    kernel = _Lagrangian(g.edges, g.n, g.r)
     strategy = cfg.strategy or (
         "fixed-point-shifted" if p >= g.r else "projected-gradient"
     )
@@ -385,8 +378,8 @@ def solve_rho_p(
     gap = (best_val - min(converged_vals)) if converged_vals else 0.0
 
     x_out = np.where(best_x < CLAMP_EPS, 0.0, best_x)
-    rho = lagrangian(g, x_out)
-    residual = eigen_residual(g, x_out, p, rho)
+    rho = kernel.value(x_out)
+    residual = kernel.residual(np.power(x_out, p - 1.0), kernel.grad(x_out), rho)
     flags = []
     if residual > cfg.tol * max(1.0, rho):
         flags.append("NoConvergence")

@@ -67,24 +67,35 @@ def refines(mu, lam) -> bool:
     lam = validate_partition(lam)
     if sum(mu) != sum(lam):
         raise TargetMismatch(f"{mu} and {lam} partition different integers")
-    return _fill_bins(sorted(mu, reverse=True), list(lam))
+    return _pack(sorted(mu, reverse=True), lam) is not None
 
 
-def _fill_bins(items: list[int], capacities: list[int]) -> bool:
-    """Backtracking: place every item so each bin is filled exactly."""
-    if not items:
-        return all(c == 0 for c in capacities)
-    head, rest = items[0], items[1:]
-    tried = set()
-    for i, cap in enumerate(capacities):
-        if cap >= head and cap not in tried:
-            tried.add(cap)  # bins with equal remaining capacity are symmetric
-            capacities[i] -= head
-            if _fill_bins(rest, capacities):
-                capacities[i] += head
-                return True
-            capacities[i] += head
-    return False
+def _pack(items: list[int], capacities) -> Optional[list[int]]:
+    """Backtracking bin packing that fills every bin exactly.
+
+    Returns the bin index of each item (the first packing in search order:
+    items in the order given, bins in index order), or None.
+    """
+    bins = list(capacities)
+    where: list[int] = []
+
+    def place(i: int) -> bool:
+        if i == len(items):
+            return all(b == 0 for b in bins)
+        w = items[i]
+        tried = set()
+        for j, cap in enumerate(bins):
+            if cap >= w and cap not in tried:
+                tried.add(cap)  # bins with equal remaining capacity are symmetric
+                bins[j] -= w
+                where.append(j)
+                if place(i + 1):
+                    return True
+                where.pop()
+                bins[j] += w
+        return False
+
+    return where if place(0) else None
 
 
 # --- certificates ---------------------------------------------------------------
@@ -142,21 +153,26 @@ def _edge_masks(g: Hypergraph) -> list[int]:
     return [sum(1 << v for v in e) for e in g.edges]
 
 
+def _uncut_edge_set(masks: list[int], umask: int, k: int, r: int) -> bool:
+    """Does umask induce an edge while no edge meets it in k..r-1 vertices?"""
+    for em in masks:
+        if em & umask == em:
+            break
+    else:
+        return False  # does not induce an edge
+    for em in masks:
+        if k <= bin(em & umask).count("1") <= r - 1:
+            return False
+    return True
+
+
 def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
     """Raw-definition recheck: does this proper edge-containing subset witness
     failure of k-tightness (no edge meets it in k..r-1 vertices)?"""
     u = set(int(v) for v in subset)
     if not u or len(u) >= g.n:
         return False
-    umask = sum(1 << v for v in u)
-    masks = _edge_masks(g)
-    if not any(em & umask == em for em in masks):
-        return False  # does not induce an edge
-    for em in masks:
-        inter = bin(em & umask).count("1")
-        if k <= inter <= g.r - 1:
-            return False
-    return True
+    return _uncut_edge_set(_edge_masks(g), sum(1 << v for v in u), k, g.r)
 
 
 def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
@@ -173,16 +189,7 @@ def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
     masks = _edge_masks(g)
     for size in range(g.r, g.n):
         for combo in combinations(range(g.n), size):
-            umask = sum(1 << v for v in combo)
-            if not any(em & umask == em for em in masks):
-                continue
-            hit = False
-            for em in masks:
-                inter = bin(em & umask).count("1")
-                if k <= inter <= g.r - 1:
-                    hit = True
-                    break
-            if not hit:
+            if _uncut_edge_set(masks, sum(1 << v for v in combo), k, g.r):
                 return TightnessCertificate(False, k, combo)
     return TightnessCertificate(True, k)
 
@@ -253,28 +260,12 @@ def is_lambda_plateau(
     positive = [(w, c) for w, c in zip(weights, comps) if w > 0]
     zero = [c for w, c in zip(weights, comps) if w == 0]
 
-    bins = list(lam)
-    assignment: list[list[tuple[int, ...]]] = [[] for _ in lam]
-
-    def place(i: int) -> bool:
-        if i == len(positive):
-            return all(b == 0 for b in bins)
-        w, comp = positive[i]
-        tried = set()
-        for j in range(len(bins)):
-            if bins[j] >= w and bins[j] not in tried:
-                tried.add(bins[j])
-                bins[j] -= w
-                assignment[j].append(comp)
-                if place(i + 1):
-                    bins[j] += w
-                    return True
-                assignment[j].pop()
-                bins[j] += w
-        return False
-
-    if not place(0):
+    where = _pack([w for w, _ in positive], lam)
+    if where is None:
         return (False, None)
+    assignment: list[list[tuple[int, ...]]] = [[] for _ in lam]
+    for (_, comp), j in zip(positive, where):
+        assignment[j].append(comp)
     if zero:
         assignment[0].extend(zero)
     return (True, [tuple(group) for group in assignment])

@@ -5,11 +5,11 @@ import random
 from hspex.canonical import (
     canonical_key,
     canonical_relabeling,
-    isomorphic_bruteforce,
     refinement_signature,
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph
 from conftest import cycle, path3, random_graph
+from oracles import isomorphic_bruteforce
 
 
 def relabel(g: Hypergraph, perm: list[int]) -> Hypergraph:

@@ -1,9 +1,11 @@
 """CLI flags, exit codes, and byte-deterministic output."""
 
+import dataclasses
 import json
 
 import pytest
 
+from hspex import families, spectral
 from hspex.cli import main
 from hspex.hypergraph import serialize, complete_r_graph
 from conftest import bowtie3, cycle, path3
@@ -133,6 +135,22 @@ class TestExtremalSaturate:
         data = json.loads(out)
         assert data["value"] == 6.0
 
+    def test_extremal_nonconverged_exit_2(self, capsys, files, monkeypatch):
+        """A failed solve may hide the true argmax: exit 2, same JSON bytes."""
+        argv = ["extremal", "--forbid", files["k3"], "--n", "4", "--p", "2",
+                "--starts", "4"]
+        _, clean, _ = run(capsys, argv)
+        solve = families.solve_rho_p
+
+        def failing(g, p, config=None):
+            sol = solve(g, p, config)
+            return dataclasses.replace(sol, flags=sol.flags + ("NoConvergence",))
+
+        monkeypatch.setattr(families, "solve_rho_p", failing)
+        code, out, _ = run(capsys, argv)
+        assert code == 2
+        assert out == clean
+
     def test_too_large_exit_4(self, capsys, files):
         code, _, err = run(
             capsys, ["extremal", "--forbid", files["k3"], "--n", "20", "--p", "2"]
@@ -210,7 +228,18 @@ class TestExperiment:
         )
         assert code == 0 and "exploratory" in err
 
-    def test_env_thread_cap_accepted(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("HSPEX_THREADS", "2")
-        code, _, _ = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "4"])
-        assert code == 0
+    def test_degree_bound_starts_reach_solver(self, capsys, tmp_path, monkeypatch):
+        starts = []
+        solve = spectral.solve_rho_p
+
+        def spy(g, p, config=None):
+            starts.append(config.starts)
+            return solve(g, p, config)
+
+        monkeypatch.setattr(spectral, "solve_rho_p", spy)
+        run(
+            capsys,
+            ["experiment", "degree-bound", "--count", "2", "--seed", "5",
+             "--starts", "2", "--out", str(tmp_path)],
+        )
+        assert starts == [2] * 8

@@ -65,6 +65,13 @@ class TestDegreeBoundSuite:
         b = run_degree_bound_suite(5, seed=9)
         assert a.rows == b.rows
 
+    def test_config_keeps_instance_stream(self):
+        """A config changes how instances are solved, not which are drawn."""
+        plain = run_degree_bound_suite(5, seed=9)
+        tuned = run_degree_bound_suite(5, seed=9, config=SolverConfig(starts=2))
+        shape = lambda rep: [(row["n"], row["r"], row["m"]) for row in rep.rows]
+        assert shape(tuned) == shape(plain)
+
     def test_rows_have_slack(self):
         rep = run_degree_bound_suite(4, seed=2)
         for row in rep.rows:

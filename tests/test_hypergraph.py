@@ -79,6 +79,16 @@ class TestQueries:
         assert Hypergraph(1, 2).is_connected()
         assert not Hypergraph(2, 2).is_connected()
 
+    def test_connected_iff_one_component(self, rng):
+        """components() partitions V with every edge inside one block."""
+        for _ in range(300):
+            r = rng.choice([2, 3])
+            g = random_graph(rng.randint(0, 7), r, rng.uniform(0.0, 0.5), rng)
+            comps = g.components()
+            assert sorted(v for c in comps for v in c) == list(range(g.n))
+            assert all(any(set(e) <= set(c) for c in comps) for e in g.edges)
+            assert g.is_connected() == (len(comps) <= 1)
+
     def test_isolated_vertex_disconnects(self):
         g = new_hypergraph(4, 2, [(0, 1), (1, 2)])
         assert not g.is_connected()

@@ -24,6 +24,7 @@ from hspex.structure import (
     tightness_violation_holds,
 )
 from conftest import bowtie3, path3, path4, random_graph
+from oracles import refines_bruteforce
 
 
 class TestPartitions:
@@ -45,6 +46,13 @@ class TestPartitions:
         assert refines((2, 1), (2, 1))
         assert refines((2, 2, 1), (4, 1))
         assert not refines((3, 2), (4, 1))
+
+    def test_refines_matches_set_partition_oracle(self):
+        for r in range(1, 8):
+            parts = partitions_of(r)
+            for mu in parts:
+                for lam in parts:
+                    assert refines(mu, lam) == refines_bruteforce(mu, lam), (mu, lam)
 
     def test_refines_target_mismatch(self):
         with pytest.raises(TargetMismatch):
@@ -86,7 +94,18 @@ class TestTightness:
             checked += 1
             assert is_k_tight(g, 1).result == g.is_connected()
 
-    def test_failure_witnesses_revalidate(self, rng):
+    def test_failure_witnesses_revalidate(self, rng, k3, k4_3):
+        fixtures = [
+            path3(), path4(), bowtie3(), k3, k4_3,
+            ell_cliques(2, 3, 2), ell_cliques(3, 3, 2), ell_cliques(2, 4, 3),
+            new_hypergraph(4, 3, [(0, 1, 2)]),
+            new_hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)]),
+        ]
+        for g in fixtures:
+            for k in range(1, g.r):
+                cert = is_k_tight(g, k)
+                if not cert.result:
+                    assert tightness_violation_holds(g, k, cert.witness)
         seen = 0
         while seen < 60:
             r = rng.choice([2, 3])
