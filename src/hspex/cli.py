@@ -179,6 +179,9 @@ def _cmd_extremal(args) -> int:
     payload = res.to_json_dict(timings=args.timings)
     payload["argmax_keys"] = [canonical_key_string(g) for g in res.argmax]
     print(dumps(payload))
+    if res.non_converged:
+        print(f"did not converge: {res.non_converged} of {res.classes_solved} classes",
+              file=sys.stderr)
     return EXIT_NO_CONVERGENCE if res.non_converged else EXIT_OK
 
 

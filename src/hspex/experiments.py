@@ -27,7 +27,7 @@ from .families import (
     is_member,
     saturate,
 )
-from .hypergraph import Hypergraph, ell_cliques
+from .hypergraph import Hypergraph, _incidence, ell_cliques
 from .jsonio import dumps, rows_to_csv
 from .spectral import (
     SolverConfig,
@@ -127,14 +127,11 @@ def is_r_partite(h: Hypergraph) -> bool:
     if h.m == 0:
         return True
     colors = [-1] * h.n
-    incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        for w in e:
-            incident[w].append(e)
+    incident = _incidence(h.n, h.edges)
 
     def ok(v: int) -> bool:
-        for e in incident[v]:
-            used = [colors[w] for w in e if colors[w] >= 0]
+        for i in incident[v]:
+            used = [colors[w] for w in h.edges[i] if colors[w] >= 0]
             if len(used) != len(set(used)):
                 return False
         return True
@@ -244,12 +241,15 @@ def run_ratio_scaling(
     report = ExperimentReport(
         "ratio-scaling",
         {"p": p, "n_range": list(n_range), "cap": cap},
-        seed=0,
+        seed=(config or SolverConfig()).seed,
     )
     worst = 0.0
     for n in report.parameters["n_range"]:
         res = extremal_lambda_p(fam, n, p, config)
+        report.excluded += res.non_converged  # a failed class solve may hide the argmax
         for g, sol in zip(res.argmax, res.solutions):
+            if not sol.converged:
+                continue  # counted in res.non_converged
             if sol.residual > 1e-10 * max(1.0, sol.rho):
                 report.excluded += 1
                 continue
@@ -384,7 +384,7 @@ def run_coarseness_probe(
 ) -> ExperimentReport:
     """Degree spread of spectral-extremal members; exploratory, no verdict."""
     report = ExperimentReport(
-        "coarseness-probe", {"p": p, "n_range": list(n_range)}, seed=0
+        "coarseness-probe", {"p": p, "n_range": list(n_range)}, (config or SolverConfig()).seed
     )
     for n in report.parameters["n_range"]:
         res = extremal_lambda_p(fam, n, p, config)

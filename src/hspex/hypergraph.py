@@ -41,6 +41,33 @@ def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
     return tuple(sorted(ids))
 
 
+def _incidence(n: int, edges: Sequence[Edge]) -> list[list[int]]:
+    """Indices of the edges through each vertex."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v].append(i)
+    return inc
+
+
+def _k_closure(edges, inc, start, k: int, skip: int | None = None) -> tuple[int, ...]:
+    """Sorted smallest vertex set holding `start` and every edge it meets in
+    >= k vertices, `edges[skip]` left out; `inc` is `_incidence(n, edges)`.
+    Each edge counts its scanned vertices, so this costs O(sum of |e|).
+    """
+    inside = set(start)
+    work = list(inside)
+    hits: dict[int, int] = {}
+    while work:
+        for i in inc[work.pop()]:
+            hits[i] = c = hits.get(i, 0) + 1
+            if c == k and i != skip:
+                new = [w for w in edges[i] if w not in inside]
+                inside.update(new)
+                work.extend(new)
+    return tuple(sorted(inside))
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An immutable simple r-uniform hypergraph on vertex ids 0..n-1.
@@ -100,26 +127,13 @@ class Hypergraph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Vertex sets of connected components, each sorted, listed by smallest id."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            for v in e:
-                adj[v].update(e)
-        seen = [False] * self.n
+        inc = _incidence(self.n, self.edges)
+        seen: set[int] = set()
         comps = []
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
+            if s not in seen:
+                comps.append(_k_closure(self.edges, inc, (s,), 1))
+                seen.update(comps[-1])
         return comps
 
     def is_2_covering(self) -> bool:

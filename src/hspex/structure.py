@@ -1,14 +1,13 @@
 """Decision procedures with certificates: k-tightness, k-bridges, lambda-plateaus.
 
-All searches are exhaustive over vertex subsets in a fixed order
-(increasing size, then lexicographic), so the first witness found is the
-smallest and certificates are reproducible.  These procedures are
-exponential by nature; a warning (not an error) fires past n = 24.
+Every witness is the first valid vertex set in a fixed order (increasing
+size, then lexicographic), so certificates are reproducible.  The k-tightness
+and k-bridge deciders find it among a few k-closures instead of searching
+all vertex subsets.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -20,9 +19,7 @@ from .errors import (
     TargetMismatch,
     TrivialPartition,
 )
-from .hypergraph import Hypergraph
-
-DESK_SCALE_N = 24
+from .hypergraph import Hypergraph, _incidence, _k_closure
 
 Partition = tuple[int, ...]
 
@@ -144,9 +141,8 @@ def _check_k(g: Hypergraph, k: int) -> None:
         raise BadK(f"k={k} outside [1, {g.r - 1}]")
 
 
-def _warn_scale(g: Hypergraph) -> None:
-    if g.n > DESK_SCALE_N:
-        warnings.warn(f"exhaustive subset search on n={g.n} > {DESK_SCALE_N} vertices")
+def _size_lex(u: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return (len(u), u)
 
 
 def _edge_masks(g: Hypergraph) -> list[int]:
@@ -176,53 +172,38 @@ def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
 
 
 def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
-    """Exhaustive k-tightness decision.
+    """k-tightness decision, certified by the first failing set.
 
     The graph is k-tight iff every proper vertex subset that contains an
-    edge is met by some edge in between k and r-1 vertices.  The first
-    failing subset (by size, then lexicographic order) is the witness.
+    edge is met by some edge in between k and r-1 vertices.  The witness is
+    the first failing subset by size, then lexicographic order.  It is the
+    first k-closure of an edge that is not all of V: a failing set contains
+    the closure of each edge inside it, and such a closure is itself failing.
     """
     if g.m == 0:
         raise EmptyGraph("k-tightness is defined for graphs with an edge")
     _check_k(g, k)
-    _warn_scale(g)
-    masks = _edge_masks(g)
-    for size in range(g.r, g.n):
-        for combo in combinations(range(g.n), size):
-            if _uncut_edge_set(masks, sum(1 << v for v in combo), k, g.r):
-                return TightnessCertificate(False, k, combo)
-    return TightnessCertificate(True, k)
+    inc = _incidence(g.n, g.edges)
+    closures = (_k_closure(g.edges, inc, e, k) for e in g.edges)
+    witness = min((u for u in closures if len(u) < g.n), key=_size_lex, default=None)
+    return TightnessCertificate(witness is None, k, witness)
 
 
 def is_k_bridge(g: Hypergraph, e, k: int) -> BridgeCertificate:
     """Is e the unique edge with >= k vertices in A and >= 1 in B, for some
-    bipartition (A, B)?  Exhaustive over bipartitions; the first valid (A, B)
-    in subset order is the witness."""
+    bipartition (A, B)?  The witness A is the first valid side by size, then
+    lex order: the first k-closure in H - e of a k-subset of e that misses a
+    vertex of e (a valid A contains such a closure, which is valid itself)."""
     key = tuple(sorted(int(v) for v in e))
     if key not in set(g.edges):
         raise NoSuchEdge(f"{key} not an edge")
     _check_k(g, k)
-    _warn_scale(g)
-    masks = _edge_masks(g)
-    ekey_mask = sum(1 << v for v in key)
-    full = (1 << g.n) - 1
-    for size in range(1, g.n):
-        for combo in combinations(range(g.n), size):
-            amask = sum(1 << v for v in combo)
-            bmask = full & ~amask
-            if bin(ekey_mask & amask).count("1") < k or ekey_mask & bmask == 0:
-                continue
-            unique = True
-            for em in masks:
-                if em == ekey_mask:
-                    continue
-                if bin(em & amask).count("1") >= k and em & bmask:
-                    unique = False
-                    break
-            if unique:
-                b = tuple(v for v in range(g.n) if bmask >> v & 1)
-                return BridgeCertificate(True, k, key, combo, b)
-    return BridgeCertificate(False, k, key)
+    inc = _incidence(g.n, g.edges)
+    skip = g.edges.index(key)
+    closures = (_k_closure(g.edges, inc, s, k, skip) for s in combinations(key, k))
+    a = min((u for u in closures if not set(key).issubset(u)), key=_size_lex, default=None)
+    b = None if a is None else tuple(sorted(set(range(g.n)).difference(a)))
+    return BridgeCertificate(a is not None, k, key, a, b)
 
 
 def find_k_bridges(g: Hypergraph, k: int) -> list[BridgeCertificate]:

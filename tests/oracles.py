@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hspex.hypergraph import Hypergraph
+from hspex.structure import (
+    BridgeCertificate,
+    TightnessCertificate,
+    _check_k,
+    _edge_masks,
+    _uncut_edge_set,
+)
 
 
 def isomorphic_bruteforce(g: Hypergraph, h: Hypergraph) -> bool:
@@ -38,3 +45,40 @@ def refines_bruteforce(mu, lam) -> bool:
         sorted(sum(block) for block in blocks) == target
         for blocks in set_partitions(list(mu))
     )
+
+
+def is_k_tight_bruteforce(g: Hypergraph, k: int) -> TightnessCertificate:
+    """Reference k-tightness: try every proper vertex subset by size, then lex."""
+    _check_k(g, k)
+    masks = _edge_masks(g)
+    for size in range(g.r, g.n):
+        for combo in combinations(range(g.n), size):
+            if _uncut_edge_set(masks, sum(1 << v for v in combo), k, g.r):
+                return TightnessCertificate(False, k, combo)
+    return TightnessCertificate(True, k)
+
+
+def is_k_bridge_bruteforce(g: Hypergraph, e, k: int) -> BridgeCertificate:
+    """Reference k-bridge test: try every bipartition (A, B) by A's size, then lex."""
+    key = tuple(sorted(int(v) for v in e))
+    _check_k(g, k)
+    masks = _edge_masks(g)
+    ekey_mask = sum(1 << v for v in key)
+    full = (1 << g.n) - 1
+    for size in range(1, g.n):
+        for combo in combinations(range(g.n), size):
+            amask = sum(1 << v for v in combo)
+            bmask = full & ~amask
+            if bin(ekey_mask & amask).count("1") < k or ekey_mask & bmask == 0:
+                continue
+            unique = True
+            for em in masks:
+                if em == ekey_mask:
+                    continue
+                if bin(em & amask).count("1") >= k and em & bmask:
+                    unique = False
+                    break
+            if unique:
+                b = tuple(v for v in range(g.n) if bmask >> v & 1)
+                return BridgeCertificate(True, k, key, combo, b)
+    return BridgeCertificate(False, k, key)

@@ -147,9 +147,10 @@ class TestExtremalSaturate:
             return dataclasses.replace(sol, flags=sol.flags + ("NoConvergence",))
 
         monkeypatch.setattr(families, "solve_rho_p", failing)
-        code, out, _ = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 2
         assert out == clean
+        assert err == "did not converge: 2 of 2 classes\n"
 
     def test_too_large_exit_4(self, capsys, files):
         code, _, err = run(
@@ -227,6 +228,18 @@ class TestExperiment:
              "--p", "2", "--n", "4..5", "--out", str(tmp_path)],
         )
         assert code == 0 and "exploratory" in err
+
+    @pytest.mark.parametrize("name", ["ratio-scaling", "coarseness-probe"])
+    def test_report_carries_seed(self, capsys, files, tmp_path, name):
+        code, _, _ = run(
+            capsys,
+            ["experiment", name, "--forbid", files["k3"], "--p", "2",
+             "--n", "4..5", "--seed", "7", "--out", str(tmp_path)],
+        )
+        assert code == 0
+        assert (tmp_path / f"{name}-7.csv").exists()
+        report = json.loads((tmp_path / f"{name}-7.json").read_text())
+        assert report["seed"] == 7
 
     def test_degree_bound_starts_reach_solver(self, capsys, tmp_path, monkeypatch):
         starts = []

@@ -1,10 +1,12 @@
 """Suite determinism, verdict logic, and report emission."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from hspex import families
 from hspex.errors import HypothesisFailed, Infeasible
 from hspex.families import ForbiddenFamily
 from hspex.hypergraph import complete_r_graph, new_hypergraph
@@ -88,6 +90,24 @@ class TestRatioScaling:
         assert by_n[4]["gamma"] == pytest.approx(1.0, abs=1e-8)
         assert by_n[5]["gamma"] == pytest.approx(math.sqrt(1.5), abs=1e-8)
         assert by_n[5]["scaled"] == pytest.approx(5 * (math.sqrt(1.5) - 1), abs=1e-6)
+
+    def test_failed_class_solve_is_excluded(self, monkeypatch):
+        """One non-converged class solve may hide the argmax: pass-with-exclusions."""
+        solve = families.solve_rho_p
+        calls = []
+
+        def fail_first(g, p, config=None):
+            sol = solve(g, p, config)
+            calls.append(g)
+            if len(calls) > 1:
+                return sol
+            return dataclasses.replace(sol, flags=sol.flags + ("NoConvergence",))
+
+        monkeypatch.setattr(families, "solve_rho_p", fail_first)
+        fam = ForbiddenFamily((complete_r_graph(3, 2),))
+        rep = run_ratio_scaling(fam, 2.0, range(4, 6), SolverConfig(starts=4))
+        assert rep.excluded == 1
+        assert rep.verdict == "pass-with-exclusions"
 
     def test_warns_on_bad_hypotheses(self):
         fam = ForbiddenFamily((path3(),))  # bipartite and not 2-covering

@@ -88,6 +88,13 @@ class TestQueries:
             assert sorted(v for c in comps for v in c) == list(range(g.n))
             assert all(any(set(e) <= set(c) for c in comps) for e in g.edges)
             assert g.is_connected() == (len(comps) <= 1)
+        perm = list(range(2000))
+        rng.shuffle(perm)
+        long_path = Hypergraph(2000, 2, tuple(zip(perm, perm[1:])))
+        assert long_path.components() == [tuple(range(2000))]
+        sparse = Hypergraph(503, 3, ((0, 1, 2),))
+        assert sparse.components() == [(0, 1, 2)] + [(v,) for v in range(3, 503)]
+        assert not sparse.is_connected()
 
     def test_isolated_vertex_disconnects(self):
         g = new_hypergraph(4, 2, [(0, 1), (1, 2)])

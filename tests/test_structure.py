@@ -1,5 +1,7 @@
 """Tightness, bridges, plateaus, and partition utilities."""
 
+import random
+import warnings
 from itertools import combinations
 
 import pytest
@@ -24,7 +26,7 @@ from hspex.structure import (
     tightness_violation_holds,
 )
 from conftest import bowtie3, path3, path4, random_graph
-from oracles import refines_bruteforce
+from oracles import is_k_bridge_bruteforce, is_k_tight_bruteforce, refines_bruteforce
 
 
 class TestPartitions:
@@ -124,6 +126,36 @@ class TestTightness:
         assert d["result"] is False and d["witness"] == [0, 1, 2]
 
 
+def all_graphs(n: int, r: int):
+    pool = list(combinations(range(n), r))
+    for mask in range(1 << len(pool)):
+        yield Hypergraph(n, r, tuple(pool[i] for i in range(len(pool)) if mask >> i & 1))
+
+
+def assert_certificates_match_oracles(g: Hypergraph) -> None:
+    """Closure deciders equal the subset searches: result, witness, A and B."""
+    for k in range(1, g.r):
+        assert is_k_tight(g, k) == is_k_tight_bruteforce(g, k), (g, k)
+        for e in g.edges:
+            assert is_k_bridge(g, e, k) == is_k_bridge_bruteforce(g, e, k), (g, e, k)
+
+
+class TestOracles:
+    def test_all_2graphs_and_3graphs_up_to_n5(self):
+        for r in (2, 3):
+            for n in range(r, 6):
+                for g in all_graphs(n, r):
+                    if g.m:
+                        assert_certificates_match_oracles(g)
+
+    def test_random_4graphs_up_to_n8(self):
+        rng = random.Random(4)
+        for _ in range(120):
+            g = random_graph(rng.randint(4, 8), 4, rng.uniform(0.05, 0.3), rng)
+            if g.m:
+                assert_certificates_match_oracles(g)
+
+
 def classical_bridges(g: Hypergraph) -> set:
     """2-graph bridges by the removal-disconnects definition, components-aware."""
     out = set()
@@ -153,19 +185,21 @@ class TestBridges:
         with pytest.raises(NoSuchEdge):
             is_k_bridge(k3, (0, 3), 1)
 
-    def test_desk_scale_warning_fires(self):
-        long_path = new_hypergraph(26, 2, [(i, i + 1) for i in range(25)])
-        with pytest.warns(UserWarning, match="exhaustive"):
-            cert = is_k_bridge(long_path, (0, 1), 1)
-        assert cert.result and cert.witness_a == (0,)
+    def test_long_paths_decide_without_warning(self):
+        """Path ends are 1-bridges with A = (0,), even where no subset search could finish."""
+        for n in (26, 200):
+            long_path = new_hypergraph(n, 2, [(i, i + 1) for i in range(n - 1)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cert = is_k_bridge(long_path, (0, 1), 1)
+                assert is_k_tight(long_path, 1).result
+            assert cert.result and cert.witness_a == (0,)
+            assert cert.witness_b == tuple(range(1, n))
 
     def test_matches_classical_bridges_exhaustively(self):
         """All connected 2-graphs with n <= 5: 1-bridges == removal bridges."""
         for n in (3, 4, 5):
-            pool = list(combinations(range(n), 2))
-            for mask in range(1 << len(pool)):
-                edges = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-                g = Hypergraph(n, 2, edges)
+            for g in all_graphs(n, 2):
                 if not g.is_connected() or g.m == 0:
                     continue
                 found = {c.edge for c in find_k_bridges(g, 1)}
