@@ -30,7 +30,6 @@ from .spectral import (
     lagrangian_gradient,
     principal_ratio,
     rho_infinity,
-    rho_p_bruteforce,
     rho_upper_bound,
     solve_rho_p,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "lagrangian_gradient",
     "eigen_residual",
     "solve_rho_p",
-    "rho_p_bruteforce",
     "rho_infinity",
     "principal_ratio",
     "degree_ratio_lower_bound",

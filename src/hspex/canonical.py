@@ -5,6 +5,13 @@ all permutations compatible with an iteratively refined vertex coloring
 (individualization-refinement).  Refinement colors are isomorphism
 invariants, so restricting the search to color-preserving permutations is
 exact: equal keys iff isomorphic.  Intended for desk scale (n up to ~10).
+
+There is no automorphism pruning, so a form visits about |Aut(G)| leaves
+(2 * 4! * 4! = 1152 for K_{4,4}).  Keys are therefore used only where their
+bytes are the result: the `argmax_key(s)` strings of reports and the CLI,
+the sweep-cache key of a forbidden family, and the public API.  Grouping
+graphs into isomorphism classes is `families._classes`, which buckets by
+`refinement_signature` and settles each bucket by embedding search.
 """
 
 from __future__ import annotations

@@ -198,9 +198,7 @@ def _cmd_experiment(args) -> int:
     n_list = _parse_range(args.n)
     cfg = SolverConfig(starts=args.starts, seed=args.seed)
     if name == "degree-bound":
-        report = run_degree_bound_suite(
-            args.count, seed=args.seed, config=SolverConfig(starts=args.starts)
-        )
+        report = run_degree_bound_suite(args.count, seed=args.seed, config=cfg)
     elif name == "ratio-scaling":
         report = run_ratio_scaling(_load_family(args.forbid), args.p, n_list, cfg)
     elif name == "bridgeless-tight":

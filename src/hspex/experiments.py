@@ -17,10 +17,11 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .canonical import canonical_key, canonical_key_string
+from .canonical import canonical_key_string
 from .errors import HypothesisFailed, Infeasible
 from .families import (
     ForbiddenFamily,
+    _classes,
     extremal_lambda_p,
     extremal_pi,
     is_edge_maximal,
@@ -108,18 +109,11 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
 def connected_graph_classes(v: int, r: int = 2) -> list[Hypergraph]:
     """All connected r-graphs on exactly v labeled vertices, one per iso class."""
     pool = list(combinations(range(v), r))
-    seen: set[bytes] = set()
-    out: list[Hypergraph] = []
-    for mask in range(1 << len(pool)):
-        edges = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        g = Hypergraph(v, r, edges)
-        if not g.is_connected():
-            continue
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
+    graphs = (
+        Hypergraph(v, r, tuple(pool[i] for i in range(len(pool)) if mask >> i & 1))
+        for mask in range(1 << len(pool))
+    )
+    return list(_classes(g for g in graphs if g.is_connected()))
 
 
 def is_r_partite(h: Hypergraph) -> bool:

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .canonical import canonical_key, refinement_signature
 from .embedding import (
@@ -260,38 +260,26 @@ def _mask_to_graph(mask: int, cand: list[tuple[int, ...]], n: int, r: int) -> Hy
     return Hypergraph(n, r, tuple(edges))
 
 
-def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
-    """Exact isomorphism test: invariants first, then backtracking embedding."""
-    if (g.n, g.r, g.m) != (h.n, h.r, h.m):
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    if refinement_signature(g) != refinement_signature(h):
-        return False
-    return _search(h, g, set(h.edges)) is not None
+def _classes(graphs: Iterable[Hypergraph]) -> Iterator[Hypergraph]:
+    """Lazily yield one representative per isomorphism class, in first-seen order.
 
-
-def _dedup_isomorphs(graphs: list[Hypergraph]) -> list[Hypergraph]:
-    """One representative per isomorphism class, preserving first-seen order.
-
-    Graphs are bucketed by refinement signature (an isomorphism invariant);
-    within a bucket an exact backtracking embedding settles equality.
+    Graphs are bucketed by refinement signature, an isomorphism invariant
+    that fixes n, r, m and the degree multiset; within a bucket an exact
+    backtracking embedding into each earlier representative settles
+    equality (an embedding between graphs of equal n and m is an isomorphism).
     """
     buckets: dict[tuple, list[Hypergraph]] = {}
-    out: list[Hypergraph] = []
     for g in graphs:
-        sig = refinement_signature(g)
-        reps = buckets.setdefault(sig, [])
+        reps = buckets.setdefault(refinement_signature(g), [])
         g_edges = set(g.edges)
-        hit = False
-        for rep in reps:
-            if _search(g, rep, g_edges) is not None:
-                hit = True
-                break
-        if not hit:
+        if all(_search(g, rep, g_edges) is None for rep in reps):
             reps.append(g)
-            out.append(g)
-    return out
+            yield g
+
+
+def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
+    """Exact isomorphism test: g and h form a single class."""
+    return len(list(_classes((g, h)))) == 1
 
 
 def _guard(n: int, r: int, limit: int) -> None:
@@ -327,19 +315,14 @@ def _iter_member_masks(fam: ForbiddenFamily, n: int) -> Iterator[int]:
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     """Stream one representative per isomorphism class of members on n vertices.
 
-    Representatives are deduplicated by canonical key and yielded in the
-    order the sweep first reaches them.
+    Representatives are the first member of each class the lex-increasing
+    sweep reaches, yielded as soon as it is reached (see `_classes`).
     """
     ffam = _check_sweepable(fam)
     _guard(n, ffam.r, STREAM_GUARD_BITS)
     cand = _candidate_edges(n, ffam.r)
-    seen: set[bytes] = set()
-    for mask in _iter_member_masks(ffam, n):
-        g = _mask_to_graph(mask, cand, n, ffam.r)
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            yield g
+    masks = _iter_member_masks(ffam, n)
+    yield from _classes(_mask_to_graph(m, cand, n, ffam.r) for m in masks)
 
 
 @dataclass
@@ -385,8 +368,7 @@ def extremal_pi(fam: Family, n: int) -> ExtremalResult:
     """Maximum edge count over members on exactly n labeled vertices."""
     t0 = time.perf_counter()
     ffam, cand, data = _swept(fam, n, ENUM_GUARD_BITS)
-    graphs = [_mask_to_graph(m, cand, n, ffam.r) for m in data.pi_argmax_masks]
-    reps = _dedup_isomorphs(graphs)
+    reps = _classes(_mask_to_graph(m, cand, n, ffam.r) for m in data.pi_argmax_masks)
     return ExtremalResult(
         n=n,
         value=float(data.max_edges),
@@ -412,10 +394,8 @@ def extremal_lambda_p(
     t0 = time.perf_counter()
     ffam, cand, data = _swept(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     if full:
-        graphs = [
-            _mask_to_graph(m, cand, n, ffam.r) for m in _iter_member_masks(ffam, n)
-        ]
-        reps = _dedup_isomorphs(graphs)
+        masks = _iter_member_masks(ffam, n)
+        reps = list(_classes(_mask_to_graph(m, cand, n, ffam.r) for m in masks))
     else:
         reps = _maximal_representatives(ffam, n, data, cand)
 
@@ -446,6 +426,6 @@ def _maximal_representatives(
     fam: ForbiddenFamily, n: int, data: _SweepData, cand: list[tuple[int, ...]]
 ) -> list[Hypergraph]:
     if data.maximal_reps is None:
-        graphs = [_mask_to_graph(m, cand, n, fam.r) for m in data.maximal_masks]
-        data.maximal_reps = tuple(_dedup_isomorphs(graphs))
+        graphs = (_mask_to_graph(m, cand, n, fam.r) for m in data.maximal_masks)
+        data.maximal_reps = tuple(_classes(graphs))
     return list(data.maximal_reps)

@@ -8,7 +8,6 @@ transformations return new values; nothing here mutates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -308,11 +307,3 @@ def parse_hypergraph(text: str) -> Hypergraph:
             except (WrongArity, RepeatedVertex, OutOfRange) as inner:
                 raise ParseError(lineno, str(inner)) from inner
         raise ParseError(header_line, str(exc)) from exc
-
-
-def blow_up_edge_count(g: Hypergraph, t: Sequence[int]) -> int:
-    """Exact |E(G(t))| = sum over edges of the product of multiplicities."""
-    total = 0
-    for e in g.edges:
-        total += math.prod(t[v] for v in e)
-    return total

@@ -41,6 +41,12 @@ def random_graph(n: int, r: int, density: float, rng: random.Random) -> Hypergra
     return Hypergraph(n, r, tuple(edges))
 
 
+def relabel(g: Hypergraph, perm: list[int]) -> Hypergraph:
+    return Hypergraph(
+        g.n, g.r, tuple(tuple(sorted(perm[v] for v in e)) for e in g.edges)
+    )
+
+
 def random_positive_weights(n: int, rng: random.Random) -> list[float]:
     return [rng.uniform(0.05, 1.0) for _ in range(n)]
 

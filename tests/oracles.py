@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from itertools import combinations, permutations
+from typing import Iterable, Sequence
 
+import numpy as np
+
+from hspex.canonical import canonical_key
+from hspex.errors import BadP
 from hspex.hypergraph import Hypergraph
 from hspex.structure import (
     BridgeCertificate,
@@ -23,6 +30,29 @@ def isomorphic_bruteforce(g: Hypergraph, h: Hypergraph) -> bool:
         if all(tuple(sorted(perm[v] for v in e)) in h_edges for e in g.edges):
             return True
     return False
+
+
+def classes_by_key(graphs: Iterable[Hypergraph]) -> list[Hypergraph]:
+    """Reference class reduction: the first graph seen with each canonical key.
+
+    Keys are invariant under relabeling, so once a graph's key is computed
+    every relabeling of it is recorded with that key; later members of the
+    class are looked up instead of recomputed (one key per class).
+    """
+    known: dict[tuple, bytes] = {}
+    seen: set[bytes] = set()
+    out = []
+    for g in graphs:
+        key = known.get((g.n, g.r, g.edges))
+        if key is None:
+            key = canonical_key(g)
+            for perm in permutations(range(g.n)):
+                image = sorted(tuple(sorted(perm[v] for v in e)) for e in g.edges)
+                known[(g.n, g.r, tuple(image))] = key
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
 
 
 def set_partitions(items: list) -> list[list[list]]:
@@ -82,3 +112,83 @@ def is_k_bridge_bruteforce(g: Hypergraph, e, k: int) -> BridgeCertificate:
                 b = tuple(v for v in range(g.n) if bmask >> v & 1)
                 return BridgeCertificate(True, k, key, combo, b)
     return BridgeCertificate(False, k, key)
+
+
+def blow_up_edge_count(g: Hypergraph, t: Sequence[int]) -> int:
+    """Exact |E(G(t))| = sum over edges of the product of multiplicities."""
+    total = 0
+    for e in g.edges:
+        total += math.prod(t[v] for v in e)
+    return total
+
+
+def rho_p_bruteforce(
+    g: Hypergraph, p: float, grid_depth: int = 20, beam: int = 2048
+) -> float:
+    """Grid oracle: maximize L over a recursively refined nonnegative p-sphere grid.
+
+    Accuracy argument: every maximizer x*, rescaled so its largest entry is
+    1, lies within h (sup-norm) of a kept grid point after each round, where
+    h halves per round from 1/16.  The value error through normalization is
+    at most K*h with K <= r! * m * r * (1 + n^(1/p)), since |dL/dx_v| <=
+    r * (r-1)! * deg(v) on [0,1]^n and renormalizing moves a point by at
+    most (1 + n^(1/p)) * h.  Points within 2*K*h of the incumbent are kept
+    and refined with step h/2 over {-h/2, 0, +h/2} offsets, which preserves
+    the h-tracking invariant.  At the default depth h_final = 2^-24, so
+    K*h_final < 2e-5 for every graph with n <= 4, inside the 1e-4 contract.
+    The beam cap is a safeguard for degenerate plateaus; all near-optimal
+    points then share the optimal value, so the reported maximum stands.
+    """
+    if not (1.0 < p < math.inf):
+        raise BadP(f"p={p} outside (1, inf)")
+    if g.n > 6:
+        warnings.warn(f"grid oracle is desk-scale; n={g.n} > 6 will be slow")
+    if g.m == 0 or g.n == 0:
+        return 0.0
+    n, r = g.n, g.r
+    idx = np.array(g.edges, dtype=np.intp)
+    rfact = math.factorial(r)
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        norms = np.sum(points**p, axis=1) ** (1.0 / p)
+        keep = norms > 0
+        pts = points[keep] / norms[keep, None]
+        vals = rfact * np.sum(np.prod(pts[:, idx], axis=2), axis=1)
+        return points[keep], vals
+
+    lip = rfact * g.m * r * (1.0 + n ** (1.0 / p))
+    # round 0: cube grid with max coordinate exactly 1 (covers every ray)
+    steps = np.linspace(0.0, 1.0, 9)
+    mesh = np.stack(np.meshgrid(*([steps] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    mesh = mesh[np.max(mesh, axis=1) == 1.0]
+    seeds, vals = evaluate(mesh)
+    best = float(vals.max())
+    h = 1.0 / 16.0
+
+    offsets = np.stack(
+        np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n), indexing="ij"), axis=-1
+    ).reshape(-1, n)
+    # all points sit exactly on the (h/2)-lattice (powers of two), so integer
+    # keys give exact, fast duplicate removal
+    mult = np.array(
+        [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+         0x27D4EB2F165667C5, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9],
+        dtype=np.uint64,
+    )[:n]
+    for _ in range(grid_depth):
+        margin = 2.0 * lip * h
+        keep = vals >= best - margin
+        seeds, vals = seeds[keep], vals[keep]
+        if len(seeds) > beam:
+            top = np.argsort(vals)[-beam:]
+            seeds, vals = seeds[top], vals[top]
+        cand = (seeds[:, None, :] + (h / 2.0) * offsets[None, :, :]).reshape(-1, n)
+        cand = np.maximum(cand, 0.0)
+        lattice = np.round(cand * (2.0 / h)).astype(np.uint64)
+        keys = (lattice * mult).sum(axis=1, dtype=np.uint64)
+        _, first = np.unique(keys, return_index=True)
+        cand = cand[np.sort(first)]
+        seeds, vals = evaluate(cand)
+        best = max(best, float(vals.max()))
+        h /= 2.0
+    return best

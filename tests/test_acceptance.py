@@ -42,7 +42,6 @@ from hspex.spectral import (
     lagrangian_gradient,
     principal_ratio,
     rho_infinity,
-    rho_p_bruteforce,
     rho_upper_bound,
     solve_rho_p,
 )
@@ -63,6 +62,7 @@ from conftest import (
     random_graph,
     random_positive_weights,
 )
+from oracles import rho_p_bruteforce
 
 K3 = complete_r_graph(3, 2)
 K4 = complete_r_graph(4, 2)

@@ -8,14 +8,8 @@ from hspex.canonical import (
     refinement_signature,
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph
-from conftest import cycle, path3, random_graph
+from conftest import cycle, path3, random_graph, relabel
 from oracles import isomorphic_bruteforce
-
-
-def relabel(g: Hypergraph, perm: list[int]) -> Hypergraph:
-    return Hypergraph(
-        g.n, g.r, tuple(tuple(sorted(perm[v] for v in e)) for e in g.edges)
-    )
 
 
 def test_key_invariant_under_relabeling():

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+from itertools import combinations
 
 import pytest
 
 from hspex import families
 from hspex.errors import HypothesisFailed, Infeasible
 from hspex.families import ForbiddenFamily
-from hspex.hypergraph import complete_r_graph, new_hypergraph
+from hspex.hypergraph import Hypergraph, complete_r_graph, new_hypergraph
 from hspex.spectral import SolverConfig
 from hspex.experiments import (
     ExperimentReport,
@@ -24,6 +25,7 @@ from hspex.experiments import (
     run_ratio_scaling,
 )
 from conftest import bowtie3, cycle, path3, path4
+from oracles import classes_by_key
 
 
 class TestGenerators:
@@ -47,6 +49,16 @@ class TestGenerators:
     def test_connected_classes_small(self):
         assert len(connected_graph_classes(3)) == 2  # path, triangle
         assert len(connected_graph_classes(4)) == 6
+
+    @pytest.mark.parametrize("v, r", [(v, 2) for v in range(6)] + [(4, 3)])
+    def test_connected_classes_match_key_oracle(self, v, r):
+        pool = list(combinations(range(v), r))
+        graphs = [
+            Hypergraph(v, r, tuple(pool[i] for i in range(len(pool)) if mask >> i & 1))
+            for mask in range(1 << len(pool))
+        ]
+        expected = classes_by_key(g for g in graphs if g.is_connected())
+        assert [g.edges for g in connected_graph_classes(v, r)] == [g.edges for g in expected]
 
     def test_r_partite(self):
         assert is_r_partite(cycle(4))

@@ -6,11 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from hspex.canonical import canonical_key
+from hspex.canonical import canonical_key, refinement_signature
 from hspex.errors import NotMember, TooLarge, UniformityMismatch
 from hspex.families import (
     ForbiddenFamily,
     PredicateFamily,
+    _classes,
     check_clonal_on,
     check_hereditary_witness,
     check_multiplicative_witness,
@@ -22,9 +23,10 @@ from hspex.families import (
     isomorphic,
     saturate,
 )
-from hspex.hypergraph import Hypergraph, complete_r_graph, new_hypergraph
+from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_hypergraph
 from hspex.spectral import SolverConfig, rho_infinity
-from conftest import complete_bipartite, cycle, path3, random_graph
+from conftest import complete_bipartite, cycle, path3, random_graph, relabel
+from oracles import classes_by_key, isomorphic_bruteforce
 
 
 def k3_family() -> ForbiddenFamily:
@@ -239,6 +241,86 @@ class TestEnumeration:
             if is_member(fam, g) and is_edge_maximal(fam, g)[0]:
                 expected.add(mask)
         assert set(data.maximal_masks) == expected
+
+
+def members_in_sweep_order(fam: ForbiddenFamily, n: int) -> list[Hypergraph]:
+    """Every member on n labeled vertices by `is_member`, in the sweep's order.
+
+    A DFS adding candidate edges in increasing index reaches edge subsets in
+    lex order of their index sequences.  Membership is closed under
+    subgraphs, so a non-member's extensions can be skipped.
+    """
+    pool = list(combinations(range(n), fam.r))
+    out: list[Hypergraph] = []
+
+    def walk(start: int, edges: tuple) -> None:
+        g = Hypergraph(n, fam.r, edges)
+        if is_member(fam, g):
+            out.append(g)
+            for j in range(start, len(pool)):
+                walk(j + 1, edges + (pool[j],))
+
+    walk(0, ())
+    return out
+
+
+def edge_lists(graphs) -> list:
+    return [g.edges for g in graphs]
+
+
+class TestClasses:
+    """The one class routine against canonical keys and brute-force isomorphism."""
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            [cycle(6), disjoint_union(cycle(3), cycle(3))],
+            [
+                cycle(8),
+                disjoint_union(cycle(3), cycle(5)),
+                disjoint_union(cycle(4), cycle(4)),
+            ],
+        ],
+    )
+    def test_equal_signatures_not_isomorphic(self, graphs):
+        assert len({refinement_signature(g) for g in graphs}) == 1
+        for i, g in enumerate(graphs):
+            for h in graphs[i + 1:]:
+                assert not isomorphic(g, h) and not isomorphic(h, g)
+        assert edge_lists(_classes(graphs)) == edge_lists(graphs)
+
+    def test_isomorphic_matches_bruteforce(self, rng):
+        for _ in range(150):
+            n, r = rng.randint(0, 6), rng.choice([2, 3])
+            g = random_graph(n, r, rng.random(), rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert isomorphic(g, relabel(g, perm))
+            pool = list(combinations(range(n), r))
+            h = Hypergraph(n, r, tuple(rng.sample(pool, g.m)))
+            assert isomorphic(g, h) == isomorphic_bruteforce(g, h)
+        assert not isomorphic(Hypergraph(3, 2, ()), Hypergraph(3, 3, ()))
+        assert not isomorphic(path3(), Hypergraph(4, 2, ((0, 1), (1, 2))))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_partition_matches_keys_on_all_graphs_n5(self, r):
+        pool = list(combinations(range(5), r))
+        graphs = [
+            Hypergraph(5, r, tuple(pool[i] for i in range(len(pool)) if mask >> i & 1))
+            for mask in range(1 << len(pool))
+        ]
+        assert edge_lists(_classes(graphs)) == edge_lists(classes_by_key(graphs))
+
+    @pytest.mark.parametrize(
+        "forbidden, n",
+        [(complete_r_graph(3, 2), n) for n in range(1, 7)]
+        + [(cycle(5), 6), (complete_r_graph(4, 3), 5)],
+        ids=[f"K3-n{n}" for n in range(1, 7)] + ["C5-n6", "K4_3-n5"],
+    )
+    def test_enumerate_family_matches_key_oracle(self, forbidden, n):
+        fam = ForbiddenFamily((forbidden,))
+        expected = classes_by_key(members_in_sweep_order(fam, n))
+        assert edge_lists(enumerate_family(fam, n)) == edge_lists(expected)
 
 
 class TestExtremal:

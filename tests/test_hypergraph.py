@@ -16,7 +16,6 @@ from hspex.errors import (
 )
 from hspex.hypergraph import (
     Hypergraph,
-    blow_up_edge_count,
     complete_r_graph,
     disjoint_union,
     ell_cliques,
@@ -26,6 +25,7 @@ from hspex.hypergraph import (
     serialize,
 )
 from conftest import bowtie3, path3, random_graph, triple_edge
+from oracles import blow_up_edge_count
 
 
 class TestConstruction:

@@ -23,7 +23,6 @@ from hspex.spectral import (
     lagrangian_gradient,
     principal_ratio,
     rho_infinity,
-    rho_p_bruteforce,
     rho_upper_bound,
     solve_rho_p,
 )
@@ -34,6 +33,7 @@ from conftest import (
     random_positive_weights,
     triple_edge,
 )
+from oracles import rho_p_bruteforce
 
 
 class TestLagrangian:
