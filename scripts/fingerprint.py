@@ -1,0 +1,165 @@
+"""Print one sha256 per layer of hspex's results, to compare two source trees.
+
+    python3 scripts/fingerprint.py [--src DIR]
+
+Runs a fixed, seeded set of inputs through the public API of the hspex
+package found in DIR (default: this checkout's src/) and hashes the exact
+bytes of what comes back, layer by layer:
+
+  solver     every SpectralSolution field, x as x.tobytes(), floats as hex:
+             random 2-, 3- and 4-graphs at p in {1.5, 2, 3, 4} (both
+             strategies and a warm start), K_t^(r) blow-ups, and a 30-instance
+             run_degree_bound_suite report as JSON
+  kernel     lagrangian, lagrangian_gradient, eigen_residual and
+             cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
+             weight vectors that hold exact zeros
+  structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
+  extremal   extremal_pi and extremal_lambda_p results with solution bytes
+
+Equal digests on two trees mean byte-identical results on these inputs.
+Digests depend on the numpy build and the CPU, so compare trees on one
+machine; they are not constants to check in.  Uses only the stdlib and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+from itertools import combinations
+from pathlib import Path
+
+P_VALUES = (1.5, 2.0, 3.0, 4.0)
+
+
+def _random_graph(hspex, rng: random.Random, n: int, r: int, density: float):
+    edges = [e for e in combinations(range(n), r) if rng.random() < density]
+    return hspex.Hypergraph(n, r, tuple(edges))
+
+
+def _weights(rng: random.Random, n: int, zeros: bool) -> list[float]:
+    return [0.0 if zeros and rng.random() < 0.3 else rng.uniform(0.05, 1.0) for _ in range(n)]
+
+
+def _solution(sol) -> tuple:
+    return (
+        float(sol.rho).hex(),
+        sol.x.tobytes(),
+        float(sol.p).hex(),
+        float(sol.residual).hex(),
+        sol.iterations,
+        sol.starts_used,
+        float(sol.agreement_gap).hex(),
+        sol.flags,
+    )
+
+
+def solver_layer(hspex, emit) -> None:
+    rng = random.Random(620)
+    for i in range(150):
+        r = (2, 3, 4)[i % 3]
+        n = rng.randint(r + 1, 9 if r == 2 else 7)
+        g = _random_graph(hspex, rng, n, r, rng.uniform(0.3, 0.9))
+        for p in P_VALUES:
+            cfg = hspex.SolverConfig(starts=3, seed=rng.randrange(2**31))
+            emit(("solve", g.n, g.r, g.edges, p), _solution(hspex.solve_rho_p(g, p, cfg)))
+        if i % 6 == 0:
+            for strategy in ("fixed-point-shifted", "projected-gradient"):
+                cfg = hspex.SolverConfig(starts=2, seed=i, strategy=strategy)
+                emit(("strategy", strategy, g.edges), _solution(hspex.solve_rho_p(g, 2.5, cfg)))
+            warm = _weights(rng, g.n, zeros=False)
+            cfg = hspex.SolverConfig(starts=2, seed=i, warm_start=warm)
+            emit(("warm", g.edges), _solution(hspex.solve_rho_p(g, 3.0, cfg)))
+    for t, r, parts in [(4, 2, (3, 1, 2, 5)), (5, 2, (2,) * 5), (4, 3, (2, 3, 1, 4)),
+                        (5, 3, (2,) * 5), (5, 4, (1, 2, 2, 3, 1)), (6, 3, (3,) * 6)]:
+        g = hspex.complete_r_graph(t, r).blow_up(parts)
+        for p in P_VALUES:
+            cfg = hspex.SolverConfig(starts=2, seed=t * 10 + r)
+            emit(("blow-up", t, r, parts, p), _solution(hspex.solve_rho_p(g, p, cfg)))
+    for g in (hspex.Hypergraph(0, 2, ()), hspex.Hypergraph(4, 3, ())):
+        emit(("trivial", g.n, g.r), _solution(hspex.solve_rho_p(g, 2.0)))
+    from hspex.experiments import run_degree_bound_suite
+
+    emit(("degree-bound",), run_degree_bound_suite(30, seed=11).to_json())
+
+
+def kernel_layer(hspex, emit) -> None:
+    rng = random.Random(621)
+    for i in range(400):
+        r = 2 + i % 4
+        n = rng.randint(0, 9) if i % 50 == 0 else rng.randint(r, 9)
+        g = _random_graph(hspex, rng, n, r, rng.uniform(0.1, 1.0))
+        x = _weights(rng, n, zeros=i % 2 == 1)
+        val = hspex.lagrangian(g, x)
+        grad = hspex.lagrangian_gradient(g, x)
+        res = hspex.eigen_residual(g, x, 2.0 + i % 3, val)
+        emit(("kernel", g.n, g.r, g.edges), (val.hex(), grad.tobytes(), res.hex()))
+        if n >= 2:
+            u, z = rng.sample(range(n), 2)
+            emit(("clone", u, z), hspex.cloning_lagrangian_delta(g, u, z, x).hex())
+
+
+def structure_layer(hspex, emit) -> None:
+    rng = random.Random(622)
+    for i in range(150):
+        r = (2, 3, 4)[i % 3]
+        n = rng.randint(r + 1, 8)
+        g = _random_graph(hspex, rng, n, r, rng.uniform(0.2, 0.8))
+        if g.m == 0:
+            continue
+        for k in range(1, r):
+            emit(("tight", g.edges, k), hspex.is_k_tight(g, k).to_json_dict())
+            emit(("bridges", k), [c.to_json_dict() for c in hspex.find_k_bridges(g, k)])
+            emit(("plateaued", k), hspex.is_k_plateaued(g, k))
+
+
+def extremal_layer(hspex, emit) -> None:
+    k3 = hspex.complete_r_graph(3, 2)
+    k4_3 = hspex.complete_r_graph(4, 3)
+    for h, ns in ((k3, range(3, 8)), (k4_3, range(4, 7))):
+        fam = hspex.ForbiddenFamily((h,))
+        for n in ns:
+            emit(("pi", h.r, n), hspex.extremal_pi(fam, n).to_json_dict())
+            for p in (2.0, 3.0):
+                res = hspex.extremal_lambda_p(fam, n, p, hspex.SolverConfig(starts=4, seed=n))
+                emit(
+                    ("lambda", h.r, n, p),
+                    (res.to_json_dict(), res.non_converged, res.classes_solved,
+                     [_solution(s) for s in res.solutions]),
+                )
+
+
+LAYERS = [
+    ("solver", solver_layer),
+    ("kernel", kernel_layer),
+    ("structure", structure_layer),
+    ("extremal", extremal_layer),
+]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                    help="directory that holds the hspex package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import hspex
+
+    print(f"# hspex from {Path(hspex.__file__).parent}")
+    for name, layer in LAYERS:
+        digest = hashlib.sha256()
+        count = 0
+
+        def emit(key, value) -> None:
+            nonlocal count
+            count += 1
+            digest.update(repr((key, value)).encode())
+
+        layer(hspex, emit)
+        print(f"{name:<10} {count:>6} {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,15 +48,22 @@ def _load_family(paths: list[str]) -> ForbiddenFamily:
     return ForbiddenFamily(tuple(_load_graph(p) for p in paths))
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise HspexError(f"not an integer: {tok!r}") from None
+
+
 def _parse_ids(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    return tuple(_int(tok) for tok in text.split(","))
 
 
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+        return list(range(_int(lo), _int(hi) + 1))
+    return list(_parse_ids(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,6 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--full", action="store_true",
                      help="audit all members, not only edge-maximal ones")
     ext.add_argument("--timings", action="store_true")
+    ext.add_argument("--stats", action="store_true",
+                     help="append non_converged, classes_solved and the argmax "
+                          "solves' residual, iterations and flags")
 
     sat = sub.add_parser("saturate", help="greedy saturation inside a family")
     sat.add_argument("--forbid", action="append", required=True)
@@ -176,7 +186,7 @@ def _cmd_extremal(args) -> int:
     else:
         cfg = SolverConfig(starts=args.starts, seed=args.seed)
         res = extremal_lambda_p(fam, args.n, args.p, cfg, full=args.full)
-    payload = res.to_json_dict(timings=args.timings)
+    payload = res.to_json_dict(timings=args.timings, stats=args.stats)
     payload["argmax_keys"] = [canonical_key_string(g) for g in res.argmax]
     print(dumps(payload))
     if res.non_converged:

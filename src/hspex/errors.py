@@ -63,6 +63,10 @@ class BadP(HspexError):
     """Exponent p outside the open interval (1, inf)."""
 
 
+class BadConfig(HspexError, ValueError):
+    """Solver settings out of range: tol <= 0 or starts < 1."""
+
+
 class AllZero(HspexError):
     """A weight vector that must be nonzero is identically zero."""
 

@@ -339,7 +339,9 @@ class ExtremalResult:
     classes_solved: int = 0
     elapsed_ms: float = 0.0
 
-    def to_json_dict(self, timings: bool = False) -> dict:
+    def to_json_dict(self, timings: bool = False, stats: bool = False) -> dict:
+        """JSON fields; `stats` appends the solve counters (opt-in, so
+        default bytes stay fixed)."""
         from .hypergraph import serialize
 
         out: dict = {"n": self.n}
@@ -349,6 +351,13 @@ class ExtremalResult:
         out["argmax"] = [serialize(g) for g in self.argmax]
         out["count_members"] = self.count_members
         out["elapsed_ms"] = self.elapsed_ms if timings else 0.0
+        if stats:
+            out["non_converged"] = self.non_converged
+            out["classes_solved"] = self.classes_solved
+            out["solves"] = [
+                {"residual": s.residual, "iterations": s.iterations, "flags": list(s.flags)}
+                for s in self.solutions
+            ]
         return out
 
 

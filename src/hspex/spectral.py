@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     AllZero,
+    BadConfig,
     BadP,
     DimensionMismatch,
     IsolatedVertex,
@@ -49,32 +51,35 @@ def _as_weights(g: Hypergraph, x) -> np.ndarray:
 class _Lagrangian:
     """L and its gradient over one edge list; the one evaluation path.
 
-    Built from (edges, n, r); caches the (m, r) index array, the
-    leave-one-out columns and r!, (r-1)!.  Edges are summed in the order
-    given, which callers keep sorted.
+    Built from (edges, n, r); caches r!, (r-1)! and the edge index as
+    contiguous rows, row j holding each edge's j-th vertex.  An iterate is
+    gathered once, ``X = gather(x)``, for both `value` and `grad`, whose
+    products multiply rows left to right: the factor order of np.prod over
+    an (m, r) index, so the bits match it for every r (prefix times suffix
+    would regroup them for r >= 4).  Edges are summed in the order given,
+    which callers keep sorted.
     """
 
     def __init__(self, edges: Sequence[tuple[int, ...]], n: int, r: int):
         self.n = n
         self.rfact = math.factorial(r)
         self.rm1fact = math.factorial(r - 1)
-        self.idx = np.array(edges, dtype=np.intp) if edges else None
-        self.loo_cols = [[k for k in range(r) if k != j] for j in range(r)]
+        self.rows = np.array(edges, dtype=np.intp).reshape(-1, r).T.copy()
 
-    def value(self, x: np.ndarray) -> float:
-        """r! * sum of per-edge products."""
-        if self.idx is None:
-            return 0.0
-        return float(self.rfact * np.sum(np.prod(x[self.idx], axis=1)))
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The (r, m) array of x over each edge position."""
+        return x[self.rows]
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Per-vertex (1/r) dL/dx_v."""
+    def value(self, X: np.ndarray) -> float:
+        """r! * sum of per-edge products, from a gather X."""
+        return float(self.rfact * np.sum(reduce(np.multiply, X)))
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        """Per-vertex (1/r) dL/dx_v, from a gather X."""
         out = np.zeros(self.n)
-        if self.idx is None:
-            return out
-        for j, cols in enumerate(self.loo_cols):
-            loo = np.prod(x[self.idx[:, cols]], axis=1)
-            out += np.bincount(self.idx[:, j], weights=loo, minlength=self.n)
+        for j, row in enumerate(self.rows):
+            loo = reduce(np.multiply, [X[k] for k in range(len(X)) if k != j])
+            out += np.bincount(row, weights=loo, minlength=self.n)
         return self.rm1fact * out
 
     def residual(self, xp: np.ndarray, grad: np.ndarray, rho: float) -> float:
@@ -91,19 +96,21 @@ class _Lagrangian:
 
 def lagrangian(g: Hypergraph, x) -> float:
     """L_G(x) = r! * sum over edges of the product of the edge's weights."""
-    return _Lagrangian(g.edges, g.n, g.r).value(_as_weights(g, x))
+    ev = _Lagrangian(g.edges, g.n, g.r)
+    return ev.value(ev.gather(_as_weights(g, x)))
 
 
 def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
     """Per-vertex (1/r) dL/dx_v = (r-1)! * sum_{e : v in e} prod_{w in e - v} x_w."""
-    return _Lagrangian(g.edges, g.n, g.r).grad(_as_weights(g, x))
+    ev = _Lagrangian(g.edges, g.n, g.r)
+    return ev.grad(ev.gather(_as_weights(g, x)))
 
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     """max over vertices of |rho * x_v^(p-1) - gradient_v|."""
     arr = _as_weights(g, x)
     ev = _Lagrangian(g.edges, g.n, g.r)
-    return ev.residual(np.power(arr, p - 1.0), ev.grad(arr), rho)
+    return ev.residual(np.power(arr, p - 1.0), ev.grad(ev.gather(arr)), rho)
 
 
 def p_norm(x, p: float) -> float:
@@ -156,7 +163,8 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
         if z in e and u not in e:
             terms.add(tuple(sorted(w for w in e if w != z)) + (u,))
     ordered = sorted(tuple(sorted(t)) for t in terms)
-    return _Lagrangian(ordered, g.n, g.r).value(arr)
+    ev = _Lagrangian(ordered, g.n, g.r)
+    return ev.value(ev.gather(arr))
 
 
 # --- solver ------------------------------------------------------------------
@@ -179,7 +187,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.tol <= 0 or self.starts < 1:
-            raise ValueError("tol must be positive and starts >= 1")
+            raise BadConfig("tol must be positive and starts >= 1")
 
 
 @dataclass
@@ -225,17 +233,18 @@ def _fixed_point_run(
     The shift alpha keeps the objective monotone for p >= r; as a local
     polisher for p < r it is retried with larger alpha if L ever drops.
     """
-    best_x, best_val = x, kernel.value(x)
+    X = kernel.gather(x)
+    best_x, best_val = x, kernel.value(X)
     exp = 1.0 / (p - 1.0)
     it = 0
     res_checkpoint = math.inf
     stagnant = 0
     while it < budget:
-        grad = kernel.grad(x)
+        grad = kernel.grad(X)
         xp = np.power(x, p - 1.0)
         rho_est, res = kernel.euler_residual(x, xp, grad)
         if res <= tol * max(1.0, rho_est):
-            return x, kernel.value(x), it, True
+            return x, kernel.value(X), it, True
         if it and it % 512 == 0:
             # Stagnating residual means a flat maximizer direction (possible
             # for p < r): near-dead entries then decay only algebraically.
@@ -247,7 +256,8 @@ def _fixed_point_run(
                 tiny = (x > 0.0) & (x < 1e-6)
                 if tiny.any():
                     x = _normalize_p(np.where(tiny, 0.0, x), p)
-                    grad = kernel.grad(x)
+                    X = kernel.gather(x)
+                    grad = kernel.grad(X)
                     xp = np.power(x, p - 1.0)
                     stagnant = 0
                 else:
@@ -261,14 +271,16 @@ def _fixed_point_run(
         if not np.any(y):
             break  # stuck at an all-dead point (no edges reachable)
         x = _normalize_p(np.power(y, exp), p)
+        X = kernel.gather(x)
         it += 1
-        val = kernel.value(x)
+        val = kernel.value(X)
         if val > best_val:
             best_x, best_val = x, val
         elif val < best_val - 1e-12 * max(1.0, best_val):
             # non-monotone: shift too small for this regime; enlarge and restart
             alpha *= 4.0
             x = best_x
+            X = kernel.gather(x)
             if alpha > 1e9:
                 break
     return best_x, best_val, it, False
@@ -283,15 +295,16 @@ def _projected_gradient_run(
     resolution, so after the ascent phase the shifted fixed-point map is run
     from the incumbent to push the eigenequation residual to tolerance.
     """
-    best_x, best_val = x, kernel.value(x)
+    X = kernel.gather(x)
+    best_x, best_val = x, kernel.value(X)
     eta = 0.25  # direction is sup-normalized, so steps live on the entry scale
     it = 0
     ascent_cap = min(budget // 2, 2000)
     while it < ascent_cap:
-        grad = kernel.grad(x)
+        grad = kernel.grad(X)
         rho_est, res = kernel.euler_residual(x, np.power(x, p - 1.0), grad)
         if res <= tol * max(1.0, rho_est):
-            return x, kernel.value(x), it, True
+            return x, kernel.value(X), it, True
         top = float(np.max(grad))
         if top <= 0.0:
             break
@@ -299,11 +312,12 @@ def _projected_gradient_run(
         gain = 0.0
         while eta > 1e-18:
             cand = _normalize_p(np.maximum(x + eta * direction, 0.0), p)
+            cand_X = kernel.gather(cand)
             it += 1
-            val = kernel.value(cand)
+            val = kernel.value(cand_X)
             if val > best_val:
                 gain = val - best_val
-                x, best_x, best_val = cand, cand, val
+                x, X, best_x, best_val = cand, cand_X, cand, val
                 eta = min(eta * 1.5, 1e6)
                 break
             eta *= 0.5
@@ -378,8 +392,9 @@ def solve_rho_p(
     gap = (best_val - min(converged_vals)) if converged_vals else 0.0
 
     x_out = np.where(best_x < CLAMP_EPS, 0.0, best_x)
-    rho = kernel.value(x_out)
-    residual = kernel.residual(np.power(x_out, p - 1.0), kernel.grad(x_out), rho)
+    X_out = kernel.gather(x_out)
+    rho = kernel.value(X_out)
+    residual = kernel.residual(np.power(x_out, p - 1.0), kernel.grad(X_out), rho)
     flags = []
     if residual > cfg.tol * max(1.0, rho):
         flags.append("NoConvergence")

@@ -114,6 +114,39 @@ def is_k_bridge_bruteforce(g: Hypergraph, e, k: int) -> BridgeCertificate:
     return BridgeCertificate(False, k, key)
 
 
+def lagrangian_percolumn(g: Hypergraph, x) -> float:
+    """Reference L: np.prod over the (m, r) index array, then np.sum."""
+    arr = np.asarray(x, dtype=float)
+    if not g.edges:
+        return 0.0
+    idx = np.array(g.edges, dtype=np.intp)
+    return float(math.factorial(g.r) * np.sum(np.prod(arr[idx], axis=1)))
+
+
+def lagrangian_gradient_percolumn(g: Hypergraph, x) -> np.ndarray:
+    """Reference gradient: per position j, np.prod over the other columns
+    and a bincount on the strided column idx[:, j]."""
+    arr = np.asarray(x, dtype=float)
+    out = np.zeros(g.n)
+    if not g.edges:
+        return out
+    idx = np.array(g.edges, dtype=np.intp)
+    for j in range(g.r):
+        cols = [k for k in range(g.r) if k != j]
+        loo = np.prod(arr[idx[:, cols]], axis=1)
+        out += np.bincount(idx[:, j], weights=loo, minlength=g.n)
+    return math.factorial(g.r - 1) * out
+
+
+def eigen_residual_percolumn(g: Hypergraph, x, p: float, rho: float) -> float:
+    """Reference max over vertices of |rho * x_v^(p-1) - gradient_v|."""
+    arr = np.asarray(x, dtype=float)
+    if g.n == 0:
+        return 0.0
+    grad = lagrangian_gradient_percolumn(g, arr)
+    return float(np.max(np.abs(rho * np.power(arr, p - 1.0) - grad)))
+
+
 def blow_up_edge_count(g: Hypergraph, t: Sequence[int]) -> int:
     """Exact |E(G(t))| = sum over edges of the product of multiplicities."""
     total = 0

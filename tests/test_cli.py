@@ -78,6 +78,12 @@ class TestRho:
         assert code == 2
         assert "NoConvergence" in json.loads(out)["flags"]
 
+    @pytest.mark.parametrize("flag", [["--starts", "0"], ["--tol", "0"]])
+    def test_bad_solver_setting_exit_1(self, capsys, files, flag):
+        code, out, err = run(capsys, ["rho", "--input", files["p3"], "--p", "2"] + flag)
+        assert code == 1 and out == ""
+        assert err == "error: tol must be positive and starts >= 1\n"
+
 
 class TestCheck:
     def test_tight_failure_exit_3(self, capsys, files):
@@ -117,6 +123,14 @@ class TestCheck:
         )
         assert code == 1
 
+    def test_non_integer_edge_exit_1(self, capsys, files):
+        code, out, err = run(
+            capsys,
+            ["check", "bridge", "--input", files["p3"], "--edge", "0,x", "--k", "1"],
+        )
+        assert code == 1 and out == ""
+        assert err == "error: not an integer: 'x'\n"
+
 
 class TestExtremalSaturate:
     def test_extremal_lambda(self, capsys, files):
@@ -151,6 +165,58 @@ class TestExtremalSaturate:
         assert code == 2
         assert out == clean
         assert err == "did not converge: 2 of 2 classes\n"
+
+    def test_extremal_zero_starts_exit_1(self, capsys, files):
+        code, out, err = run(
+            capsys,
+            ["extremal", "--forbid", files["k3"], "--n", "5", "--p", "2", "--starts", "0"],
+        )
+        assert code == 1 and out == ""
+        assert err == "error: tol must be positive and starts >= 1\n"
+
+    def test_extremal_default_bytes(self, capsys, files):
+        """Without --stats the JSON keeps the bytes it had before the flag."""
+        code, out, _ = run(
+            capsys,
+            ["extremal", "--forbid", files["k3"], "--n", "4", "--p", "2", "--starts", "4"],
+        )
+        assert code == 0
+        assert out == (
+            r'{"n": 4, "p": 2, "value": 2, "argmax": ["2 4 4\n0 1\n0 2\n1 3\n2 3\n"], '
+            r'"count_members": 41, "elapsed_ms": 0, "argmax_keys": ["4:2:4:0:1:0:3:1:2:2:3"]}'
+            "\n"
+        )
+
+    def test_extremal_stats(self, capsys, files):
+        argv = ["extremal", "--forbid", files["k3"], "--n", "5", "--p", "2", "--starts", "4"]
+        _, plain, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data.pop("non_converged"), data.pop("classes_solved")) == (0, 3)
+        solves = data.pop("solves")
+        assert data == json.loads(plain)
+        assert len(solves) == len(data["argmax"]) == 1
+        assert solves[0]["flags"] == [] and solves[0]["iterations"] > 0
+        assert 0.0 <= solves[0]["residual"] <= 1e-10 * data["value"]
+
+    def test_extremal_stats_names_failed_solves(self, capsys, files, monkeypatch):
+        solve = families.solve_rho_p
+
+        def failing(g, p, config=None):
+            sol = solve(g, p, config)
+            return dataclasses.replace(sol, flags=sol.flags + ("NoConvergence",))
+
+        monkeypatch.setattr(families, "solve_rho_p", failing)
+        code, out, _ = run(
+            capsys,
+            ["extremal", "--forbid", files["k3"], "--n", "4", "--p", "2",
+             "--starts", "4", "--stats"],
+        )
+        data = json.loads(out)
+        assert code == 2
+        assert (data["non_converged"], data["classes_solved"]) == (2, 2)
+        assert [s["flags"] for s in data["solves"]] == [["NoConvergence"]]
 
     def test_too_large_exit_4(self, capsys, files):
         code, _, err = run(

@@ -1,6 +1,7 @@
 """Lagrangian values, gradients, the solver, its oracles, and identities."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from conftest import (
     random_positive_weights,
     triple_edge,
 )
-from oracles import rho_p_bruteforce
+from oracles import (
+    eigen_residual_percolumn,
+    lagrangian_gradient_percolumn,
+    lagrangian_percolumn,
+    rho_p_bruteforce,
+)
 
 
 class TestLagrangian:
@@ -74,6 +80,51 @@ class TestLagrangian:
             x = np.array(random_positive_weights(g.n, rng))
             lhs = float(np.dot(x, lagrangian_gradient(g, x)))
             assert lhs == pytest.approx(lagrangian(g, x), rel=1e-12)
+
+
+def _every_labeled_graph(r: int, max_n: int):
+    for n in range(max_n + 1):
+        cand = list(combinations(range(n), r))
+        for mask in range(1 << len(cand)):
+            yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
+
+
+def _weights_with_zeros(n: int, rng) -> list[float]:
+    return [0.0 if rng.random() < 0.3 else rng.uniform(0.05, 1.0) for _ in range(n)]
+
+
+class TestKernelOracle:
+    """The gather-once kernel is bit-equal to the per-column np.prod oracle."""
+
+    @staticmethod
+    def check(g, x, p):
+        val = lagrangian(g, x)
+        ref = lagrangian_percolumn(g, x)
+        assert np.float64(val).tobytes() == np.float64(ref).tobytes()
+        grad = lagrangian_gradient(g, x)
+        assert grad.tobytes() == lagrangian_gradient_percolumn(g, x).tobytes()
+        res = eigen_residual(g, x, p, val)
+        ref = eigen_residual_percolumn(g, x, p, val)
+        assert np.float64(res).tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_labeled_graph_n_le_5(self, r, rng):
+        for g in _every_labeled_graph(r, 5):
+            self.check(g, random_positive_weights(g.n, rng), 2.0)
+            self.check(g, _weights_with_zeros(g.n, rng), 1.5)
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_random_graphs_n_le_9(self, r, rng):
+        for i in range(150):
+            g = random_graph(rng.randint(r, 9), r, rng.uniform(0.1, 0.9), rng)
+            for p in (1.5, 2.0, 3.0):
+                x = (_weights_with_zeros if i % 3 == 0 else random_positive_weights)(g.n, rng)
+                self.check(g, x, p)
+
+    def test_no_edges_and_no_vertices(self, rng):
+        for g in (Hypergraph(0, 2, ()), Hypergraph(0, 4, ()), Hypergraph(6, 3, ())):
+            self.check(g, random_positive_weights(g.n, rng), 2.0)
+            self.check(g, [0.0] * g.n, 3.0)
 
 
 class TestResidualAndRatios:
