@@ -14,7 +14,9 @@ bytes of what comes back, layer by layer:
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
              weight vectors that hold exact zeros
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
-  extremal   extremal_pi and extremal_lambda_p results with solution bytes
+  extremal   extremal_pi and extremal_lambda_p results with solution bytes,
+             enumerate_family edge lists and extremal_lambda_p(full=True)
+             results, so every consumer of the member walk is covered
 
 Equal digests on two trees mean byte-identical results on these inputs.
 Digests depend on the numpy build and the CPU, so compare trees on one
@@ -53,6 +55,11 @@ def _solution(sol) -> tuple:
         float(sol.agreement_gap).hex(),
         sol.flags,
     )
+
+
+def _extremal(res) -> tuple:
+    return (res.to_json_dict(), res.non_converged, res.classes_solved,
+            [_solution(s) for s in res.solutions])
 
 
 def solver_layer(hspex, emit) -> None:
@@ -123,11 +130,15 @@ def extremal_layer(hspex, emit) -> None:
             emit(("pi", h.r, n), hspex.extremal_pi(fam, n).to_json_dict())
             for p in (2.0, 3.0):
                 res = hspex.extremal_lambda_p(fam, n, p, hspex.SolverConfig(starts=4, seed=n))
-                emit(
-                    ("lambda", h.r, n, p),
-                    (res.to_json_dict(), res.non_converged, res.classes_solved,
-                     [_solution(s) for s in res.solutions]),
-                )
+                emit(("lambda", h.r, n, p), _extremal(res))
+    for h, enum_ns, full_ns in ((k3, range(3, 7), range(3, 7)), (k4_3, range(4, 6), (5,))):
+        fam = hspex.ForbiddenFamily((h,))
+        for n in enum_ns:
+            emit(("enumerate", h.r, n), [g.edges for g in hspex.enumerate_family(fam, n)])
+        for n in full_ns:
+            res = hspex.extremal_lambda_p(fam, n, 2.0, hspex.SolverConfig(starts=4, seed=n),
+                                          full=True)
+            emit(("full", h.r, n), _extremal(res))
 
 
 LAYERS = [

@@ -64,7 +64,7 @@ class BadP(HspexError):
 
 
 class BadConfig(HspexError, ValueError):
-    """Solver settings out of range: tol <= 0 or starts < 1."""
+    """Solver settings out of range: tol <= 0, starts < 1 or max_iter < 0."""
 
 
 class AllZero(HspexError):

@@ -2,9 +2,10 @@
 
 Membership is non-induced by default (a family member contains no forbidden
 graph as a subgraph); an induced mode exists for counterexample fixtures.
-Extremal computations enumerate labeled graphs on exactly n vertices by a
-DFS over edge subsets with incremental forbidden-copy pruning, then
-deduplicate up to isomorphism.  Everything is deterministic.
+Extremal computations enumerate labeled graphs on exactly n vertices by one
+iterative DFS over edge subsets with incremental forbidden-copy pruning
+(`_walk`), which serves every sweep, then deduplicate up to isomorphism.
+Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -191,24 +192,22 @@ def _copy_masks(fam: ForbiddenFamily, n: int, eindex: dict) -> list[int]:
     return sorted(masks)
 
 
-def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
-    """DFS over member edge-subsets with incremental copy blocking.
+def _walk(fam: ForbiddenFamily, n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield every member node (mask, addable, start) in DFS preorder.
 
-    Tracks, in one pass: member count, maximum edge count with all argmax
-    masks, and every edge-maximal member (addable set empty).
+    `mask` is the member's edge set over the lex-ordered candidate edges,
+    `addable` the non-edges whose addition keeps it a member, and `start`
+    the lowest edge its children may add.  Preorder is lex order of the
+    sorted edge-index lists.  Adding edge j blocks every non-edge that is
+    the single gap of a copy through j (its completion masks).  The walk
+    runs from an explicit stack: children are pushed highest edge first,
+    so the lowest pops next.
     """
-    key = _family_signature(fam) + (n,)
-    hit = _sweep_cache.get(key)
-    if hit is not None:
-        return hit
     cand = _candidate_edges(n, fam.r)
     m_all = len(cand)
-    eindex = {e: i for i, e in enumerate(cand)}
-    copies = _copy_masks(fam, n, eindex)
+    copies = _copy_masks(fam, n, {e: i for i, e in enumerate(cand)})
     if any(c == 0 for c in copies):
-        data = _SweepData(0, 0, (), ())  # an edgeless forbidden graph fits everywhere
-        _sweep_cache[key] = data
-        return data
+        return  # an edgeless forbidden graph fits everywhere: no members
     completions: list[list[int]] = [[] for _ in range(m_all)]
     for c in copies:
         bits = c
@@ -221,36 +220,46 @@ def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
         if all(comp != 0 for comp in completions[j]):
             root_addable |= 1 << j
 
-    count = 0
-    best = 0
-    argmax: list[int] = []
-    maximal: list[int] = []
-
-    def dfs(mask: int, addable: int, start: int, popcnt: int) -> None:
-        nonlocal count, best
-        count += 1
-        if popcnt > best:
-            best = popcnt
-            argmax.clear()
-        if popcnt == best:
-            argmax.append(mask)
-        if addable == 0:
-            maximal.append(mask)
+    stack = [(0, root_addable, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        yield node
+        mask, addable, start = node
         rest = addable >> start << start
         while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            new_mask = mask | low
-            child = addable & ~low
+            j = rest.bit_length() - 1
+            high = 1 << j
+            rest ^= high
+            new_mask = mask | high
+            free = ~new_mask
+            child = addable & ~high
             for comp in completions[j]:
-                gap = comp & ~new_mask
+                gap = comp & free
                 if gap and gap & (gap - 1) == 0:
                     child &= ~gap
-            dfs(new_mask, child, j + 1, popcnt + 1)
+            push((new_mask, child, j + 1))
 
-    dfs(0, root_addable, 0, 0)
-    data = _SweepData(count, best, tuple(argmax), tuple(maximal))
+
+def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
+    """Member count, maximum edge count with its argmax masks, and every
+    edge-maximal member (addable set empty), all in walk order.
+
+    A maximum-size member of a subgraph-closed family is edge-maximal, so
+    the argmax masks are the maximal masks of largest popcount.
+    """
+    key = _family_signature(fam) + (n,)
+    hit = _sweep_cache.get(key)
+    if hit is not None:
+        return hit
+    count = 0
+    maximal: list[int] = []
+    for count, (mask, addable, _) in enumerate(_walk(fam, n), 1):
+        if not addable:
+            maximal.append(mask)
+    best = max((m.bit_count() for m in maximal), default=0)
+    argmax = tuple(m for m in maximal if m.bit_count() == best)
+    data = _SweepData(count, best, argmax, tuple(maximal))
     _sweep_cache[key] = data
     return data
 
@@ -292,26 +301,6 @@ def _guard(n: int, r: int, limit: int) -> None:
         )
 
 
-def _iter_member_masks(fam: ForbiddenFamily, n: int) -> Iterator[int]:
-    """Lazily walk every member edge-mask (lex-increasing DFS)."""
-    cand = _candidate_edges(n, fam.r)
-    eindex = {e: i for i, e in enumerate(cand)}
-    copies = _copy_masks(fam, n, eindex)
-    if any(c == 0 for c in copies):
-        return
-
-    def gen(mask: int, start: int) -> Iterator[int]:
-        yield mask
-        for j in range(start, len(cand)):
-            bit = 1 << j
-            new = mask | bit
-            if any(c & ~new == 0 for c in copies if c & bit):
-                continue
-            yield from gen(new, j + 1)
-
-    yield from gen(0, 0)
-
-
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     """Stream one representative per isomorphism class of members on n vertices.
 
@@ -321,8 +310,8 @@ def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     ffam = _check_sweepable(fam)
     _guard(n, ffam.r, STREAM_GUARD_BITS)
     cand = _candidate_edges(n, ffam.r)
-    masks = _iter_member_masks(ffam, n)
-    yield from _classes(_mask_to_graph(m, cand, n, ffam.r) for m in masks)
+    graphs = (_mask_to_graph(m, cand, n, ffam.r) for m, _, _ in _walk(ffam, n))
+    yield from _classes(graphs)
 
 
 @dataclass
@@ -403,8 +392,8 @@ def extremal_lambda_p(
     t0 = time.perf_counter()
     ffam, cand, data = _swept(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     if full:
-        masks = _iter_member_masks(ffam, n)
-        reps = list(_classes(_mask_to_graph(m, cand, n, ffam.r) for m in masks))
+        graphs = (_mask_to_graph(m, cand, n, ffam.r) for m, _, _ in _walk(ffam, n))
+        reps = list(_classes(graphs))
     else:
         reps = _maximal_representatives(ffam, n, data, cand)
 

@@ -113,11 +113,6 @@ def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     return ev.residual(np.power(arr, p - 1.0), ev.grad(ev.gather(arr)), rho)
 
 
-def p_norm(x, p: float) -> float:
-    arr = np.asarray(x, dtype=float)
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
-
-
 def principal_ratio(x) -> float:
     """max entry / min entry of a nonnegative vector; +inf if any entry is 0."""
     arr = np.asarray(x, dtype=float)
@@ -188,6 +183,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol <= 0 or self.starts < 1:
             raise BadConfig("tol must be positive and starts >= 1")
+        if self.max_iter < 0:
+            raise BadConfig("max_iter must be >= 0")
 
 
 @dataclass

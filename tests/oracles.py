@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from hspex.canonical import canonical_key
 from hspex.errors import BadP
+from hspex.families import ForbiddenFamily, _SweepData, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
 from hspex.structure import (
     BridgeCertificate,
@@ -53,6 +54,86 @@ def classes_by_key(graphs: Iterable[Hypergraph]) -> list[Hypergraph]:
             seen.add(key)
             out.append(g)
     return out
+
+
+def sweep_dfs(fam: ForbiddenFamily, n: int) -> _SweepData:
+    """Reference sweep: recursive DFS with completion masks, one call per member.
+
+    Tracks in one pass the member count, the maximum edge count with every
+    argmax mask (reset when a larger member appears) and every edge-maximal
+    member (addable set empty), all in preorder.
+    """
+    cand = _candidate_edges(n, fam.r)
+    m_all = len(cand)
+    eindex = {e: i for i, e in enumerate(cand)}
+    copies = _copy_masks(fam, n, eindex)
+    if any(c == 0 for c in copies):
+        return _SweepData(0, 0, (), ())
+    completions: list[list[int]] = [[] for _ in range(m_all)]
+    for c in copies:
+        bits = c
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            completions[low.bit_length() - 1].append(c & ~low)
+    root_addable = 0
+    for j in range(m_all):
+        if all(comp != 0 for comp in completions[j]):
+            root_addable |= 1 << j
+
+    count = 0
+    best = 0
+    argmax: list[int] = []
+    maximal: list[int] = []
+
+    def dfs(mask: int, addable: int, start: int, popcnt: int) -> None:
+        nonlocal count, best
+        count += 1
+        if popcnt > best:
+            best = popcnt
+            argmax.clear()
+        if popcnt == best:
+            argmax.append(mask)
+        if addable == 0:
+            maximal.append(mask)
+        rest = addable >> start << start
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            new_mask = mask | low
+            child = addable & ~low
+            for comp in completions[j]:
+                gap = comp & ~new_mask
+                if gap and gap & (gap - 1) == 0:
+                    child &= ~gap
+            dfs(new_mask, child, j + 1, popcnt + 1)
+
+    dfs(0, root_addable, 0, 0)
+    return _SweepData(count, best, tuple(argmax), tuple(maximal))
+
+
+def member_masks_dfs(fam: ForbiddenFamily, n: int) -> Iterator[int]:
+    """Reference stream of every member edge-mask (lex-increasing DFS).
+
+    Each child is tested against every forbidden copy through its new edge.
+    """
+    cand = _candidate_edges(n, fam.r)
+    eindex = {e: i for i, e in enumerate(cand)}
+    copies = _copy_masks(fam, n, eindex)
+    if any(c == 0 for c in copies):
+        return
+
+    def gen(mask: int, start: int) -> Iterator[int]:
+        yield mask
+        for j in range(start, len(cand)):
+            bit = 1 << j
+            new = mask | bit
+            if any(c & ~new == 0 for c in copies if c & bit):
+                continue
+            yield from gen(new, j + 1)
+
+    yield from gen(0, 0)
 
 
 def set_partitions(items: list) -> list[list[list]]:
@@ -145,6 +226,12 @@ def eigen_residual_percolumn(g: Hypergraph, x, p: float, rho: float) -> float:
         return 0.0
     grad = lagrangian_gradient_percolumn(g, arr)
     return float(np.max(np.abs(rho * np.power(arr, p - 1.0) - grad)))
+
+
+def p_norm(x, p: float) -> float:
+    """(sum |x_i|^p)^(1/p)."""
+    arr = np.asarray(x, dtype=float)
+    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
 
 
 def blow_up_edge_count(g: Hypergraph, t: Sequence[int]) -> int:

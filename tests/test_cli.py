@@ -84,6 +84,13 @@ class TestRho:
         assert code == 1 and out == ""
         assert err == "error: tol must be positive and starts >= 1\n"
 
+    def test_negative_max_iter_exit_1(self, capsys, files):
+        code, out, err = run(
+            capsys, ["rho", "--input", files["p3"], "--p", "2", "--max-iter", "-1"]
+        )
+        assert code == 1 and out == ""
+        assert err == "error: max_iter must be >= 0\n"
+
 
 class TestCheck:
     def test_tight_failure_exit_3(self, capsys, files):

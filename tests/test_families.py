@@ -26,7 +26,7 @@ from hspex.families import (
 from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_hypergraph
 from hspex.spectral import SolverConfig, rho_infinity
 from conftest import complete_bipartite, cycle, path3, random_graph, relabel
-from oracles import classes_by_key, isomorphic_bruteforce
+from oracles import classes_by_key, isomorphic_bruteforce, member_masks_dfs, sweep_dfs
 
 
 def k3_family() -> ForbiddenFamily:
@@ -241,6 +241,50 @@ class TestEnumeration:
             if is_member(fam, g) and is_edge_maximal(fam, g)[0]:
                 expected.add(mask)
         assert set(data.maximal_masks) == expected
+
+
+def _random_forbidden(seed: int) -> tuple[tuple[Hypergraph, ...], int]:
+    """One or two seeded random forbidden r-graphs (r = 2, 3) and a sweep n."""
+    rng = random.Random(seed)
+    r = 2 + seed % 2
+    n = rng.randint(4, 6 if r == 2 else 5)
+    forbidden = []
+    for _ in range(1 if rng.random() < 0.7 else 2):
+        v = rng.randint(r + 1, n + 1)
+        pool = list(combinations(range(v), r))
+        edges = rng.sample(pool, rng.randint(2, min(len(pool), 6)))
+        forbidden.append(Hypergraph(v, r, tuple(sorted(edges))))
+    return tuple(forbidden), n
+
+
+WALK_CASES = (
+    [pytest.param((complete_r_graph(3, 2),), n, id=f"K3-n{n}") for n in range(1, 7)]
+    + [pytest.param((cycle(4),), 6, id="C4-n6"), pytest.param((cycle(5),), 6, id="C5-n6"),
+       pytest.param((complete_r_graph(3, 2), cycle(4)), 6, id="K3+C4-n6")]
+    + [pytest.param((complete_r_graph(4, 3),), n, id=f"K4_3-n{n}") for n in (4, 5, 6)]
+    + [pytest.param((Hypergraph(3, 2, ()),), 5, id="edgeless-n5"),
+       pytest.param((complete_r_graph(6, 2),), 5, id="K6-n5"),
+       pytest.param((complete_r_graph(6, 3),), 5, id="K6_3-n5")]
+    + [pytest.param(*_random_forbidden(seed), id=f"random{seed}") for seed in range(20)]
+)
+
+
+@pytest.mark.parametrize("forbidden, n", WALK_CASES)
+def test_walk_matches_recursive_oracles(forbidden, n):
+    """The one iterative walk reproduces both recursive DFSs it replaced."""
+    from hspex.families import _family_signature, _sweep, _sweep_cache, _walk
+
+    assert math.comb(n, forbidden[0].r) <= 20
+    fam = ForbiddenFamily(forbidden)
+    _sweep_cache.pop(_family_signature(fam) + (n,), None)  # sweep afresh
+    expected = sweep_dfs(fam, n)
+    data = _sweep(fam, n)
+    assert (data.count, data.max_edges, data.pi_argmax_masks, data.maximal_masks) == (
+        expected.count, expected.max_edges, expected.pi_argmax_masks, expected.maximal_masks
+    )
+    masks = [mask for mask, _, _ in _walk(fam, n)]
+    assert masks == list(member_masks_dfs(fam, n))
+    assert len(masks) == data.count
 
 
 def members_in_sweep_order(fam: ForbiddenFamily, n: int) -> list[Hypergraph]:

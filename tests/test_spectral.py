@@ -8,6 +8,7 @@ import pytest
 
 from hspex.errors import (
     AllZero,
+    BadConfig,
     BadP,
     DimensionMismatch,
     IsolatedVertex,
@@ -38,6 +39,7 @@ from oracles import (
     eigen_residual_percolumn,
     lagrangian_gradient_percolumn,
     lagrangian_percolumn,
+    p_norm,
     rho_p_bruteforce,
 )
 
@@ -199,8 +201,6 @@ class TestSolver:
             assert sol.rho == lagrangian(g, sol.x)
 
     def test_unit_norm_output(self, rng):
-        from hspex.spectral import p_norm
-
         for p in (1.5, 2.0, 3.0):
             g = random_graph(6, 2, 0.5, rng)
             sol = solve_rho_p(g, p, SolverConfig(starts=2, seed=1))
@@ -314,6 +314,11 @@ class TestSolver:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(starts=0)
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(BadConfig, match="max_iter"):
+            SolverConfig(max_iter=-1)
+        assert SolverConfig(max_iter=0).max_iter == 0
 
 
 class TestOracles:
