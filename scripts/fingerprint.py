@@ -17,6 +17,11 @@ bytes of what comes back, layer by layer:
   extremal   extremal_pi and extremal_lambda_p results with solution bytes,
              enumerate_family edge lists and extremal_lambda_p(full=True)
              results, so every consumer of the member walk is covered
+  membership contains_subgraph and contains_induced_subgraph witnesses,
+             creates_copy on every non-edge, is_member, is_edge_maximal and
+             isomorphic on random 2- and 3-graphs; lex and random saturate
+             runs, and the benchmark's certify-mix saturations for seeds
+             401-403
 
 Equal digests on two trees mean byte-identical results on these inputs.
 Digests depend on the numpy build and the CPU, so compare trees on one
@@ -141,11 +146,54 @@ def extremal_layer(hspex, emit) -> None:
             emit(("full", h.r, n), _extremal(res))
 
 
+def membership_layer(hspex, emit) -> None:
+    from hspex.embedding import creates_copy
+
+    rng = random.Random(623)
+    for i in range(300):
+        r = 2 + i % 2
+        host = _random_graph(hspex, rng, rng.randint(r, 7), r, rng.uniform(0.2, 0.8))
+        pattern = _random_graph(hspex, rng, rng.randint(1, 5), r, rng.uniform(0.2, 0.9))
+        emit(("contains", host.n, host.edges, pattern.n, pattern.edges),
+             (hspex.contains_subgraph(host, pattern),
+              hspex.contains_induced_subgraph(host, pattern)))
+        present = set(host.edges)
+        emit(("creates", i), [creates_copy(host, e, pattern)
+                              for e in combinations(range(host.n), r) if e not in present])
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        relabeled = hspex.Hypergraph(host.n, r, tuple(
+            tuple(sorted(perm[v] for v in e)) for e in host.edges))
+        emit(("isomorphic", i), (hspex.isomorphic(host, relabeled),
+                                 hspex.isomorphic(host, pattern)))
+        if pattern.m == 0:
+            continue
+        fam = hspex.ForbiddenFamily((pattern,))
+        member = hspex.is_member(fam, host)
+        emit(("member", i), member)
+        if member:
+            emit(("maximal", i), hspex.is_edge_maximal(fam, host))
+            for order in ("lex", "random"):
+                emit(("saturate", i, order), hspex.saturate(fam, host, order, seed=i).edges)
+    k3, k4_3 = hspex.complete_r_graph(3, 2), hspex.complete_r_graph(4, 3)
+    c5 = hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    mix = ((k3, 12), (c5, 11), (k4_3, 9), (k4_3, 9))  # perfbench/workloads.py CERTIFY_MIX
+    for seed in (401, 402, 403):
+        rng = random.Random(seed)
+        for cycle in range(5):
+            for h, n in mix:
+                s = rng.randrange(2**31)
+                g = hspex.saturate(hspex.ForbiddenFamily((h,)), hspex.Hypergraph(n, h.r),
+                                   order="random", seed=s)
+                emit(("certify", seed, cycle, h.edges, n), g.edges)
+
+
 LAYERS = [
     ("solver", solver_layer),
     ("kernel", kernel_layer),
     ("structure", structure_layer),
     ("extremal", extremal_layer),
+    ("membership", membership_layer),
 ]
 
 

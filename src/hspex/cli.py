@@ -205,6 +205,8 @@ def _cmd_saturate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     name = args.name
+    if name != "degree-bound" and not args.forbid:
+        raise HspexError(f"experiment {name} requires --forbid")
     n_list = _parse_range(args.n)
     cfg = SolverConfig(starts=args.starts, seed=args.seed)
     if name == "degree-bound":

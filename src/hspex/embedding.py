@@ -1,15 +1,20 @@
-"""Subgraph containment for uniform hypergraphs by backtracking search.
+"""Subgraph containment for uniform hypergraphs by one backtracking search.
 
-The search maps pattern vertices in descending pattern-degree order (ties
+`_search` maps pattern vertices in descending pattern-degree order (ties
 by id), trying host candidates in ascending id order with degree pruning,
 so the first witness found is deterministic ("lexicographically first"
-under this fixed order).
+under this fixed order).  Two optional constraints serve every caller:
+``fixed`` pins pattern vertices to host vertices (placed first), and
+``avoid`` lists pattern r-sets that must map to host non-edges.  Plain
+containment and isomorphism use neither, induced containment avoids the
+pattern's non-edges, and the incremental copy check pins a pattern edge
+onto the new host edge.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import UniformityMismatch
 from .hypergraph import Hypergraph
@@ -21,25 +26,29 @@ def _search(
     host: Hypergraph,
     pattern: Hypergraph,
     host_edges: set[tuple[int, ...]],
-    required_edge: Optional[tuple[int, ...]] = None,
+    fixed: Optional[dict[int, int]] = None,
+    avoid: Sequence[tuple[int, ...]] = (),
 ) -> Optional[Embedding]:
     """Injective edge-preserving map of pattern into host, or None.
 
-    With ``required_edge`` set, only embeddings whose image uses that host
-    edge are considered (the incremental check used by saturation).
+    ``fixed`` pins pattern vertices to host vertices; every r-set in
+    ``avoid`` must map to a host non-edge.
     """
     hn, pn = host.n, pattern.n
     if pn > hn or pattern.m > host.m:
         return None
+    fixed = fixed or {}
     pdeg = pattern.degrees()
     hdeg = host.degrees()
-    order = sorted(range(pn), key=lambda v: (-pdeg[v], v))
+    order = sorted(range(pn), key=lambda v: (v not in fixed, -pdeg[v], v))
     pos = {v: i for i, v in enumerate(order)}
-    # pattern edges become checkable once their last vertex (in `order`) is placed
+    choices = [(fixed[v],) if v in fixed else range(hn) for v in order]
+    # an r-set becomes checkable once its last vertex (in `order`) is placed
     edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
-    for e in pattern.edges:
-        last = max(e, key=lambda v: pos[v])
-        edges_at[pos[last]].append(e)
+    avoid_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
+    for sets, at in ((pattern.edges, edges_at), (avoid, avoid_at)):
+        for e in sets:
+            at[max(pos[v] for v in e)].append(e)
 
     phi = [-1] * pn
     used = [False] * hn
@@ -48,29 +57,21 @@ def _search(
         for e in edges_at[depth]:
             if tuple(sorted(phi[v] for v in e)) not in host_edges:
                 return False
+        for e in avoid_at[depth]:
+            if tuple(sorted(phi[v] for v in e)) in host_edges:
+                return False
         return True
-
-    def covers_required(depth: int) -> bool:
-        if required_edge is None:
-            return True
-        # prune: once all required-edge vertices could still be hit
-        placed = {phi[order[i]] for i in range(depth + 1)}
-        missing = [v for v in required_edge if v not in placed]
-        return len(missing) <= pn - (depth + 1)
 
     def extend(depth: int) -> bool:
         if depth == pn:
-            if required_edge is not None:
-                image_edges = {tuple(sorted(phi[v] for v in e)) for e in pattern.edges}
-                return required_edge in image_edges
             return True
         v = order[depth]
-        for w in range(hn):
+        for w in choices[depth]:
             if used[w] or hdeg[w] < pdeg[v]:
                 continue
             phi[v] = w
             used[w] = True
-            if feasible(depth) and covers_required(depth) and extend(depth + 1):
+            if feasible(depth) and extend(depth + 1):
                 return True
             used[w] = False
             phi[v] = -1
@@ -92,16 +93,22 @@ def contains_subgraph(
 
 
 def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph) -> bool:
-    """Would adding ``new_edge`` to host create a pattern copy through it?
+    """Does host + ``new_edge`` hold a pattern copy that uses ``new_edge``?
 
-    Assumes host itself is pattern-free, so any copy in host+e must use e.
+    Such a copy maps some pattern edge onto the new edge, so each pattern
+    edge is pinned onto it in each of its r! vertex orders and the rest is
+    searched.  Exact for any host, pattern-free or not.
     """
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
     key = tuple(sorted(new_edge))
     augmented = host.add_edge(key)
     host_edges = set(augmented.edges)
-    return _search(augmented, pattern, host_edges, required_edge=key) is not None
+    for e in pattern.edges:
+        for image in permutations(key):
+            if _search(augmented, pattern, host_edges, dict(zip(e, image))) is not None:
+                return True
+    return False
 
 
 def contains_induced_subgraph(
@@ -110,46 +117,10 @@ def contains_induced_subgraph(
     """Induced containment: the image's induced edge set equals the mapped pattern edges."""
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
-    if pattern.n > host.n:
-        return (False, None)
-    host_edges = set(host.edges)
-    pattern_edges = set(pattern.edges)
-    # backtracking over ordered injections with incremental induced checks
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    phi = [-1] * pattern.n
-    used = [False] * host.n
-
-    def ok(depth: int) -> bool:
-        vnew = order[depth]
-        placed = [order[i] for i in range(depth + 1)]
-        if len(placed) < pattern.r:
-            return True
-        others = sorted(v for v in placed if v != vnew)
-        for rest in combinations(others, pattern.r - 1):
-            sub = tuple(sorted(rest + (vnew,)))
-            image = tuple(sorted(phi[v] for v in sub))
-            if (sub in pattern_edges) != (image in host_edges):
-                return False
-        return True
-
-    def extend(depth: int) -> bool:
-        if depth == pattern.n:
-            return True
-        v = order[depth]
-        for w in range(host.n):
-            if used[w]:
-                continue
-            phi[v] = w
-            used[w] = True
-            if ok(depth) and extend(depth + 1):
-                return True
-            used[w] = False
-            phi[v] = -1
-        return False
-
-    if extend(0):
-        return (True, tuple(phi))
-    return (False, None)
+    present = set(pattern.edges)
+    non_edges = [e for e in combinations(range(pattern.n), pattern.r) if e not in present]
+    phi = _search(host, pattern, set(host.edges), avoid=non_edges)
+    return (phi is not None, phi)
 
 
 def labeled_copy_edge_sets(

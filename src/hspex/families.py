@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .canonical import canonical_key, refinement_signature
@@ -109,7 +110,8 @@ def saturate(
     addition for plain forbidden families, so one pass suffices.
     """
     _require_member(fam, g0)
-    candidates = [e for e in combinations(range(g0.n), g0.r) if e not in set(g0.edges)]
+    present = set(g0.edges)
+    candidates = [e for e in combinations(range(g0.n), g0.r) if e not in present]
     if order == "random":
         random.Random(seed).shuffle(candidates)
     elif order != "lex":
@@ -172,12 +174,26 @@ def _family_signature(fam: ForbiddenFamily) -> tuple:
     return tuple(sorted(canonical_key(h) for h in fam.forbidden)) + (fam.induced,)
 
 
-def _check_sweepable(fam: Family) -> ForbiddenFamily:
+def _sweepable(
+    fam: Family, n: int, limit: int
+) -> tuple[ForbiddenFamily, list[tuple[int, ...]]]:
+    """A plain forbidden family whose C(n, r) candidate edges fit the guard
+    `limit`, with those edges in lex order."""
     if not isinstance(fam, ForbiddenFamily) or fam.induced:
         raise ValueError(
             "enumeration requires a plain (non-induced) forbidden-subgraph family"
         )
-    return fam
+    if comb(n, fam.r) > limit:
+        raise TooLarge(
+            f"C({n},{fam.r}) = {comb(n, fam.r)} candidate edges exceeds the guard ({limit}); "
+            "reduce n or r"
+        )
+    return fam, _candidate_edges(n, fam.r)
+
+
+def _require_members(count: int) -> None:
+    if count == 0:
+        raise TooLarge("family has no members at this n (edgeless forbidden graph)")
 
 
 def _candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
@@ -291,25 +307,13 @@ def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
     return len(list(_classes((g, h)))) == 1
 
 
-def _guard(n: int, r: int, limit: int) -> None:
-    from math import comb
-
-    if comb(n, r) > limit:
-        raise TooLarge(
-            f"C({n},{r}) = {comb(n, r)} candidate edges exceeds the guard ({limit}); "
-            "reduce n or r"
-        )
-
-
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     """Stream one representative per isomorphism class of members on n vertices.
 
     Representatives are the first member of each class the lex-increasing
     sweep reaches, yielded as soon as it is reached (see `_classes`).
     """
-    ffam = _check_sweepable(fam)
-    _guard(n, ffam.r, STREAM_GUARD_BITS)
-    cand = _candidate_edges(n, ffam.r)
+    ffam, cand = _sweepable(fam, n, STREAM_GUARD_BITS)
     graphs = (_mask_to_graph(m, cand, n, ffam.r) for m, _, _ in _walk(ffam, n))
     yield from _classes(graphs)
 
@@ -350,22 +354,12 @@ class ExtremalResult:
         return out
 
 
-def _swept(
-    fam: Family, n: int, guard_bits: int
-) -> tuple[ForbiddenFamily, list[tuple[int, ...]], _SweepData]:
-    """Sweep of a plain forbidden family within the guard; raises if it has no members."""
-    ffam = _check_sweepable(fam)
-    _guard(n, ffam.r, guard_bits)
-    data = _sweep(ffam, n)
-    if data.count == 0:
-        raise TooLarge("family has no members at this n (edgeless forbidden graph)")
-    return ffam, _candidate_edges(n, ffam.r), data
-
-
 def extremal_pi(fam: Family, n: int) -> ExtremalResult:
     """Maximum edge count over members on exactly n labeled vertices."""
     t0 = time.perf_counter()
-    ffam, cand, data = _swept(fam, n, ENUM_GUARD_BITS)
+    ffam, cand = _sweepable(fam, n, ENUM_GUARD_BITS)
+    data = _sweep(ffam, n)
+    _require_members(data.count)
     reps = _classes(_mask_to_graph(m, cand, n, ffam.r) for m in data.pi_argmax_masks)
     return ExtremalResult(
         n=n,
@@ -390,12 +384,21 @@ def extremal_lambda_p(
     One representative per isomorphism class is solved.
     """
     t0 = time.perf_counter()
-    ffam, cand, data = _swept(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
-    if full:
-        graphs = (_mask_to_graph(m, cand, n, ffam.r) for m, _, _ in _walk(ffam, n))
-        reps = list(_classes(graphs))
+    ffam, cand = _sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
+    if full:  # the audit walk itself counts the members
+        count = 0
+
+        def members() -> Iterator[Hypergraph]:
+            nonlocal count
+            for count, (mask, _, _) in enumerate(_walk(ffam, n), 1):
+                yield _mask_to_graph(mask, cand, n, ffam.r)
+
+        reps = list(_classes(members()))
     else:
+        data = _sweep(ffam, n)
+        count = data.count
         reps = _maximal_representatives(ffam, n, data, cand)
+    _require_members(count)
 
     cfg = config or SolverConfig()
     solved: list[tuple[float, Hypergraph, SpectralSolution]] = []
@@ -411,7 +414,7 @@ def extremal_lambda_p(
         n=n,
         value=best,
         argmax=tuple(g for g, _ in winners),
-        count_members=data.count,
+        count_members=count,
         p=p,
         solutions=tuple(sol for _, sol in winners),
         non_converged=non_converged,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -134,6 +134,104 @@ def member_masks_dfs(fam: ForbiddenFamily, n: int) -> Iterator[int]:
             yield from gen(new, j + 1)
 
     yield from gen(0, 0)
+
+
+def induced_search_dfs(host: Hypergraph, pattern: Hypergraph) -> Optional[tuple[int, ...]]:
+    """Reference induced containment: a backtracking search of its own.
+
+    Pattern vertices go in (-degree, id) order onto ascending host ids; each
+    new vertex re-checks every r-subset of the placed vertices through it,
+    so an r-set maps to a host edge iff it is a pattern edge.  Returns the
+    first witness or None.
+    """
+    if pattern.n > host.n:
+        return None
+    host_edges = set(host.edges)
+    pattern_edges = set(pattern.edges)
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    phi = [-1] * pattern.n
+    used = [False] * host.n
+
+    def ok(depth: int) -> bool:
+        vnew = order[depth]
+        placed = [order[i] for i in range(depth + 1)]
+        if len(placed) < pattern.r:
+            return True
+        others = sorted(v for v in placed if v != vnew)
+        for rest in combinations(others, pattern.r - 1):
+            sub = tuple(sorted(rest + (vnew,)))
+            image = tuple(sorted(phi[v] for v in sub))
+            if (sub in pattern_edges) != (image in host_edges):
+                return False
+        return True
+
+    def extend(depth: int) -> bool:
+        if depth == pattern.n:
+            return True
+        v = order[depth]
+        for w in range(host.n):
+            if used[w]:
+                continue
+            phi[v] = w
+            used[w] = True
+            if ok(depth) and extend(depth + 1):
+                return True
+            used[w] = False
+            phi[v] = -1
+        return False
+
+    return tuple(phi) if extend(0) else None
+
+
+def creates_copy_required_edge(
+    host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph
+) -> bool:
+    """Reference copy check: one search over host + e for an embedding whose
+    image uses e.
+
+    Placed images must leave room for e's still-unhit vertices, and each
+    complete embedding is accepted only if its edge image contains e.
+    """
+    key = tuple(sorted(new_edge))
+    host = host.add_edge(key)
+    host_edges = set(host.edges)
+    hn, pn = host.n, pattern.n
+    if pn > hn or pattern.m > host.m:
+        return False
+    pdeg = pattern.degrees()
+    hdeg = host.degrees()
+    order = sorted(range(pn), key=lambda v: (-pdeg[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
+    for e in pattern.edges:
+        edges_at[max(pos[v] for v in e)].append(e)
+    phi = [-1] * pn
+    used = [False] * hn
+
+    def feasible(depth: int) -> bool:
+        return all(tuple(sorted(phi[v] for v in e)) in host_edges for e in edges_at[depth])
+
+    def covers_required(depth: int) -> bool:
+        placed = {phi[order[i]] for i in range(depth + 1)}
+        missing = [v for v in key if v not in placed]
+        return len(missing) <= pn - (depth + 1)
+
+    def extend(depth: int) -> bool:
+        if depth == pn:
+            return key in {tuple(sorted(phi[v] for v in e)) for e in pattern.edges}
+        v = order[depth]
+        for w in range(hn):
+            if used[w] or hdeg[w] < pdeg[v]:
+                continue
+            phi[v] = w
+            used[w] = True
+            if feasible(depth) and covers_required(depth) and extend(depth + 1):
+                return True
+            used[w] = False
+            phi[v] = -1
+        return False
+
+    return extend(0)
 
 
 def set_partitions(items: list) -> list[list[list]]:

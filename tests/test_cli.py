@@ -314,6 +314,16 @@ class TestExperiment:
         report = json.loads((tmp_path / f"{name}-7.json").read_text())
         assert report["seed"] == 7
 
+    @pytest.mark.parametrize("name", ["ratio-scaling", "bridgeless-tight",
+                                      "plateau-construct", "coarseness-probe",
+                                      "density-trend"])
+    def test_missing_forbid_exit_1(self, capsys, tmp_path, name):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, ["experiment", name, "--out", str(out_dir)])
+        assert code == 1
+        assert err.splitlines() == [f"error: experiment {name} requires --forbid"]
+        assert not out_dir.exists()
+
     def test_degree_bound_starts_reach_solver(self, capsys, tmp_path, monkeypatch):
         starts = []
         solve = spectral.solve_rho_p

@@ -1,6 +1,7 @@
 """Subgraph containment, induced containment, and incremental copy checks."""
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,6 +14,7 @@ from hspex.embedding import (
 from hspex.errors import UniformityMismatch
 from hspex.hypergraph import Hypergraph, complete_r_graph, l_gadget, new_hypergraph
 from conftest import bowtie3, cycle, path3, random_graph
+from oracles import creates_copy_required_edge, induced_search_dfs
 
 
 def brute_contains(host: Hypergraph, pattern: Hypergraph) -> bool:
@@ -147,3 +149,52 @@ def test_labeled_copies_of_triangle():
 
 def test_labeled_copies_too_big():
     assert labeled_copy_edge_sets(complete_r_graph(5, 2), 4) == []
+
+
+def brute_creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph) -> bool:
+    """Some injection sends every pattern edge into host + e and one onto e."""
+    if pattern.n > host.n:
+        return False
+    host_edges = set(host.edges) | {new_edge}
+    for image in permutations(range(host.n), pattern.n):
+        mapped = {tuple(sorted(image[v] for v in e)) for e in pattern.edges}
+        if new_edge in mapped and mapped <= host_edges:
+            return True
+    return False
+
+
+def oracle_pairs(seed: int):
+    """Seeded (host, pattern) pairs, one per kind, for r = 2, 3, 4 by seed."""
+    rng = random.Random(seed)
+    r = (2, 3, 4)[seed % 3]
+    for kind in ("random", "isolated", "edgeless", "larger", "denser", "inside"):
+        hn = rng.randint(r, 6)
+        host = random_graph(hn, r, rng.uniform(0.2, 0.7), rng)
+        if kind == "larger":
+            pattern = random_graph(hn + 1, r, 0.5, rng)
+        elif kind == "edgeless":
+            pattern = Hypergraph(rng.randint(0, hn), r, ())
+        elif kind == "denser":
+            pattern = complete_r_graph(min(hn, r + 1), r)
+            host = random_graph(hn, r, 0.3, rng)
+        elif kind == "inside":
+            # host already contains the pattern, so copies need not use the new edge
+            pattern = host.induced_subgraph(sorted(rng.sample(range(hn), rng.randint(r, hn))))
+        else:
+            pattern = random_graph(rng.randint(r, min(hn, 5)), r, rng.uniform(0.3, 0.9), rng)
+            if kind == "isolated":
+                pattern = Hypergraph(pattern.n + 1, r, pattern.edges)
+        yield host, pattern
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_single_search_matches_oracles(seed):
+    for host, pattern in oracle_pairs(seed):
+        assert contains_induced_subgraph(host, pattern)[1] == induced_search_dfs(host, pattern)
+        present = set(host.edges)
+        for e in combinations(range(host.n), host.r):
+            if e in present:
+                continue
+            got = creates_copy(host, e, pattern)
+            assert got == creates_copy_required_edge(host, e, pattern)
+            assert got == brute_creates_copy(host, e, pattern)

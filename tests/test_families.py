@@ -409,6 +409,24 @@ class TestExtremal:
         b = extremal_lambda_p(fam, 5, 2.0, cfg, full=True)
         assert a.value == pytest.approx(b.value, abs=1e-9)
 
+    def test_full_mode_walks_members_once(self, monkeypatch):
+        import hspex.families as families
+
+        fam = k3_family()
+        families._sweep_cache.pop(families._family_signature(fam) + (5,), None)  # cold
+        calls = []
+        walk = families._walk
+        monkeypatch.setattr(families, "_walk", lambda f, n: calls.append(n) or walk(f, n))
+        res = extremal_lambda_p(fam, 5, 2.0, SolverConfig(starts=2, seed=1), full=True)
+        assert calls == [5]
+        assert res.count_members == brute_member_count(fam, 5)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_no_members_raises(self, full):
+        fam = ForbiddenFamily((Hypergraph(3, 2, ()),))
+        with pytest.raises(TooLarge, match="no members"):
+            extremal_lambda_p(fam, 4, 2.0, SolverConfig(starts=2), full=full)
+
     def test_monotone_in_n(self):
         fam = k3_family()
         cfg = SolverConfig(starts=4, seed=2)
