@@ -14,9 +14,12 @@ bytes of what comes back, layer by layer:
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
              weight vectors that hold exact zeros
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
-  extremal   extremal_pi and extremal_lambda_p results with solution bytes,
-             enumerate_family edge lists and extremal_lambda_p(full=True)
-             results, so every consumer of the member walk is covered
+  extremal   extremal_pi and extremal_lambda_p results with solution bytes
+             (K3 and K4^(3) free, K3 free at n = 8 as in the sweep benchmark,
+             and C4, C5 and {K3, C4} free at n = 6, 7, whose maximal members
+             have mixed sizes), enumerate_family edge lists and
+             extremal_lambda_p(full=True) results, so every consumer of the
+             member walk is covered
   membership contains_subgraph and contains_induced_subgraph witnesses,
              creates_copy on every non-edge, is_member, is_edge_maximal and
              isomorphic on random 2- and 3-graphs; lex and random saturate
@@ -136,6 +139,16 @@ def extremal_layer(hspex, emit) -> None:
             for p in (2.0, 3.0):
                 res = hspex.extremal_lambda_p(fam, n, p, hspex.SolverConfig(starts=4, seed=n))
                 emit(("lambda", h.r, n, p), _extremal(res))
+    emit(("pi", k3.r, 8), hspex.extremal_pi(hspex.ForbiddenFamily((k3,)), 8).to_json_dict())
+    c4 = hspex.new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c5 = hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    for name, forbidden in (("C4", (c4,)), ("C5", (c5,)), ("K3+C4", (k3, c4))):
+        fam = hspex.ForbiddenFamily(forbidden)
+        for n in (6, 7):
+            emit(("pi", name, n), hspex.extremal_pi(fam, n).to_json_dict())
+            for p in (2.0, 3.0):
+                res = hspex.extremal_lambda_p(fam, n, p, hspex.SolverConfig(starts=4, seed=n))
+                emit(("lambda", name, n, p), _extremal(res))
     for h, enum_ns, full_ns in ((k3, range(3, 7), range(3, 7)), (k4_3, range(4, 6), (5,))):
         fam = hspex.ForbiddenFamily((h,))
         for n in enum_ns:

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--starts", type=int, default=8)
     ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--full", action="store_true",
-                     help="audit all members, not only edge-maximal ones")
+                     help="audit all members, not only edge-maximal ones (needs --p)")
     ext.add_argument("--timings", action="store_true")
     ext.add_argument("--stats", action="store_true",
                      help="append non_converged, classes_solved and the argmax "
@@ -182,6 +182,8 @@ def _cmd_check(args) -> int:
 def _cmd_extremal(args) -> int:
     fam = _load_family(args.forbid)
     if args.p is None:
+        if args.full:
+            raise HspexError("--full requires --p")
         res = extremal_pi(fam, args.n)
     else:
         cfg = SolverConfig(starts=args.starts, seed=args.seed)

@@ -3,9 +3,11 @@
 Membership is non-induced by default (a family member contains no forbidden
 graph as a subgraph); an induced mode exists for counterexample fixtures.
 Extremal computations enumerate labeled graphs on exactly n vertices by one
-iterative DFS over edge subsets with incremental forbidden-copy pruning
-(`_walk`), which serves every sweep, then deduplicate up to isomorphism.
-Everything is deterministic.
+batched numpy walk over the tree of edge subsets with incremental
+forbidden-copy pruning (`_walk`), which serves every sweep.  The masks a
+result depends on are sorted into DFS preorder by a closed-form key
+(`_preorder_key`) and then deduplicated up to isomorphism.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from .canonical import canonical_key, refinement_signature
 from .embedding import (
     contains_induced_subgraph,
@@ -25,7 +29,7 @@ from .embedding import (
     labeled_copy_edge_sets,
     _search,
 )
-from .errors import NotMember, TooLarge, UniformityMismatch
+from .errors import NotMember, OutOfRange, TooLarge, UniformityMismatch
 from .hypergraph import Hypergraph
 from .spectral import SolverConfig, SpectralSolution, solve_rho_p
 
@@ -33,6 +37,7 @@ ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
 STREAM_GUARD_BITS = 24     # stricter cap for streaming every member
 FULL_MODE_GUARD_BITS = 20  # cap when materializing all members (--full audits)
 VALUE_COLLAPSE = 1e-9      # spectral argmax graphs within this of the best
+WALK_BATCH = 4096          # member nodes the walk pops and expands per step
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,8 @@ def _sweepable(
         raise ValueError(
             "enumeration requires a plain (non-induced) forbidden-subgraph family"
         )
+    if n < 0:
+        raise OutOfRange(f"vertex count {n} < 0")
     if comb(n, fam.r) > limit:
         raise TooLarge(
             f"C({n},{fam.r}) = {comb(n, fam.r)} candidate edges exceeds the guard ({limit}); "
@@ -208,16 +215,21 @@ def _copy_masks(fam: ForbiddenFamily, n: int, eindex: dict) -> list[int]:
     return sorted(masks)
 
 
-def _walk(fam: ForbiddenFamily, n: int) -> Iterator[tuple[int, int, int]]:
-    """Yield every member node (mask, addable, start) in DFS preorder.
+def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
+    """Yield every member node, in batches of up to WALK_BATCH nodes.
 
-    `mask` is the member's edge set over the lex-ordered candidate edges,
-    `addable` the non-edges whose addition keeps it a member, and `start`
-    the lowest edge its children may add.  Preorder is lex order of the
-    sorted edge-index lists.  Adding edge j blocks every non-edge that is
-    the single gap of a copy through j (its completion masks).  The walk
-    runs from an explicit stack: children are pushed highest edge first,
-    so the lowest pops next.
+    A node is one int64: the member's edge set over the lex-ordered
+    candidate edges in the low 32 bits, and `addable`, the non-edges whose
+    addition keeps it a member, in the high 32.  A child adds one addable
+    edge j above all of the node's edges (`mask < 2**j`), so every member
+    is reached once.  Adding j blocks every non-edge that is the single gap
+    of a copy through j (its completion masks).  Nodes wait on one explicit
+    stack and are popped a batch at a time; each candidate edge is one
+    vectorised child step written straight onto the stack, and each
+    completion mask one masked clear.  All work happens in the stack and in
+    fixed scratch buffers.  A yielded batch is scratch too, valid until the
+    next one, and is in walk order: consumers that need DFS preorder sort
+    by `_preorder_key`.
     """
     cand = _candidate_edges(n, fam.r)
     m_all = len(cand)
@@ -236,30 +248,83 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[tuple[int, int, int]]:
         if all(comp != 0 for comp in completions[j]):
             root_addable |= 1 << j
 
-    stack = [(0, root_addable, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        yield node
-        mask, addable, start = node
-        rest = addable >> start << start
-        while rest:
-            j = rest.bit_length() - 1
-            high = 1 << j
-            rest ^= high
-            new_mask = mask | high
-            free = ~new_mask
-            child = addable & ~high
+    stack = np.empty(8 * WALK_BATCH, dtype=np.int64)
+    stack[0] = root_addable << 32
+    top = 1
+    nodes, work, gap, rest, blocked = (np.empty(WALK_BATCH, dtype=np.int64) for _ in range(5))
+    pick, single = (np.empty(WALK_BATCH, dtype=bool) for _ in range(2))
+    while top:
+        b = min(top, WALK_BATCH)
+        top -= b
+        batch = nodes[:b]
+        batch[:] = stack[top:top + b]
+        yield batch
+        # no child adds an edge below the smallest mask's top edge or above
+        # the largest addable edge
+        first = int(np.bitwise_and(batch, 0xFFFFFFFF, out=work[:b]).min()).bit_length()
+        for j in range(first, (int(batch.max()) >> 32).bit_length()):
+            # j addable (bit 32 + j) and no edge at or above j present
+            np.bitwise_and(batch, (1 << 32 + j) | (1 << 32) - (1 << j), out=work[:b])
+            np.equal(work[:b], 1 << 32 + j, out=pick[:b])
+            k = int(np.count_nonzero(pick[:b]))
+            if not k:
+                continue
+            if top + k > len(stack):
+                stack = np.concatenate((stack[:top], np.empty_like(stack)))
+            child = stack[top:top + k]
+            top += k
+            np.compress(pick[:b], batch, out=child)
+            np.bitwise_xor(child, (1 << 32 + j) | (1 << j), out=child)  # add j
+            if not completions[j]:
+                continue
+            gap_k, rest_k, single_k, blocked_k = gap[:k], rest[:k], single[:k], blocked[:k]
+            non_edges = np.invert(child, out=work[:k])  # in the low 32 bits
+            blocked_k.fill(0)
             for comp in completions[j]:
-                gap = comp & free
-                if gap and gap & (gap - 1) == 0:
-                    child &= ~gap
-            push((new_mask, child, j + 1))
+                np.bitwise_and(non_edges, comp, out=gap_k)  # comp's missing edges
+                np.subtract(gap_k, 1, out=rest_k)
+                np.bitwise_and(rest_k, gap_k, out=rest_k)
+                np.logical_not(rest_k, out=single_k)  # at most one missing
+                np.bitwise_or(blocked_k, gap_k, out=blocked_k, where=single_k)
+            np.left_shift(blocked_k, 32, out=blocked_k)
+            np.invert(blocked_k, out=blocked_k)
+            np.bitwise_and(child, blocked_k, out=child)  # blocked edges leave addable
+
+
+def _preorder_key(masks: np.ndarray, m: int) -> np.ndarray:
+    """Each int64 edge mask's index in the preorder of the full subset tree
+    over m candidate edges, where a child adds one edge above all present
+    and children go lowest edge first: the order a recursive DFS reaches
+    members in.
+
+    rank(A) = |A| + 2**m - rev(A) - 2**(m - 1 - max A), rank(empty) = 0,
+    where rev reverses the m-bit mask, so that 2**(m - 1 - max A) is rev's
+    lowest set bit.
+    """
+    size = np.zeros_like(masks)
+    rev = np.zeros_like(masks)
+    for i in range(m):
+        bit = masks >> i & 1
+        size += bit
+        rev |= bit << m - 1 - i
+    return (size + (1 << m) - rev - (rev & -rev)) & (1 << m) - 1  # empty: 2**m -> 0
+
+
+def _in_preorder(chunks: list[np.ndarray], m: int) -> np.ndarray:
+    masks = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    # keys are distinct, so any sort gives this order; the stable one maps
+    # less of numpy's sorting code into memory than the default
+    return masks[np.argsort(_preorder_key(masks, m), kind="stable")]
+
+
+def _member_masks(fam: ForbiddenFamily, n: int) -> np.ndarray:
+    """Every member's edge mask in preorder, 8 bytes per member."""
+    return _in_preorder([batch & 0xFFFFFFFF for batch in _walk(fam, n)], comb(n, fam.r))
 
 
 def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
     """Member count, maximum edge count with its argmax masks, and every
-    edge-maximal member (addable set empty), all in walk order.
+    edge-maximal member (addable set empty), all in preorder.
 
     A maximum-size member of a subgraph-closed family is edge-maximal, so
     the argmax masks are the maximal masks of largest popcount.
@@ -269,10 +334,11 @@ def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
     if hit is not None:
         return hit
     count = 0
-    maximal: list[int] = []
-    for count, (mask, addable, _) in enumerate(_walk(fam, n), 1):
-        if not addable:
-            maximal.append(mask)
+    found = []
+    for batch in _walk(fam, n):
+        count += len(batch)
+        found.append(batch[batch < 1 << 32])
+    maximal = _in_preorder(found, comb(n, fam.r)).tolist()
     best = max((m.bit_count() for m in maximal), default=0)
     argmax = tuple(m for m in maximal if m.bit_count() == best)
     data = _SweepData(count, best, argmax, tuple(maximal))
@@ -310,12 +376,14 @@ def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     """Stream one representative per isomorphism class of members on n vertices.
 
-    Representatives are the first member of each class the lex-increasing
-    sweep reaches, yielded as soon as it is reached (see `_classes`).
+    Representatives are the first member of each class in DFS preorder (lex
+    order of the sorted edge-index lists), yielded in that order (see
+    `_classes`).  The walk runs in full before the first one is yielded,
+    holding 8 bytes per member.
     """
     ffam, cand = _sweepable(fam, n, STREAM_GUARD_BITS)
-    graphs = (_mask_to_graph(m, cand, n, ffam.r) for m, _, _ in _walk(ffam, n))
-    yield from _classes(graphs)
+    masks = _member_masks(ffam, n)
+    yield from _classes(_mask_to_graph(m, cand, n, ffam.r) for m in map(int, masks))
 
 
 @dataclass
@@ -386,14 +454,9 @@ def extremal_lambda_p(
     t0 = time.perf_counter()
     ffam, cand = _sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     if full:  # the audit walk itself counts the members
-        count = 0
-
-        def members() -> Iterator[Hypergraph]:
-            nonlocal count
-            for count, (mask, _, _) in enumerate(_walk(ffam, n), 1):
-                yield _mask_to_graph(mask, cand, n, ffam.r)
-
-        reps = list(_classes(members()))
+        masks = _member_masks(ffam, n)
+        count = len(masks)
+        reps = list(_classes(_mask_to_graph(m, cand, n, ffam.r) for m in map(int, masks)))
     else:
         data = _sweep(ffam, n)
         count = data.count

@@ -136,6 +136,20 @@ def member_masks_dfs(fam: ForbiddenFamily, n: int) -> Iterator[int]:
     yield from gen(0, 0)
 
 
+def subset_tree_preorder(m: int) -> list[int]:
+    """Every subset mask of m elements in recursive DFS preorder: a node's
+    children add one element above all of its own, lowest first."""
+    out: list[int] = []
+
+    def visit(mask: int, start: int) -> None:
+        out.append(mask)
+        for j in range(start, m):
+            visit(mask | 1 << j, j + 1)
+
+    visit(0, 0)
+    return out
+
+
 def induced_search_dfs(host: Hypergraph, pattern: Hypergraph) -> Optional[tuple[int, ...]]:
     """Reference induced containment: a backtracking search of its own.
 

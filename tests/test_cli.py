@@ -181,6 +181,17 @@ class TestExtremalSaturate:
         assert code == 1 and out == ""
         assert err == "error: tol must be positive and starts >= 1\n"
 
+    @pytest.mark.parametrize("p_args", [[], ["--p", "2"]], ids=["pi", "lambda"])
+    def test_extremal_negative_n_exit_1(self, capsys, files, p_args):
+        code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "-1"] + p_args)
+        assert code == 1 and out == ""
+        assert err == "error: vertex count -1 < 0\n"
+
+    def test_extremal_full_without_p_exit_1(self, capsys, files):
+        code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "5", "--full"])
+        assert code == 1 and out == ""
+        assert err == "error: --full requires --p\n"
+
     def test_extremal_default_bytes(self, capsys, files):
         """Without --stats the JSON keeps the bytes it had before the flag."""
         code, out, _ = run(

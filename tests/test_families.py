@@ -4,10 +4,11 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hspex.canonical import canonical_key, refinement_signature
-from hspex.errors import NotMember, TooLarge, UniformityMismatch
+from hspex.errors import NotMember, OutOfRange, TooLarge, UniformityMismatch
 from hspex.families import (
     ForbiddenFamily,
     PredicateFamily,
@@ -26,7 +27,13 @@ from hspex.families import (
 from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_hypergraph
 from hspex.spectral import SolverConfig, rho_infinity
 from conftest import complete_bipartite, cycle, path3, random_graph, relabel
-from oracles import classes_by_key, isomorphic_bruteforce, member_masks_dfs, sweep_dfs
+from oracles import (
+    classes_by_key,
+    isomorphic_bruteforce,
+    member_masks_dfs,
+    subset_tree_preorder,
+    sweep_dfs,
+)
 
 
 def k3_family() -> ForbiddenFamily:
@@ -269,22 +276,73 @@ WALK_CASES = (
 )
 
 
+def fresh_sweep(fam: ForbiddenFamily, n: int):
+    from hspex.families import _family_signature, _sweep, _sweep_cache
+
+    _sweep_cache.pop(_family_signature(fam) + (n,), None)
+    return _sweep(fam, n)
+
+
+def sweep_fields(data) -> tuple:
+    return (data.count, data.max_edges, data.pi_argmax_masks, data.maximal_masks)
+
+
 @pytest.mark.parametrize("forbidden, n", WALK_CASES)
 def test_walk_matches_recursive_oracles(forbidden, n):
-    """The one iterative walk reproduces both recursive DFSs it replaced."""
-    from hspex.families import _family_signature, _sweep, _sweep_cache, _walk
+    """The batched walk reproduces both recursive DFSs it replaced: the
+    sweep exactly, and every member mask once, in preorder once sorted by
+    the preorder key."""
+    from hspex.families import _preorder_key, _walk
 
     assert math.comb(n, forbidden[0].r) <= 20
     fam = ForbiddenFamily(forbidden)
-    _sweep_cache.pop(_family_signature(fam) + (n,), None)  # sweep afresh
-    expected = sweep_dfs(fam, n)
-    data = _sweep(fam, n)
-    assert (data.count, data.max_edges, data.pi_argmax_masks, data.maximal_masks) == (
-        expected.count, expected.max_edges, expected.pi_argmax_masks, expected.maximal_masks
-    )
-    masks = [mask for mask, _, _ in _walk(fam, n)]
-    assert masks == list(member_masks_dfs(fam, n))
+    data = fresh_sweep(fam, n)
+    assert sweep_fields(data) == sweep_fields(sweep_dfs(fam, n))
+    masks = [int(node) & 0xFFFFFFFF for batch in _walk(fam, n) for node in batch]
+    keys = _preorder_key(np.array(masks, dtype=np.int64), math.comb(n, fam.r)).tolist()
+    assert [mask for _, mask in sorted(zip(keys, masks))] == list(member_masks_dfs(fam, n))
     assert len(masks) == data.count
+
+
+@pytest.mark.parametrize("batch_nodes", [1, 16])
+@pytest.mark.parametrize("forbidden, n", [
+    pytest.param((complete_r_graph(3, 2),), 6, id="K3-n6"),
+    pytest.param((cycle(5),), 6, id="C5-n6"),
+    pytest.param((complete_r_graph(4, 3),), 5, id="K4_3-n5"),
+])
+def test_walk_results_do_not_depend_on_batch_size(forbidden, n, batch_nodes, monkeypatch):
+    """Tiny batches split every level, and one-node batches outgrow the
+    initial stack at the root: sweep and member masks stay the oracles'."""
+    import hspex.families as families
+
+    monkeypatch.setattr(families, "WALK_BATCH", batch_nodes)
+    fam = ForbiddenFamily(forbidden)
+    assert sweep_fields(fresh_sweep(fam, n)) == sweep_fields(sweep_dfs(fam, n))
+    assert families._member_masks(fam, n).tolist() == list(member_masks_dfs(fam, n))
+
+
+@pytest.mark.parametrize("forbidden, members", [
+    pytest.param((complete_r_graph(3, 2),), 133_501, id="K3-n7"),
+    pytest.param((cycle(4),), 163_440, id="C4-n7"),
+])
+def test_sweep_above_20_bits_matches_recursive_oracle(forbidden, members):
+    """21 candidate edges: past the cases above, and past 2**20 masks."""
+    fam = ForbiddenFamily(forbidden)
+    data = fresh_sweep(fam, 7)
+    assert data.count == members
+    assert sweep_fields(data) == sweep_fields(sweep_dfs(fam, 7))
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_preorder_key_is_preorder_index(m):
+    """The closed-form key numbers the full subset tree over m edges in the
+    preorder a recursive DFS visits it."""
+    from hspex.families import _preorder_key
+
+    order = subset_tree_preorder(m)
+    assert len(order) == 2**m
+    keys = _preorder_key(np.array(order, dtype=np.int64), m)
+    assert keys.tolist() == list(range(2**m))
 
 
 def members_in_sweep_order(fam: ForbiddenFamily, n: int) -> list[Hypergraph]:
@@ -438,3 +496,13 @@ class TestExtremal:
     def test_guard(self):
         with pytest.raises(TooLarge):
             extremal_pi(k3_family(), 9)
+
+    @pytest.mark.parametrize("call", [
+        lambda fam: list(enumerate_family(fam, -1)),
+        lambda fam: extremal_pi(fam, -1),
+        lambda fam: extremal_lambda_p(fam, -1, 2.0, SolverConfig(starts=2)),
+        lambda fam: extremal_lambda_p(fam, -1, 2.0, SolverConfig(starts=2), full=True),
+    ], ids=["enumerate", "pi", "lambda", "full"])
+    def test_negative_n_raises(self, call):
+        with pytest.raises(OutOfRange, match=r"vertex count -1 < 0"):
+            call(k3_family())
