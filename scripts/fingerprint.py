@@ -19,7 +19,9 @@ bytes of what comes back, layer by layer:
              and C4, C5 and {K3, C4} free at n = 6, 7, whose maximal members
              have mixed sizes), enumerate_family edge lists and
              extremal_lambda_p(full=True) results, so every consumer of the
-             member walk is covered
+             member walk is covered; connected_graph_classes edge lists for
+             v = 1..6 with r = 2 and v = 4 with r = 3, the other consumer of
+             the class reduction
   membership contains_subgraph and contains_induced_subgraph witnesses,
              creates_copy on every non-edge, is_member, is_edge_maximal and
              isomorphic on random 2- and 3-graphs; lex and random saturate
@@ -157,6 +159,10 @@ def extremal_layer(hspex, emit) -> None:
             res = hspex.extremal_lambda_p(fam, n, 2.0, hspex.SolverConfig(starts=4, seed=n),
                                           full=True)
             emit(("full", h.r, n), _extremal(res))
+    from hspex.experiments import connected_graph_classes
+
+    for v, r in [(v, 2) for v in range(1, 7)] + [(4, 3)]:
+        emit(("connected", v, r), [g.edges for g in connected_graph_classes(v, r)])
 
 
 def membership_layer(hspex, emit) -> None:

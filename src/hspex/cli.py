@@ -62,7 +62,10 @@ def _parse_ids(text: str) -> tuple[int, ...]:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(_int(lo), _int(hi) + 1))
+        values = list(range(_int(lo), _int(hi) + 1))
+        if not values:
+            raise HspexError(f"empty range: {text!r}")
+        return values
     return list(_parse_ids(text))
 
 
@@ -210,6 +213,9 @@ def _cmd_experiment(args) -> int:
     if name != "degree-bound" and not args.forbid:
         raise HspexError(f"experiment {name} requires --forbid")
     n_list = _parse_range(args.n)
+    for flag, value in (("--count", args.count), ("--trials", args.trials)):
+        if value < 0:
+            raise HspexError(f"{flag} must be >= 0, got {value}")
     cfg = SolverConfig(starts=args.starts, seed=args.seed)
     if name == "degree-bound":
         report = run_degree_bound_suite(args.count, seed=args.seed, config=cfg)

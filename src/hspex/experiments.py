@@ -21,7 +21,7 @@ from .canonical import canonical_key_string
 from .errors import HypothesisFailed, Infeasible
 from .families import (
     ForbiddenFamily,
-    _classes,
+    _mask_classes,
     extremal_lambda_p,
     extremal_pi,
     is_edge_maximal,
@@ -107,13 +107,12 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
 
 
 def connected_graph_classes(v: int, r: int = 2) -> list[Hypergraph]:
-    """All connected r-graphs on exactly v labeled vertices, one per iso class."""
+    """All connected r-graphs on exactly v labeled vertices, one per iso class:
+    the first in ascending edge-mask order."""
     pool = list(combinations(range(v), r))
-    graphs = (
-        Hypergraph(v, r, tuple(pool[i] for i in range(len(pool)) if mask >> i & 1))
-        for mask in range(1 << len(pool))
-    )
-    return list(_classes(g for g in graphs if g.is_connected()))
+    # connectivity is invariant under relabeling: testing one graph per class
+    # keeps the same first-seen representatives
+    return [g for g in _mask_classes(range(1 << len(pool)), pool, v, r) if g.is_connected()]
 
 
 def is_r_partite(h: Hypergraph) -> bool:

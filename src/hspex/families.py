@@ -6,8 +6,10 @@ Extremal computations enumerate labeled graphs on exactly n vertices by one
 batched numpy walk over the tree of edge subsets with incremental
 forbidden-copy pruning (`_walk`), which serves every sweep.  The masks a
 result depends on are sorted into DFS preorder by a closed-form key
-(`_preorder_key`) and then deduplicated up to isomorphism.  Everything is
-deterministic.
+(`_preorder_key`).  Each such mask set (all members, the edge-maximal ones,
+those of maximum size) is closed under relabeling, so its isomorphism
+classes are its S_n-orbits, which `_orbit_classes` labels in numpy with no
+isomorphism test.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -351,39 +353,79 @@ def _mask_to_graph(mask: int, cand: list[tuple[int, ...]], n: int, r: int) -> Hy
     return Hypergraph(n, r, tuple(edges))
 
 
-def _classes(graphs: Iterable[Hypergraph]) -> Iterator[Hypergraph]:
-    """Lazily yield one representative per isomorphism class, in first-seen order.
+def _orbit_classes(masks: np.ndarray, n: int, r: int) -> np.ndarray:
+    """The first mask of each S_n-orbit of `masks`, in first-seen order.
 
-    Graphs are bucketed by refinement signature, an isomorphism invariant
-    that fixes n, r, m and the degree multiset; within a bucket an exact
-    backtracking embedding into each earlier representative settles
-    equality (an embedding between graphs of equal n and m is an isomorphism).
+    `masks` holds distinct int64 edge masks over the lex-ordered candidate
+    r-sets of n vertices and must be closed under relabeling (ValueError if
+    an image is missing).  Each mask is labelled with its position.  Every
+    adjacent transposition (i, i+1) permutes the candidate edges, so it maps
+    each mask to an image, built 8 bits per gather from byte lookup tables
+    and found by `searchsorted` in one sorted copy.  Rounds of
+    label = min(label, label[image]) over all transpositions, then one
+    pointer jump label = label[label], run until no label changes.
+    Adjacent transpositions generate S_n, so every mask ends labelled with
+    the first position of its orbit, and the representatives are the masks
+    that keep their own position.  No isomorphism test is made.
     """
-    buckets: dict[tuple, list[Hypergraph]] = {}
-    for g in graphs:
-        reps = buckets.setdefault(refinement_signature(g), [])
-        g_edges = set(g.edges)
-        if all(_search(g, rep, g_edges) is None for rep in reps):
-            reps.append(g)
-            yield g
+    cand = _candidate_edges(n, r)
+    eindex = {e: i for i, e in enumerate(cand)}
+    order = np.argsort(masks, kind="stable")
+    ordered = masks[order]
+    byte_values = np.arange(256, dtype=np.int64)
+    image_pos = []  # per transposition: the position of each mask's image
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        target = [eindex[tuple(sorted(swap.get(v, v) for v in e))] for e in cand]
+        image = np.zeros_like(masks)
+        for low in range(0, len(cand), 8):
+            table = np.zeros(256, dtype=np.int64)
+            for bit, t in enumerate(target[low:low + 8]):
+                table[byte_values >> bit & 1 == 1] |= 1 << t
+            image |= table[masks >> low & 0xFF]
+        pos = np.searchsorted(ordered, image)
+        if not np.array_equal(ordered.take(pos, mode="clip"), image):
+            raise ValueError("mask set is not closed under relabeling")
+        image_pos.append(order[pos])
+    label = np.arange(len(masks))
+    while True:
+        before = int(label.sum())
+        for pos in image_pos:
+            np.minimum(label, label[pos], out=label)
+        label = label[label]
+        if int(label.sum()) == before:  # labels only decrease: none changed
+            return masks[label == np.arange(len(masks))]
+
+
+def _mask_classes(
+    masks: Iterable[int], cand: list[tuple[int, ...]], n: int, r: int
+) -> list[Hypergraph]:
+    """One graph per isomorphism class of a relabeling-closed mask set:
+    the first of each class in the given order (`_orbit_classes`)."""
+    reps = _orbit_classes(np.asarray(masks, dtype=np.int64), n, r)
+    return [_mask_to_graph(m, cand, n, r) for m in reps.tolist()]
 
 
 def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
-    """Exact isomorphism test: g and h form a single class."""
-    return len(list(_classes((g, h)))) == 1
+    """Exact isomorphism test: equal refinement signatures (an invariant that
+    fixes n, r, m and the degree multiset), then one backtracking embedding
+    of g into h, which is an isomorphism as n and m agree."""
+    return refinement_signature(g) == refinement_signature(h) and (
+        _search(h, g, set(h.edges)) is not None
+    )
 
 
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     """Stream one representative per isomorphism class of members on n vertices.
 
     Representatives are the first member of each class in DFS preorder (lex
-    order of the sorted edge-index lists), yielded in that order (see
-    `_classes`).  The walk runs in full before the first one is yielded,
-    holding 8 bytes per member.
+    order of the sorted edge-index lists), yielded in that order: members
+    are closed under relabeling, so the classes are the S_n-orbits of the
+    member masks (`_orbit_classes`).  The walk and the labelling run in
+    full before the first one is yielded.
     """
     ffam, cand = _sweepable(fam, n, STREAM_GUARD_BITS)
-    masks = _member_masks(ffam, n)
-    yield from _classes(_mask_to_graph(m, cand, n, ffam.r) for m in map(int, masks))
+    yield from _mask_classes(_member_masks(ffam, n), cand, n, ffam.r)
 
 
 @dataclass
@@ -428,7 +470,7 @@ def extremal_pi(fam: Family, n: int) -> ExtremalResult:
     ffam, cand = _sweepable(fam, n, ENUM_GUARD_BITS)
     data = _sweep(ffam, n)
     _require_members(data.count)
-    reps = _classes(_mask_to_graph(m, cand, n, ffam.r) for m in data.pi_argmax_masks)
+    reps = _mask_classes(data.pi_argmax_masks, cand, n, ffam.r)
     return ExtremalResult(
         n=n,
         value=float(data.max_edges),
@@ -456,7 +498,7 @@ def extremal_lambda_p(
     if full:  # the audit walk itself counts the members
         masks = _member_masks(ffam, n)
         count = len(masks)
-        reps = list(_classes(_mask_to_graph(m, cand, n, ffam.r) for m in map(int, masks)))
+        reps = _mask_classes(masks, cand, n, ffam.r)
     else:
         data = _sweep(ffam, n)
         count = data.count
@@ -490,6 +532,5 @@ def _maximal_representatives(
     fam: ForbiddenFamily, n: int, data: _SweepData, cand: list[tuple[int, ...]]
 ) -> list[Hypergraph]:
     if data.maximal_reps is None:
-        graphs = (_mask_to_graph(m, cand, n, fam.r) for m in data.maximal_masks)
-        data.maximal_reps = tuple(_classes(graphs))
+        data.maximal_reps = tuple(_mask_classes(data.maximal_masks, cand, n, fam.r))
     return list(data.maximal_reps)

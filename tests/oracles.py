@@ -9,7 +9,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from hspex.canonical import canonical_key
+from hspex.canonical import canonical_key, refinement_signature
+from hspex.embedding import _search
 from hspex.errors import BadP
 from hspex.families import ForbiddenFamily, _SweepData, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
@@ -31,6 +32,50 @@ def isomorphic_bruteforce(g: Hypergraph, h: Hypergraph) -> bool:
         if all(tuple(sorted(perm[v] for v in e)) in h_edges for e in g.edges):
             return True
     return False
+
+
+def _classes(graphs: Iterable[Hypergraph]) -> Iterator[Hypergraph]:
+    """Reference class reduction, the one `families._orbit_classes` replaced:
+    lazily yield one representative per isomorphism class, in first-seen order.
+
+    Graphs are bucketed by refinement signature, an isomorphism invariant
+    that fixes n, r, m and the degree multiset; within a bucket an exact
+    backtracking embedding into each earlier representative settles
+    equality (an embedding between graphs of equal n and m is an isomorphism).
+    """
+    buckets: dict[tuple, list[Hypergraph]] = {}
+    for g in graphs:
+        reps = buckets.setdefault(refinement_signature(g), [])
+        g_edges = set(g.edges)
+        if all(_search(g, rep, g_edges) is None for rep in reps):
+            reps.append(g)
+            yield g
+
+
+def orbit_classes_bruteforce(masks: Sequence[int], n: int, r: int) -> list[int]:
+    """Reference orbit reduction: the first mask of each S_n-orbit, in order.
+
+    Each mask not yet seen starts a new orbit, and every one of the n!
+    vertex permutations is applied to its edges to mark the whole orbit
+    seen.  Needs `masks` closed under relabeling only to be exact.
+    """
+    cand = list(combinations(range(n), r))
+    index = {e: i for i, e in enumerate(cand)}
+    # edge_image[p, i]: the index of candidate edge i under permutation p
+    edge_image = np.array(
+        [[index[tuple(sorted(perm[v] for v in e))] for e in cand]
+         for perm in permutations(range(n))],
+        dtype=np.int64,
+    )
+    seen: set[int] = set()
+    out = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        out.append(mask)
+        edges = [i for i in range(len(cand)) if mask >> i & 1]
+        seen.update((np.int64(1) << edge_image[:, edges]).sum(axis=1).tolist())
+    return out
 
 
 def classes_by_key(graphs: Iterable[Hypergraph]) -> list[Hypergraph]:

@@ -335,6 +335,27 @@ class TestExperiment:
         assert err.splitlines() == [f"error: experiment {name} requires --forbid"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name", ["degree-bound", "ratio-scaling", "bridgeless-tight",
+                                      "plateau-construct", "coarseness-probe",
+                                      "density-trend"])
+    def test_empty_n_range_exit_1(self, capsys, files, tmp_path, name):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, ["experiment", name, "--forbid", files["k3"],
+                                    "--n", "5..3", "--out", str(out_dir)])
+        assert code == 1
+        assert err.splitlines() == ["error: empty range: '5..3'"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, flag", [("degree-bound", "--count"),
+                                            ("bridgeless-tight", "--trials")])
+    def test_negative_count_or_trials_exit_1(self, capsys, files, tmp_path, name, flag):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, ["experiment", name, "--forbid", files["k3"],
+                                    flag, "-1", "--out", str(out_dir)])
+        assert code == 1
+        assert err.splitlines() == [f"error: {flag} must be >= 0, got -1"]
+        assert not out_dir.exists()
+
     def test_degree_bound_starts_reach_solver(self, capsys, tmp_path, monkeypatch):
         starts = []
         solve = spectral.solve_rho_p

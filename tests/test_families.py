@@ -12,7 +12,6 @@ from hspex.errors import NotMember, OutOfRange, TooLarge, UniformityMismatch
 from hspex.families import (
     ForbiddenFamily,
     PredicateFamily,
-    _classes,
     check_clonal_on,
     check_hereditary_witness,
     check_multiplicative_witness,
@@ -28,9 +27,11 @@ from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_h
 from hspex.spectral import SolverConfig, rho_infinity
 from conftest import complete_bipartite, cycle, path3, random_graph, relabel
 from oracles import (
+    _classes,
     classes_by_key,
     isomorphic_bruteforce,
     member_masks_dfs,
+    orbit_classes_bruteforce,
     subset_tree_preorder,
     sweep_dfs,
 )
@@ -343,6 +344,78 @@ def test_preorder_key_is_preorder_index(m):
     assert len(order) == 2**m
     keys = _preorder_key(np.array(order, dtype=np.int64), m)
     assert keys.tolist() == list(range(2**m))
+
+
+ORACLE_CLASS_MASKS = 20_000  # larger sets take minutes in the isomorphism oracles
+
+
+def mask_graphs(masks, n: int, r: int) -> list[Hypergraph]:
+    from hspex.families import _candidate_edges, _mask_to_graph
+
+    cand = _candidate_edges(n, r)
+    return [_mask_to_graph(m, cand, n, r) for m in masks]
+
+
+def orbit_reps(masks, n: int, r: int) -> list[int]:
+    from hspex.families import _orbit_classes
+
+    return _orbit_classes(np.array(masks, dtype=np.int64), n, r).tolist()
+
+
+@pytest.mark.parametrize("forbidden, n", WALK_CASES)
+def test_orbit_classes_match_class_oracles(forbidden, n):
+    """On each relabeling-closed mask set a sweep reduces (all members,
+    edge-maximal and maximum-size ones), orbit labelling keeps exactly the
+    class representatives of the isomorphism oracles, in the same order.
+    Only K4^(3) at n = 6's 477,965 members are past the isomorphism oracles
+    and are checked against the brute-force orbit oracle alone."""
+    from hspex.families import _member_masks
+
+    fam = ForbiddenFamily(forbidden)
+    data = fresh_sweep(fam, n)
+    for masks in (_member_masks(fam, n).tolist(), data.maximal_masks, data.pi_argmax_masks):
+        reps = orbit_reps(masks, n, fam.r)
+        assert reps == orbit_classes_bruteforce(masks, n, fam.r)
+        if len(masks) <= ORACLE_CLASS_MASKS:
+            graphs = mask_graphs(masks, n, fam.r)
+            expected = edge_lists(_classes(graphs))
+            assert edge_lists(mask_graphs(reps, n, fam.r)) == expected
+            assert edge_lists(classes_by_key(graphs)) == expected
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (5, 3)])
+def test_orbit_classes_follow_the_input_order(n, r):
+    """Not only preorder: ascending masks (as connected_graph_classes gives
+    them), descending and a seeded shuffle of every labeled graph."""
+    masks = list(range(1 << math.comb(n, r)))
+    shuffled = list(masks)
+    random.Random(n * 10 + r).shuffle(shuffled)
+    for order in (masks, masks[::-1], shuffled):
+        reps = orbit_reps(order, n, r)
+        assert reps == orbit_classes_bruteforce(order, n, r)
+        expected = edge_lists(_classes(mask_graphs(order, n, r)))
+        assert edge_lists(mask_graphs(reps, n, r)) == expected
+
+
+@pytest.mark.parametrize("masks, n, r, reps", [
+    ([0], 0, 2, [0]),
+    ([0], 1, 2, [0]),
+    ([0], 1, 3, [0]),
+    ([], 4, 2, []),
+    ([], 0, 2, []),
+])
+def test_orbit_classes_trivial_inputs(masks, n, r, reps):
+    assert orbit_reps(masks, n, r) == reps
+
+
+@pytest.mark.parametrize("masks, n", [
+    ([0, 1], 3),  # edge 01 alone: 02 and 12 are missing
+    ([m for m in range(64) if m != 0b101], 4),  # the path 1-0-3 alone missing
+    ([0b111], 4),  # the star at vertex 0 without the other three stars
+])
+def test_orbit_classes_reject_sets_not_closed_under_relabeling(masks, n):
+    with pytest.raises(ValueError, match="not closed under relabeling"):
+        orbit_reps(masks, n, 2)
 
 
 def members_in_sweep_order(fam: ForbiddenFamily, n: int) -> list[Hypergraph]:
