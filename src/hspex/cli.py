@@ -203,6 +203,8 @@ def _cmd_extremal(args) -> int:
 def _cmd_saturate(args) -> int:
     fam = _load_family(args.forbid)
     g0 = _load_graph(args.input) if args.input else Hypergraph(args.n, fam.r, ())
+    if g0.n != args.n:
+        raise HspexError(f"--n {args.n} but {args.input} has {g0.n} vertices")
     g = saturate(fam, g0, order=args.order, seed=args.seed)
     sys.stdout.write(serialize(g))
     return EXIT_OK

@@ -4,11 +4,11 @@
 by id), trying host candidates in ascending id order with degree pruning,
 so the first witness found is deterministic ("lexicographically first"
 under this fixed order).  Two optional constraints serve every caller:
-``fixed`` pins pattern vertices to host vertices (placed first), and
-``avoid`` lists pattern r-sets that must map to host non-edges.  Plain
-containment and isomorphism use neither, induced containment avoids the
-pattern's non-edges, and the incremental copy check pins a pattern edge
-onto the new host edge.
+``fixed`` pins pattern vertices to tuples of allowed host vertices (placed
+first), and ``avoid`` lists pattern r-sets that must map to host non-edges.
+Plain containment and isomorphism use neither, induced containment avoids
+the pattern's non-edges, and the incremental copy check pins each pattern
+edge onto the new host edge as a vertex set.
 """
 
 from __future__ import annotations
@@ -25,24 +25,24 @@ Embedding = tuple[int, ...]  # phi[pattern vertex] = host vertex
 def _search(
     host: Hypergraph,
     pattern: Hypergraph,
-    host_edges: set[tuple[int, ...]],
-    fixed: Optional[dict[int, int]] = None,
+    fixed: Optional[dict[int, Sequence[int]]] = None,
     avoid: Sequence[tuple[int, ...]] = (),
 ) -> Optional[Embedding]:
     """Injective edge-preserving map of pattern into host, or None.
 
-    ``fixed`` pins pattern vertices to host vertices; every r-set in
-    ``avoid`` must map to a host non-edge.
+    ``fixed`` maps a pinned pattern vertex to the host vertices it may take;
+    every r-set in ``avoid`` must map to a host non-edge.
     """
     hn, pn = host.n, pattern.n
     if pn > hn or pattern.m > host.m:
         return None
     fixed = fixed or {}
+    host_edges = set(host.edges)
     pdeg = pattern.degrees()
     hdeg = host.degrees()
     order = sorted(range(pn), key=lambda v: (v not in fixed, -pdeg[v], v))
     pos = {v: i for i, v in enumerate(order)}
-    choices = [(fixed[v],) if v in fixed else range(hn) for v in order]
+    choices = [fixed.get(v, range(hn)) for v in order]
     # an r-set becomes checkable once its last vertex (in `order`) is placed
     edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
     avoid_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
@@ -88,7 +88,7 @@ def contains_subgraph(
     """(found, witness): injective map sending every pattern edge to a host edge."""
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
-    phi = _search(host, pattern, set(host.edges))
+    phi = _search(host, pattern)
     return (phi is not None, phi)
 
 
@@ -96,19 +96,17 @@ def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergrap
     """Does host + ``new_edge`` hold a pattern copy that uses ``new_edge``?
 
     Such a copy maps some pattern edge onto the new edge, so each pattern
-    edge is pinned onto it in each of its r! vertex orders and the rest is
-    searched.  Exact for any host, pattern-free or not.
+    edge in turn is pinned onto its vertex set (the injective search tries
+    every order).  Exact for any host, pattern-free or not.
     """
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
     key = tuple(sorted(new_edge))
     augmented = host.add_edge(key)
-    host_edges = set(augmented.edges)
-    for e in pattern.edges:
-        for image in permutations(key):
-            if _search(augmented, pattern, host_edges, dict(zip(e, image))) is not None:
-                return True
-    return False
+    return any(
+        _search(augmented, pattern, dict.fromkeys(e, key)) is not None
+        for e in pattern.edges
+    )
 
 
 def contains_induced_subgraph(
@@ -119,7 +117,7 @@ def contains_induced_subgraph(
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
     present = set(pattern.edges)
     non_edges = [e for e in combinations(range(pattern.n), pattern.r) if e not in present]
-    phi = _search(host, pattern, set(host.edges), avoid=non_edges)
+    phi = _search(host, pattern, avoid=non_edges)
     return (phi is not None, phi)
 
 

@@ -410,9 +410,7 @@ def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
     """Exact isomorphism test: equal refinement signatures (an invariant that
     fixes n, r, m and the degree multiset), then one backtracking embedding
     of g into h, which is an isomorphism as n and m agree."""
-    return refinement_signature(g) == refinement_signature(h) and (
-        _search(h, g, set(h.edges)) is not None
-    )
+    return refinement_signature(g) == refinement_signature(h) and _search(h, g) is not None
 
 
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:

@@ -46,8 +46,7 @@ def _classes(graphs: Iterable[Hypergraph]) -> Iterator[Hypergraph]:
     buckets: dict[tuple, list[Hypergraph]] = {}
     for g in graphs:
         reps = buckets.setdefault(refinement_signature(g), [])
-        g_edges = set(g.edges)
-        if all(_search(g, rep, g_edges) is None for rep in reps):
+        if all(_search(g, rep) is None for rep in reps):
             reps.append(g)
             yield g
 

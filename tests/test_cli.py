@@ -265,6 +265,19 @@ class TestExtremalSaturate:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_saturate_input_vertex_count_must_match_n(self, capsys, files):
+        code, out, err = run(
+            capsys, ["saturate", "--forbid", files["k3"], "--n", "9", "--input", files["c4"]]
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: --n 9 but {files['c4']} has 4 vertices"]
+
+    def test_saturate_input_on_n_vertices(self, capsys, files):
+        code, out, _ = run(
+            capsys, ["saturate", "--forbid", files["k3"], "--n", "4", "--input", files["c4"]]
+        )
+        assert (code, out) == (0, "2 4 4\n0 1\n0 3\n1 2\n2 3\n")
+
 
 class TestExperiment:
     def test_density_trend_files(self, capsys, files, tmp_path):

@@ -5,13 +5,15 @@ from itertools import combinations, permutations
 
 import pytest
 
+from hspex import embedding
 from hspex.embedding import (
+    _search,
     contains_induced_subgraph,
     contains_subgraph,
     creates_copy,
     labeled_copy_edge_sets,
 )
-from hspex.errors import UniformityMismatch
+from hspex.errors import OutOfRange, RepeatedVertex, UniformityMismatch, WrongArity
 from hspex.hypergraph import Hypergraph, complete_r_graph, l_gadget, new_hypergraph
 from conftest import bowtie3, cycle, path3, random_graph
 from oracles import creates_copy_required_edge, induced_search_dfs
@@ -198,3 +200,60 @@ def test_single_search_matches_oracles(seed):
             got = creates_copy(host, e, pattern)
             assert got == creates_copy_required_edge(host, e, pattern)
             assert got == brute_creates_copy(host, e, pattern)
+
+
+@pytest.mark.parametrize(
+    "new_edge, error",
+    [((0, 0), RepeatedVertex), ((0, 1, 2), WrongArity), ((0, 7), OutOfRange)],
+)
+def test_creates_copy_rejects_malformed_new_edge(new_edge, error):
+    with pytest.raises(error):
+        creates_copy(cycle(4), new_edge, complete_r_graph(3, 2))
+
+
+def brute_pinned(host: Hypergraph, pattern: Hypergraph, v: int, allowed) -> bool:
+    """Some injective edge-preserving map sends pattern vertex v into allowed."""
+    if pattern.n > host.n:
+        return False
+    host_edges = set(host.edges)
+    return any(
+        image[v] in allowed
+        and all(tuple(sorted(image[u] for u in e)) in host_edges for e in pattern.edges)
+        for image in permutations(range(host.n), pattern.n)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vertex_set_pin_matches_bruteforce(seed):
+    rng = random.Random(seed)
+    r = (2, 3)[seed % 2]
+    for _ in range(25):
+        host = random_graph(rng.randint(r, 6), r, rng.uniform(0.3, 0.8), rng)
+        pattern = random_graph(rng.randint(1, 4), r, rng.uniform(0.3, 0.9), rng)
+        v = rng.randrange(pattern.n)
+        allowed = tuple(sorted(rng.sample(range(host.n), rng.randint(1, host.n))))
+        phi = _search(host, pattern, {v: allowed})
+        assert (phi is not None) == brute_pinned(host, pattern, v, allowed)
+        if phi is not None:
+            assert phi[v] in allowed and len(set(phi)) == pattern.n
+            assert {tuple(sorted(phi[u] for u in e)) for e in pattern.edges} <= set(host.edges)
+
+
+def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _search(*args, **kwargs)
+
+    monkeypatch.setattr(embedding, "_search", counted)
+    for _ in range(40):
+        r = rng.choice([2, 3])
+        pattern = random_graph(rng.randint(r, 4), r, 0.7, rng)
+        host = random_graph(6, r, 0.3, rng)
+        present = set(host.edges)
+        for e in combinations(range(6), r):
+            if e not in present:
+                calls.clear()
+                creates_copy(host, e, pattern)
+                assert len(calls) <= pattern.m
