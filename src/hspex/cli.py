@@ -84,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     rho.add_argument("--seed", type=int, default=0)
     rho.add_argument("--max-iter", type=int, default=100_000)
     rho.add_argument("--json", action="store_true")
+    rho.add_argument("--stats", action="store_true",
+                     help="add each start's value, iterations, converged and strategy")
 
     chk = sub.add_parser("check", help="decide a structural property with certificate")
     chk.add_argument("property", choices=["tight", "bridge", "plateau"])
@@ -147,10 +149,14 @@ def _cmd_rho(args) -> int:
     )
     sol = solve_rho_p(g, args.p, cfg)
     if args.json:
-        print(dumps(sol.to_json_dict()))
+        print(dumps(sol.to_json_dict(stats=args.stats)))
     else:
         flags = f" flags={','.join(sol.flags)}" if sol.flags else ""
         print(f"rho = {sol.rho:.12g}  residual = {sol.residual:.3g}{flags}")
+        if args.stats:
+            for i, rec in enumerate(sol.per_start):
+                print(f"start {i}: value = {rec.value:.12g}  iterations = {rec.iterations}"
+                      f"  converged = {rec.converged}  strategy = {rec.strategy}")
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 

@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,10 @@ from .hypergraph import Hypergraph
 
 CLAMP_EPS = 1e-14  # output entries below this are reported as exact zeros
 GAP_EPS = 1e-6     # multi-start disagreement threshold
+# A solve iterates at most this many gathered entries (rows * r * m) at once,
+# or one start's if that is more: a graph with many edges runs its starts a
+# few rows, or one row, at a time, so memory stays at the one-start level.
+BATCH_ENTRIES = 1 << 15
 
 
 def _as_weights(g: Hypergraph, x) -> np.ndarray:
@@ -49,68 +53,85 @@ def _as_weights(g: Hypergraph, x) -> np.ndarray:
 
 
 class _Lagrangian:
-    """L and its gradient over one edge list; the one evaluation path.
+    """L and its gradient over one edge list, for a batch of iterates; the
+    one evaluation path.
 
-    Built from (edges, n, r); caches r!, (r-1)! and the edge index as
-    contiguous rows, row j holding each edge's j-th vertex.  An iterate is
-    gathered once, ``X = gather(x)``, for both `value` and `grad`, whose
-    products multiply rows left to right: the factor order of np.prod over
-    an (m, r) index, so the bits match it for every r (prefix times suffix
-    would regroup them for r >= 4).  Edges are summed in the order given,
-    which callers keep sorted.
+    Built from (edges, n, r, rows); caches r!, (r-1)! and an (r, rows, m)
+    index whose [j, b] row holds each edge's j-th vertex offset by b*n, its
+    place in row b of a flattened (b, n) batch.  A batch x of up to `rows`
+    iterates is gathered once, ``X = gather(x)``, for both `value` and
+    `grad`, whose products multiply positions left to right: the factor
+    order of np.prod over an (m, r) index, so the bits match it for every r
+    (prefix times suffix would regroup them for r >= 4).  Edges are summed
+    in the order given, which callers keep sorted.  Every row gets the bits
+    it would get alone: `np.add.reduce` along a contiguous row and
+    `bincount` on offset indices add in the one-row order, and a stacked
+    matmul makes one dot product per row.
     """
 
-    def __init__(self, edges: Sequence[tuple[int, ...]], n: int, r: int):
+    def __init__(self, edges: Sequence[tuple[int, ...]], n: int, r: int, rows: int = 1):
         self.n = n
         self.rfact = math.factorial(r)
         self.rm1fact = math.factorial(r - 1)
-        self.rows = np.array(edges, dtype=np.intp).reshape(-1, r).T.copy()
+        position = np.array(edges, dtype=np.intp).reshape(-1, r).T.copy()
+        self.index = position[:, None, :] + n * np.arange(rows, dtype=np.intp)[:, None]
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """The (r, m) array of x over each edge position."""
-        return x[self.rows]
+        """The (r, b, m) array of a (b, n) batch x over each edge position."""
+        return x.reshape(-1)[self.index[:, : len(x)]]
 
-    def value(self, X: np.ndarray) -> float:
-        """r! * sum of per-edge products, from a gather X."""
-        return float(self.rfact * np.sum(reduce(np.multiply, X)))
+    def value(self, X: np.ndarray) -> np.ndarray:
+        """Per row, r! * sum of per-edge products, from a gather X."""
+        return self.rfact * np.add.reduce(reduce(np.multiply, X), axis=1)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
-        """Per-vertex (1/r) dL/dx_v, from a gather X."""
-        out = np.zeros(self.n)
-        for j, row in enumerate(self.rows):
+        """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
+        b = X.shape[1]
+        out = None
+        for j in range(len(X)):
             loo = reduce(np.multiply, [X[k] for k in range(len(X)) if k != j])
-            out += np.bincount(row, weights=loo, minlength=self.n)
-        return self.rm1fact * out
+            part = np.bincount(
+                self.index[j, :b].reshape(-1), weights=loo.reshape(-1), minlength=b * self.n
+            )
+            if out is None:
+                out = part
+            else:
+                out += part
+        return self.rm1fact * out.reshape(b, self.n)
 
-    def residual(self, xp: np.ndarray, grad: np.ndarray, rho: float) -> float:
-        """max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
-        return float(np.max(np.abs(rho * xp - grad))) if self.n else 0.0
+    def residual(self, xp: np.ndarray, grad: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Per row, max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
+        if not self.n:
+            return np.zeros(len(xp))
+        return np.maximum.reduce(np.abs(rho[:, None] * xp - grad), axis=1)
 
     def euler_residual(
         self, x: np.ndarray, xp: np.ndarray, grad: np.ndarray
-    ) -> tuple[float, float]:
-        """(rho estimate, residual) with Euler's rho = sum x_v grad_v = L on the sphere."""
-        rho_est = float(np.dot(x, grad))
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, (rho estimate, residual) with Euler's rho = sum x_v grad_v = L
+        on the sphere."""
+        rho_est = (x[:, None, :] @ grad[:, :, None])[:, 0, 0]
         return rho_est, self.residual(xp, grad, rho_est)
 
 
 def lagrangian(g: Hypergraph, x) -> float:
     """L_G(x) = r! * sum over edges of the product of the edge's weights."""
     ev = _Lagrangian(g.edges, g.n, g.r)
-    return ev.value(ev.gather(_as_weights(g, x)))
+    return float(ev.value(ev.gather(_as_weights(g, x)[None]))[0])
 
 
 def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
     """Per-vertex (1/r) dL/dx_v = (r-1)! * sum_{e : v in e} prod_{w in e - v} x_w."""
     ev = _Lagrangian(g.edges, g.n, g.r)
-    return ev.grad(ev.gather(_as_weights(g, x)))
+    return ev.grad(ev.gather(_as_weights(g, x)[None]))[0]
 
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     """max over vertices of |rho * x_v^(p-1) - gradient_v|."""
-    arr = _as_weights(g, x)
+    arr = _as_weights(g, x)[None]
     ev = _Lagrangian(g.edges, g.n, g.r)
-    return ev.residual(np.power(arr, p - 1.0), ev.grad(ev.gather(arr)), rho)
+    grad = ev.grad(ev.gather(arr))
+    return float(ev.residual(np.power(arr, p - 1.0), grad, np.array([rho], dtype=float))[0])
 
 
 def principal_ratio(x) -> float:
@@ -159,7 +180,7 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
             terms.add(tuple(sorted(w for w in e if w != z)) + (u,))
     ordered = sorted(tuple(sorted(t)) for t in terms)
     ev = _Lagrangian(ordered, g.n, g.r)
-    return ev.value(ev.gather(arr))
+    return float(ev.value(ev.gather(arr[None]))[0])
 
 
 # --- solver ------------------------------------------------------------------
@@ -170,7 +191,10 @@ class SolverConfig:
     """Knobs for solve_rho_p; defaults favor accuracy over speed.
 
     A warm start, when given, is run as one extra start after the uniform
-    vector (useful for re-solving after an edge addition).
+    vector (useful for re-solving after an edge addition).  Its negative
+    entries are clipped to zero; solve_rho_p raises DimensionMismatch if its
+    length is not the vertex count, BadConfig if an entry is NaN or
+    infinite, and AllZero if no entry is positive.
     """
 
     tol: float = 1e-10
@@ -187,9 +211,23 @@ class SolverConfig:
             raise BadConfig("max_iter must be >= 0")
 
 
+class StartRecord(NamedTuple):
+    """How one start of a solve ended: its best value, iterations, whether it
+    met the tolerance, and the strategy that ran it."""
+
+    value: float
+    iterations: int
+    converged: bool
+    strategy: str
+
+
 @dataclass
 class SpectralSolution:
-    """Best maximizer found: value, vector, eigenequation defect, diagnostics."""
+    """Best maximizer found: value, vector, eigenequation defect, diagnostics.
+
+    `per_start` holds one StartRecord per start, in start order (uniform
+    vector, warm start, random starts).
+    """
 
     rho: float
     x: np.ndarray
@@ -199,13 +237,14 @@ class SpectralSolution:
     starts_used: int
     agreement_gap: float
     flags: tuple[str, ...] = field(default=())
+    per_start: tuple[StartRecord, ...] = field(default=())
 
     @property
     def converged(self) -> bool:
         return "NoConvergence" not in self.flags
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json_dict(self, stats: bool = False) -> dict:
+        out = {
             "rho": self.rho,
             "x": [float(v) for v in self.x],
             "p": self.p,
@@ -214,34 +253,58 @@ class SpectralSolution:
             "starts": self.starts_used,
             "flags": list(self.flags),
         }
+        if stats:
+            out["per_start"] = [rec._asdict() for rec in self.per_start]
+        return out
 
 
 def _normalize_p(x: np.ndarray, p: float) -> np.ndarray:
-    nrm = np.sum(x**p) ** (1.0 / p)
-    return x / nrm
+    """Each row of x scaled to unit l^p norm.
+
+    The root is a scalar pow per row: numpy's SIMD array power can round the
+    last bit differently from libm's pow, and a row's bits must not depend on
+    its batch.
+    """
+    nrm = np.array([s ** (1.0 / p) for s in np.add.reduce(x**p, axis=1).tolist()])
+    return x / nrm[:, None]
 
 
 def _fixed_point_run(
-    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha: float
-) -> tuple[np.ndarray, float, int, bool]:
-    """Shifted nonlinear power iteration; returns (best x, best L, iters, converged).
+    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget, alpha
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shifted nonlinear power iteration on every row of the (b, n) batch x.
 
-    Update: y_v = grad_v + alpha * x_v^(p-1), then x <- y^(1/(p-1)) renormalized.
-    The shift alpha keeps the objective monotone for p >= r; as a local
-    polisher for p < r it is retried with larger alpha if L ever drops.
+    Returns (best x, best L, iterations, converged), one row or entry per
+    start.  Update: y_v = grad_v + alpha * x_v^(p-1), then x <- y^(1/(p-1))
+    renormalized.  The shift alpha keeps the objective monotone for p >= r;
+    as a local polisher for p < r it is retried with larger alpha if L ever
+    drops.  `budget` and `alpha` are scalars or one entry per row.
+
+    Each row keeps its own shift, best iterate and checkpoint state, and
+    leaves the batch when it returns, so it ends exactly as it would alone.
+    All rows start at iteration 0 and step together, so one counter serves.
     """
+    n_rows = len(x)
+    out_x, out_val = np.empty_like(x), np.empty(n_rows)
+    out_it, out_ok = np.empty(n_rows, dtype=np.int64), np.zeros(n_rows, dtype=bool)
+    live = np.arange(n_rows)  # the input row of each batch row
+    budget = np.full(n_rows, budget)
+    alpha = np.full(n_rows, alpha, dtype=float)
     X = kernel.gather(x)
-    best_x, best_val = x, kernel.value(X)
+    val = kernel.value(X)  # L at the current iterate
+    best_x, best_val = x.copy(), val.copy()
     exp = 1.0 / (p - 1.0)
     it = 0
-    res_checkpoint = math.inf
-    stagnant = 0
-    while it < budget:
+    res_checkpoint = np.full(n_rows, math.inf)
+    stagnant = np.zeros(n_rows, dtype=np.int64)
+    while len(x):
         grad = kernel.grad(X)
         xp = np.power(x, p - 1.0)
         rho_est, res = kernel.euler_residual(x, xp, grad)
-        if res <= tol * max(1.0, rho_est):
-            return x, kernel.value(X), it, True
+        # a row out of budget returns its best iterate unchecked
+        spent = it >= budget
+        ok = ~spent & (res <= tol * np.fmax(1.0, rho_est))
+        stop = spent | ok
         if it and it % 512 == 0:
             # Stagnating residual means a flat maximizer direction (possible
             # for p < r): near-dead entries then decay only algebraically.
@@ -249,60 +312,67 @@ def _fixed_point_run(
             # (a wrongly collapsed vertex resurrects via its gradient); when
             # nothing is collapsible the flatness is interior, and grinding
             # further cannot improve the value, so give up on this start.
-            if res > 0.5 * res_checkpoint:
-                tiny = (x > 0.0) & (x < 1e-6)
-                if tiny.any():
-                    x = _normalize_p(np.where(tiny, 0.0, x), p)
-                    X = kernel.gather(x)
-                    grad = kernel.grad(X)
-                    xp = np.power(x, p - 1.0)
-                    stagnant = 0
-                else:
-                    stagnant += 1
-                    if stagnant >= 2:
-                        break
-            else:
-                stagnant = 0
+            slow = ~stop & (res > 0.5 * res_checkpoint)
+            tiny = slow[:, None] & (x > 0.0) & (x < 1e-6)
+            collapse = tiny.any(axis=1)
+            stagnant = np.where(slow & ~collapse, stagnant + 1, 0)
+            stop |= stagnant >= 2
+            if collapse.any():
+                x[collapse] = _normalize_p(np.where(tiny, 0.0, x)[collapse], p)
+                X = kernel.gather(x)
+                grad = kernel.grad(X)
+                xp = np.power(x, p - 1.0)
             res_checkpoint = res
-        y = grad + alpha * xp
-        if not np.any(y):
-            break  # stuck at an all-dead point (no edges reachable)
+        y = grad + alpha[:, None] * xp
+        stop |= ~y.any(axis=1)  # stuck at an all-dead point (no edges reachable)
+        if stop.any():
+            rows = live[stop]
+            out_x[rows] = np.where(ok[stop, None], x[stop], best_x[stop])
+            out_val[rows] = np.where(ok[stop], val[stop], best_val[stop])
+            out_it[rows] = it
+            out_ok[rows] = ok[stop]
+            keep = ~stop
+            x, y, best_x, best_val, alpha, budget, res_checkpoint, stagnant, live = (
+                a[keep] for a in
+                (x, y, best_x, best_val, alpha, budget, res_checkpoint, stagnant, live)
+            )
+            if not len(x):
+                break
         x = _normalize_p(np.power(y, exp), p)
         X = kernel.gather(x)
         it += 1
         val = kernel.value(X)
-        if val > best_val:
-            best_x, best_val = x, val
-        elif val < best_val - 1e-12 * max(1.0, best_val):
+        up = val > best_val
+        np.copyto(best_x, x, where=up[:, None])
+        np.copyto(best_val, val, where=up)
+        down = val < best_val - 1e-12 * np.fmax(1.0, best_val)
+        if down.any():
             # non-monotone: shift too small for this regime; enlarge and restart
-            alpha *= 4.0
-            x = best_x
+            alpha[down] *= 4.0
+            x[down] = best_x[down]
+            val[down] = best_val[down]
             X = kernel.gather(x)
-            if alpha > 1e9:
-                break
-    return best_x, best_val, it, False
+            budget[alpha > 1e9] = it  # hopeless: return the best iterate now
+    return out_x, out_val, out_it, out_ok
 
 
-def _projected_gradient_run(
-    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha: float
+def _ascent(
+    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Ascent on the p-sphere with halving line search, then fixed-point polish.
-
-    The line search alone stalls once objective increments fall under float
-    resolution, so after the ascent phase the shifted fixed-point map is run
-    from the incumbent to push the eigenequation residual to tolerance.
-    """
+    """Projected-gradient ascent of one start, a (1, n) batch, with halving
+    line search; returns (best x, best L, iters, converged).  The iterate is
+    always the best one so far."""
     X = kernel.gather(x)
-    best_x, best_val = x, kernel.value(X)
+    val = kernel.value(X)[0]
     eta = 0.25  # direction is sup-normalized, so steps live on the entry scale
     it = 0
     ascent_cap = min(budget // 2, 2000)
     while it < ascent_cap:
         grad = kernel.grad(X)
         rho_est, res = kernel.euler_residual(x, np.power(x, p - 1.0), grad)
-        if res <= tol * max(1.0, rho_est):
-            return x, kernel.value(X), it, True
-        top = float(np.max(grad))
+        if res[0] <= tol * max(1.0, rho_est[0]):
+            return x[0], val, it, True
+        top = np.maximum.reduce(grad, axis=1)[0]
         if top <= 0.0:
             break
         direction = grad / top  # sup-normalized ascent direction
@@ -311,24 +381,46 @@ def _projected_gradient_run(
             cand = _normalize_p(np.maximum(x + eta * direction, 0.0), p)
             cand_X = kernel.gather(cand)
             it += 1
-            val = kernel.value(cand_X)
-            if val > best_val:
-                gain = val - best_val
-                x, X, best_x, best_val = cand, cand_X, cand, val
+            cand_val = kernel.value(cand_X)[0]
+            if cand_val > val:
+                gain = cand_val - val
+                x, X, val = cand, cand_X, cand_val
                 eta = min(eta * 1.5, 1e6)
                 break
             eta *= 0.5
-        if gain <= 1e-13 * max(1.0, best_val):
+        if gain <= 1e-13 * max(1.0, val):
             break  # below float resolution; hand off to the fixed-point polish
+    return x[0], val, it, False
+
+
+def _projected_gradient_run(
+    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ascent on the p-sphere per start, then one fixed-point polish batch.
+
+    The line search alone stalls once objective increments fall under float
+    resolution, so after the ascent phase the shifted fixed-point map is run
+    from each unconverged start's incumbent to push the eigenequation
+    residual to tolerance.  Returns what `_fixed_point_run` returns.
+    """
+    best_x = np.empty_like(x)
+    best_val = np.empty(len(x))
+    its = np.empty(len(x), dtype=np.int64)
+    ok = np.zeros(len(x), dtype=bool)
+    for i in range(len(x)):
+        best_x[i], best_val[i], its[i], ok[i] = _ascent(kernel, x[i : i + 1], p, tol, budget)
+    todo = ~ok
     # polish with a small adaptive shift: the monotonicity guard inside the
     # fixed-point run enlarges it if this regime turns out to need more
-    polish_alpha = max(1.0, best_val)
-    px, pval, pit, ok = _fixed_point_run(
-        kernel, best_x, p, tol, budget - it, polish_alpha
+    px, pval, pit, pok = _fixed_point_run(
+        kernel, best_x[todo], p, tol, budget - its[todo], np.fmax(1.0, best_val[todo])
     )
-    if pval >= best_val:
-        return px, pval, it + pit, ok
-    return best_x, best_val, it + pit, False
+    won = pval >= best_val[todo]
+    best_x[todo] = np.where(won[:, None], px, best_x[todo])
+    best_val[todo] = np.where(won, pval, best_val[todo])
+    its[todo] += pit
+    ok[todo] = won & pok
+    return best_x, best_val, its, ok
 
 
 def solve_rho_p(
@@ -342,6 +434,10 @@ def solve_rho_p(
     the NonUniqueSuspected flag.  Entries below 1e-14 are clamped to zero on
     output (ZeroEntries flag).  A failed tolerance sets NoConvergence rather
     than raising; the best iterate so far is still returned.
+
+    The starts iterate together as one (starts, n) batch, split into chunks
+    of at most BATCH_ENTRIES // (r * m) rows (at least one); each start ends
+    exactly as it would alone.
     """
     if not (1.0 < p < math.inf) or math.isnan(p):
         raise BadP(f"p={p} outside (1, inf)")
@@ -353,7 +449,6 @@ def solve_rho_p(
     if g.m == 0:
         return SpectralSolution(0.0, uniform, p, 0.0, 0, 1, 0.0, ())
 
-    kernel = _Lagrangian(g.edges, g.n, g.r)
     strategy = cfg.strategy or (
         "fixed-point-shifted" if p >= g.r else "projected-gradient"
     )
@@ -366,32 +461,39 @@ def solve_rho_p(
         else _projected_gradient_run
     )
 
-    initials = [uniform.copy()]
+    extra = []
     if cfg.warm_start is not None:
-        warm = np.maximum(np.asarray(cfg.warm_start, dtype=float), 0.0)
-        if warm.shape == (n,) and np.any(warm):
-            initials.append(_normalize_p(warm, p))
-    while len(initials) < cfg.starts + (cfg.warm_start is not None):
-        initials.append(_normalize_p(rng.uniform(0.1, 1.0, n), p))
+        warm = np.maximum(_as_weights(g, cfg.warm_start), 0.0)
+        if not np.isfinite(warm).all():
+            raise BadConfig("warm start has a non-finite entry")
+        if not (warm > 0.0).any():
+            raise AllZero("warm start has no positive entry")
+        extra.append(warm)
+    extra += [rng.uniform(0.1, 1.0, n) for _ in range(cfg.starts - 1)]
+    initials = np.concatenate((uniform[None], _normalize_p(np.array(extra).reshape(-1, n), p)))
 
-    results = []  # (value, x, iters, converged)
-    total_iters = 0
-    for x0 in initials:
-        x, val, iters, ok = run(kernel, x0, p, cfg.tol, cfg.max_iter, alpha)
-        total_iters += iters
-        results.append((val, x, ok))
+    chunk = max(1, BATCH_ENTRIES // (g.r * g.m))
+    kernel = _Lagrangian(g.edges, n, g.r, rows=min(chunk, len(initials)))
+    parts = [
+        run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter, alpha)
+        for lo in range(0, len(initials), chunk)
+    ]
+    xs, vals, iters, oks = (np.concatenate(column) for column in zip(*parts))
 
-    best_val, best_x, _ = results[0]
-    for val, x, ok in results[1:]:
+    best_val, best_x = vals[0], xs[0]
+    for val, x in zip(vals[1:], xs[1:]):
         if val > best_val or (val == best_val and tuple(x) > tuple(best_x)):
             best_val, best_x = val, x
-    converged_vals = [val for val, _, ok in results if ok]
-    gap = (best_val - min(converged_vals)) if converged_vals else 0.0
+    converged_vals = vals[oks]
+    gap = float(best_val - converged_vals.min()) if len(converged_vals) else 0.0
 
     x_out = np.where(best_x < CLAMP_EPS, 0.0, best_x)
-    X_out = kernel.gather(x_out)
+    X_out = kernel.gather(x_out[None])
     rho = kernel.value(X_out)
-    residual = kernel.residual(np.power(x_out, p - 1.0), kernel.grad(X_out), rho)
+    residual = float(
+        kernel.residual(np.power(x_out, p - 1.0)[None], kernel.grad(X_out), rho)[0]
+    )
+    rho = float(rho[0])
     flags = []
     if residual > cfg.tol * max(1.0, rho):
         flags.append("NoConvergence")
@@ -399,8 +501,11 @@ def solve_rho_p(
         flags.append("NonUniqueSuspected")
     if np.any(x_out == 0.0):
         flags.append("ZeroEntries")
+    per_start = tuple(
+        StartRecord(float(v), int(i), bool(o), strategy) for v, i, o in zip(vals, iters, oks)
+    )
     return SpectralSolution(
-        rho, x_out, p, residual, total_iters, len(initials), gap, tuple(flags)
+        rho, x_out, p, residual, int(iters.sum()), len(initials), gap, tuple(flags), per_start
     )
 
 

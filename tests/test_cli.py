@@ -69,6 +69,42 @@ class TestRho:
         assert abs(data["rho"] - 2**0.5) < 1e-8
         assert len(data["x"]) == 3
 
+    def test_json_default_bytes(self, capsys, files):
+        """Without --stats the JSON keeps the bytes it had before the flag."""
+        code, out, _ = run(
+            capsys, ["rho", "--input", files["p3"], "--p", "2", "--starts", "3", "--json"]
+        )
+        assert code == 0
+        assert out == (
+            '{"rho": 1.4142135623730949, "x": [0.50000000007727696, 0.70710678118654746, '
+            '0.49999999992272309], "p": 2, "residual": 1.0928613569660683e-10, '
+            '"iterations": 177, "starts": 3, "flags": []}\n'
+        )
+
+    def test_json_stats(self, capsys, files):
+        argv = ["rho", "--input", files["p3"], "--p", "2", "--starts", "3", "--json"]
+        _, plain, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--stats"])
+        assert code == 0
+        data = json.loads(out)
+        per_start = data.pop("per_start")
+        assert data == json.loads(plain)
+        assert per_start == [
+            {"value": 1.4142135623730949, "iterations": its, "converged": True,
+             "strategy": "fixed-point-shifted"}
+            for its in (30, 74, 73)
+        ]
+        assert sum(rec["iterations"] for rec in per_start) == data["iterations"]
+
+    def test_text_stats(self, capsys, files):
+        code, out, _ = run(
+            capsys, ["rho", "--input", files["k3"], "--p", "1.5", "--starts", "2", "--stats"]
+        )
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 3
+        assert lines[1].startswith("start 0: value = ")
+        assert lines[2].endswith("converged = True  strategy = projected-gradient")
+
     def test_no_convergence_exit_2(self, capsys, files):
         code, out, _ = run(
             capsys,

@@ -16,7 +16,11 @@ from hspex.errors import (
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph, ell_cliques
 from hspex.spectral import (
+    BATCH_ENTRIES,
     SolverConfig,
+    _Lagrangian,
+    _fixed_point_run,
+    _normalize_p,
     adjacency_spectral_radius,
     cloning_lagrangian_delta,
     degree_ratio_lower_bound,
@@ -33,14 +37,19 @@ from conftest import (
     path3,
     random_graph,
     random_positive_weights,
+    relabel,
     triple_edge,
 )
 from oracles import (
+    _fixed_point_start,
+    _Lagrangian1D,
     eigen_residual_percolumn,
+    solve_rho_p_perstart,
     lagrangian_gradient_percolumn,
     lagrangian_percolumn,
     p_norm,
     rho_p_bruteforce,
+    rho_p_bruteforce_by_class,
 )
 
 
@@ -127,6 +136,28 @@ class TestKernelOracle:
         for g in (Hypergraph(0, 2, ()), Hypergraph(0, 4, ()), Hypergraph(6, 3, ())):
             self.check(g, random_positive_weights(g.n, rng), 2.0)
             self.check(g, [0.0] * g.n, 3.0)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_batch_rows_match_single_rows(self, r, rng):
+        """Each row of a batched evaluation has the bits of its one-row call."""
+        for _ in range(40):
+            g = random_graph(rng.randint(r, 9), r, rng.uniform(0.1, 0.9), rng)
+            rows = rng.randint(1, 16)
+            x = np.array([_weights_with_zeros(g.n, rng) for _ in range(rows)]).reshape(rows, g.n)
+            kernel = _Lagrangian(g.edges, g.n, g.r, rows=16)
+            X = kernel.gather(x)
+            val, grad = kernel.value(X), kernel.grad(X)
+            rho, res = kernel.euler_residual(x, np.power(x, 1.5), grad)
+            for b in range(rows):
+                one = _Lagrangian(g.edges, g.n, g.r)
+                Xb = one.gather(x[b : b + 1])
+                assert val[b].tobytes() == one.value(Xb).tobytes()
+                assert grad[b].tobytes() == one.grad(Xb).tobytes()
+                assert grad[b].tobytes() == lagrangian_gradient_percolumn(g, x[b]).tobytes()
+                xb = x[b : b + 1]
+                rho_b, res_b = one.euler_residual(xb, np.power(xb, 1.5), one.grad(Xb))
+                assert (rho[b].tobytes(), res[b].tobytes()) == (rho_b.tobytes(), res_b.tobytes())
+                assert rho[b] == np.dot(x[b], lagrangian_gradient(g, x[b]))
 
 
 class TestResidualAndRatios:
@@ -320,6 +351,142 @@ class TestSolver:
             SolverConfig(max_iter=-1)
         assert SolverConfig(max_iter=0).max_iter == 0
 
+    def test_warm_start_of_wrong_length_is_rejected(self, k3):
+        for warm in ([1.0, 1.0], [1.0] * 4, [[1.0] * 3]):
+            with pytest.raises(DimensionMismatch):
+                solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=warm))
+
+    def test_warm_start_without_positive_entry_is_rejected(self, k3):
+        for warm in ([0.0, 0.0, 0.0], [-1.0, 0.0, -0.5]):
+            with pytest.raises(AllZero):
+                solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=warm))
+
+    def test_warm_start_with_non_finite_entry_is_rejected(self, k3):
+        for warm in ([math.nan, 1.0, 1.0], [1.0, math.inf, 1.0]):
+            with pytest.raises(BadConfig, match="non-finite"):
+                solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=warm))
+
+    def test_warm_start_runs_as_one_extra_start(self, k3):
+        sol = solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=[-1.0, 0.5, 2.0]))
+        assert sol.starts_used == len(sol.per_start) == 3
+        assert sol.rho == pytest.approx(2.0, abs=1e-8)
+
+    def test_per_start_records(self):
+        g = complete_r_graph(4, 3)
+        for p, strategy in ((4.0, "fixed-point-shifted"), (2.0, "projected-gradient")):
+            sol = solve_rho_p(g, p, SolverConfig(starts=3, seed=1))
+            assert [rec.strategy for rec in sol.per_start] == [strategy] * 3
+            assert sum(rec.iterations for rec in sol.per_start) == sol.iterations
+            assert all(rec.converged for rec in sol.per_start)
+            assert max(rec.value for rec in sol.per_start) == pytest.approx(sol.rho, abs=1e-12)
+            stats = sol.to_json_dict(stats=True)
+            assert stats.pop("per_start") == [rec._asdict() for rec in sol.per_start]
+            assert stats == sol.to_json_dict()
+
+
+def _same_solution(got, want) -> None:
+    """Field by field, bit for bit."""
+    assert float(got.rho).hex() == float(want.rho).hex()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert float(got.residual).hex() == float(want.residual).hex()
+    assert (got.iterations, got.starts_used) == (want.iterations, want.starts_used)
+    assert float(got.agreement_gap).hex() == float(want.agreement_gap).hex()
+    assert got.flags == want.flags
+    assert got.per_start == want.per_start
+
+
+P_CYCLE = (1.5, 2.0, 2.5, 3.0, 4.0)
+STRATEGIES = (None, "fixed-point-shifted", "projected-gradient")
+
+
+def _cycled_case(i: int, n: int, rng) -> tuple[float, SolverConfig]:
+    """The i-th (p, config), each part cycling at its own period: p, the
+    strategy, a warm start on every seventh case, and 1-16 starts on every
+    fourth case (2-4 on the others, which keeps the per-start oracle cheap)."""
+    warm = random_positive_weights(n, rng) if i % 7 == 3 else None
+    starts = 1 + (i // 4) % 16 if i % 4 == 0 else 1 + i % 4
+    return P_CYCLE[i % 5], SolverConfig(
+        starts=starts, seed=i, strategy=STRATEGIES[i % 3], warm_start=warm
+    )
+
+
+class TestBatchedSolverOracle:
+    """The batched multi-start solve equals the per-start loop bit for bit."""
+
+    def test_every_labeled_2graph_n_le_5(self, rng):
+        for i, g in enumerate(_every_labeled_graph(2, 5)):
+            p, cfg = _cycled_case(i, g.n, rng)
+            _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_seeded_random_graphs(self, r, rng):
+        for i in range(60):
+            g = random_graph(rng.randint(r, 7), r, rng.uniform(0.2, 0.9), rng)
+            p, cfg = _cycled_case(i, g.n, rng)
+            _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
+
+    def test_small_budgets(self, rng):
+        """Rows that run out of budget leave the batch with their best iterate."""
+        for i in range(40):
+            g = random_graph(rng.randint(3, 6), 3, 0.6, rng)
+            p, cfg = _cycled_case(i, g.n, rng)
+            cfg = SolverConfig(
+                max_iter=i % 9, starts=cfg.starts, seed=i, strategy=cfg.strategy,
+                warm_start=cfg.warm_start,
+            )
+            _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
+
+    def test_rows_with_own_budget_and_shift(self, rng):
+        """Each row of one fixed-point batch runs with its own budget and
+        shift, as the per-start run does; a large shift stalls its row
+        until the residual checkpoints end it at iteration 1536."""
+        budgets = np.array([1100, 50, 2000, 7, 1100, 300])
+        alphas = np.array([1.0, 1e9 / 4 + 1, 1e9 / 16 + 1, 0.5, 2.0, 1e9 / 64 + 1])
+        stalled = 0
+        for t in range(8):
+            g = random_graph(rng.randint(4, 7), 3, 0.5, rng)
+            if g.m == 0:
+                continue
+            p = (1.5, 2.0, 2.5)[t % 3]
+            x0 = _normalize_p(np.random.default_rng(t).uniform(0.1, 1.0, (6, g.n)), p)
+            kernel = _Lagrangian(g.edges, g.n, g.r, rows=6)
+            xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, budgets, alphas)
+            for b in range(6):
+                want = _fixed_point_start(
+                    _Lagrangian1D(g), x0[b], p, 1e-10, int(budgets[b]), float(alphas[b])
+                )
+                assert xs[b].tobytes() == want[0].tobytes()
+                assert (float(vals[b]).hex(), its[b], oks[b]) == (float(want[1]).hex(), *want[2:])
+            stalled += its[2] == 1536 and not oks[2]
+        assert stalled > 0
+
+    def test_shift_past_1e9_ends_a_row(self):
+        """A row whose shift passes 1e9 in a reset returns its best iterate at
+        once: here every evaluation is lower than the last, so every step is
+        reset, and a row needs k resets to pass 1e9 from 1e9 / 4^k + 1."""
+
+        class Falling(_Lagrangian):
+            calls = 0
+
+            def value(self, X):
+                self.calls += 1
+                return np.full(X.shape[1], -float(self.calls))
+
+        g = complete_r_graph(4, 3)
+        x0 = _normalize_p(np.random.default_rng(3).uniform(0.1, 1.0, (3, 4)), 3.0)
+        kernel = Falling(g.edges, g.n, g.r, rows=3)
+        alphas = 1e9 / np.array([4.0, 4.0**3, 4.0**5]) + 1
+        xs, vals, its, oks = _fixed_point_run(kernel, x0, 3.0, 1e-10, 100, alphas)
+        assert its.tolist() == [1, 3, 5] and not oks.any()
+        assert xs.tobytes() == x0.tobytes() and vals.tolist() == [-1.0] * 3
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_graph_split_into_chunks(self, p):
+        g = complete_r_graph(6, 2).blow_up((11, 13, 15, 17, 19, 21))
+        cfg = SolverConfig(starts=6, seed=8)
+        assert BATCH_ENTRIES // (g.r * g.m) < cfg.starts  # more than one chunk
+        _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
+
 
 class TestOracles:
     def test_adjacency_oracle_values(self, k3):
@@ -336,21 +503,39 @@ class TestOracles:
         from itertools import combinations
 
         pool = list(combinations(range(4), 2))
+        memo: dict = {}  # the oracle runs once per isomorphism class
         for mask in range(64):
             g = Hypergraph(4, 2, tuple(pool[i] for i in range(6) if mask >> i & 1))
             sol = solve_rho_p(g, 2.0, SolverConfig(starts=6, seed=9))
-            assert rho_p_bruteforce(g, 2.0, grid_depth=16) == pytest.approx(
+            assert rho_p_bruteforce_by_class(memo, g, 2.0, grid_depth=16) == pytest.approx(
                 sol.rho, abs=1e-4
             )
+        assert len(memo) == 11
+
+    @pytest.mark.parametrize(
+        "g,p,depth",
+        [
+            (Hypergraph(4, 3, ((0, 1, 2), (0, 1, 3))), 1.5, 20),
+            (Hypergraph(4, 2, ((0, 1), (1, 2), (1, 3), (2, 3))), 2.0, 16),
+        ],
+        ids=["two-triples", "paw"],
+    )
+    def test_grid_oracle_is_relabeling_invariant(self, g, p, depth):
+        """The fact `rho_p_bruteforce_by_class` rests on, on a sample."""
+        value = rho_p_bruteforce(g, p, grid_depth=depth)
+        image = relabel(g, [2, 3, 0, 1])
+        assert image.edges != g.edges
+        assert abs(rho_p_bruteforce(image, p, grid_depth=depth) - value) <= 1e-12
 
     def test_grid_oracle_matches_solver_low_p(self, rng):
         from itertools import combinations
 
         pool = list(combinations(range(4), 2))
+        memo: dict = {}  # the oracle runs once per isomorphism class
         for mask in rng.sample(range(64), 12):
             g = Hypergraph(4, 2, tuple(pool[i] for i in range(6) if mask >> i & 1))
             sol = solve_rho_p(g, 1.5, SolverConfig(starts=6, seed=9))
-            assert rho_p_bruteforce(g, 1.5, grid_depth=16) == pytest.approx(
+            assert rho_p_bruteforce_by_class(memo, g, 1.5, grid_depth=16) == pytest.approx(
                 sol.rho, abs=1e-4
             )
 
