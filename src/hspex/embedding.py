@@ -37,9 +37,9 @@ def _search(
     if pn > hn or pattern.m > host.m:
         return None
     fixed = fixed or {}
-    host_edges = set(host.edges)
-    pdeg = pattern.degrees()
-    hdeg = host.degrees()
+    host_masks = host.edge_masks
+    pdeg = pattern.degree_list
+    hdeg = host.degree_list
     order = sorted(range(pn), key=lambda v: (v not in fixed, -pdeg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     choices = [fixed.get(v, range(hn)) for v in order]
@@ -51,14 +51,16 @@ def _search(
             at[max(pos[v] for v in e)].append(e)
 
     phi = [-1] * pn
+    bit = [0] * pn  # bit[v] = 1 << phi[v]: an r-set's image mask is the sum of its bits
+    image = bit.__getitem__
     used = [False] * hn
 
     def feasible(depth: int) -> bool:
         for e in edges_at[depth]:
-            if tuple(sorted(phi[v] for v in e)) not in host_edges:
+            if sum(map(image, e)) not in host_masks:
                 return False
         for e in avoid_at[depth]:
-            if tuple(sorted(phi[v] for v in e)) in host_edges:
+            if sum(map(image, e)) in host_masks:
                 return False
         return True
 
@@ -70,6 +72,7 @@ def _search(
             if used[w] or hdeg[w] < pdeg[v]:
                 continue
             phi[v] = w
+            bit[v] = 1 << w
             used[w] = True
             if feasible(depth) and extend(depth + 1):
                 return True

@@ -28,7 +28,7 @@ from .families import (
     is_member,
     saturate,
 )
-from .hypergraph import Hypergraph, _incidence, ell_cliques
+from .hypergraph import Hypergraph, ell_cliques
 from .jsonio import dumps, rows_to_csv
 from .spectral import (
     SolverConfig,
@@ -120,7 +120,7 @@ def is_r_partite(h: Hypergraph) -> bool:
     if h.m == 0:
         return True
     colors = [-1] * h.n
-    incident = _incidence(h.n, h.edges)
+    incident = h.incidence
 
     def ok(v: int) -> bool:
         for i in incident[v]:

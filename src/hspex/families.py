@@ -98,7 +98,7 @@ def _addition_violates(fam: Family, g: Hypergraph, e: tuple[int, ...]) -> bool:
 def is_edge_maximal(fam: Family, g: Hypergraph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """(maximal?, first augmenting non-edge in lex order if not)."""
     _require_member(fam, g)
-    present = set(g.edges)
+    present = g.edge_set
     for e in combinations(range(g.n), g.r):
         if e in present:
             continue
@@ -117,7 +117,7 @@ def saturate(
     addition for plain forbidden families, so one pass suffices.
     """
     _require_member(fam, g0)
-    present = set(g0.edges)
+    present = g0.edge_set
     candidates = [e for e in combinations(range(g0.n), g0.r) if e not in present]
     if order == "random":
         random.Random(seed).shuffle(candidates)
@@ -127,7 +127,7 @@ def saturate(
     g = g0
     while True:
         added = False
-        present = set(g.edges)
+        present = g.edge_set
         for e in candidates:
             if e not in present and not _addition_violates(fam, g, e):
                 g = g.add_edge(e)
@@ -349,8 +349,8 @@ def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
 
 
 def _mask_to_graph(mask: int, cand: list[tuple[int, ...]], n: int, r: int) -> Hypergraph:
-    edges = [cand[i] for i in range(len(cand)) if mask >> i & 1]
-    return Hypergraph(n, r, tuple(edges))
+    # `cand` is sorted, so the chosen edges are too
+    return Hypergraph._trusted(n, r, tuple(cand[i] for i in range(len(cand)) if mask >> i & 1))
 
 
 def _orbit_classes(masks: np.ndarray, n: int, r: int) -> np.ndarray:

@@ -8,7 +8,9 @@ transformations return new values; nothing here mutates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -40,18 +42,9 @@ def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
     return tuple(sorted(ids))
 
 
-def _incidence(n: int, edges: Sequence[Edge]) -> list[list[int]]:
-    """Indices of the edges through each vertex."""
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            inc[v].append(i)
-    return inc
-
-
 def _k_closure(edges, inc, start, k: int, skip: int | None = None) -> tuple[int, ...]:
     """Sorted smallest vertex set holding `start` and every edge it meets in
-    >= k vertices, `edges[skip]` left out; `inc` is `_incidence(n, edges)`.
+    >= k vertices, `edges[skip]` left out; `inc` is the graph's `incidence`.
     Each edge counts its scanned vertices, so this costs O(sum of |e|).
     """
     inside = set(start)
@@ -73,7 +66,10 @@ class Hypergraph:
 
     ``edges`` is always a lexicographically sorted tuple of strictly
     increasing r-tuples; construction validates and normalizes any
-    iterable-of-iterables input.
+    iterable-of-iterables input.  Derived indexes (``edge_set``,
+    ``degree_list``, ``incidence``, ``edge_masks``) are computed on first
+    use and cached on the value; they take no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     n: int
@@ -88,36 +84,64 @@ class Hypergraph:
         norm = sorted({_normalize_edge(e, self.r, self.n) for e in self.edges})
         object.__setattr__(self, "edges", tuple(norm))
 
+    @classmethod
+    def _trusted(cls, n: int, r: int, edges: tuple[Edge, ...]) -> "Hypergraph":
+        """The value for `edges` without validation: the caller guarantees a
+        sorted tuple of distinct increasing r-tuples over [0, n)."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, r=r, edges=edges)
+        return g
+
+    # --- cached indexes ------------------------------------------------------
+
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def degree_list(self) -> tuple[int, ...]:
+        """Degree of each vertex."""
+        d = [0] * self.n
+        for e in self.edges:
+            for v in e:
+                d[v] += 1
+        return tuple(d)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the edges through each vertex."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                inc[v].append(i)
+        return tuple(map(tuple, inc))
+
+    @cached_property
+    def edge_masks(self) -> frozenset[int]:
+        """Each edge as the bit mask ``sum(1 << v for v in e)``."""
+        bit = [1 << v for v in range(self.n)].__getitem__
+        return frozenset([sum(map(bit, e)) for e in self.edges])
+
     # --- basic queries -----------------------------------------------------
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(int(v) for v in e)) in set(self.edges)
-
     def degree(self, v: int) -> int:
         """Number of edges containing v."""
         if not 0 <= v < self.n:
             raise OutOfRange(f"vertex {v} outside [0, {self.n})")
-        return sum(1 for e in self.edges if v in e)
+        return self.degree_list[v]
 
     def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                d[v] += 1
-        return d
+        return list(self.degree_list)
 
     def degree_extremes(self) -> tuple[int, int]:
         """(max degree, min degree); isolated vertices count as 0; (0,0) for n=0."""
         if self.n == 0:
             return (0, 0)
-        d = self.degrees()
+        d = self.degree_list
         return (max(d), min(d))
 
     def is_connected(self) -> bool:
@@ -126,12 +150,11 @@ class Hypergraph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Vertex sets of connected components, each sorted, listed by smallest id."""
-        inc = _incidence(self.n, self.edges)
         seen: set[int] = set()
         comps = []
         for s in range(self.n):
             if s not in seen:
-                comps.append(_k_closure(self.edges, inc, (s,), 1))
+                comps.append(_k_closure(self.edges, self.incidence, (s,), 1))
                 seen.update(comps[-1])
         return comps
 
@@ -152,20 +175,25 @@ class Hypergraph:
                 raise OutOfRange(f"vertex {v} outside [0, {self.n})")
         relabel = {v: i for i, v in enumerate(s)}
         keep = set(s)
-        edges = [tuple(relabel[v] for v in e) for e in self.edges if keep.issuperset(e)]
-        return Hypergraph(len(s), self.r, tuple(edges))
+        # an increasing relabel keeps every edge increasing and the list sorted
+        edges = tuple(tuple(relabel[v] for v in e) for e in self.edges if keep.issuperset(e))
+        return Hypergraph._trusted(len(s), self.r, edges)
 
     def remove_edge(self, e: Iterable[int]) -> "Hypergraph":
         """Same vertex set, one edge removed.  Raises NoSuchEdge if absent."""
         key = tuple(sorted(int(v) for v in e))
-        if key not in set(self.edges):
+        i = bisect_left(self.edges, key)
+        if i == self.m or self.edges[i] != key:
             raise NoSuchEdge(f"edge {key} not in graph")
-        return Hypergraph(self.n, self.r, tuple(f for f in self.edges if f != key))
+        return Hypergraph._trusted(self.n, self.r, self.edges[:i] + self.edges[i + 1:])
 
     def add_edge(self, e: Iterable[int]) -> "Hypergraph":
-        """Same vertex set, one edge added (idempotent on existing edges)."""
+        """Same vertex set, one edge added (returns self on an existing edge)."""
         key = _normalize_edge(e, self.r, self.n)
-        return Hypergraph(self.n, self.r, self.edges + (key,))
+        i = bisect_left(self.edges, key)
+        if i < self.m and self.edges[i] == key:
+            return self
+        return Hypergraph._trusted(self.n, self.r, self.edges[:i] + (key,) + self.edges[i:])
 
     def clone_vertex(self, u: int, v: int) -> "Hypergraph":
         """Zykov symmetrization: clone v onto u.
@@ -179,11 +207,13 @@ class Hypergraph:
                 raise OutOfRange(f"vertex {w} outside [0, {self.n})")
         if u == v:
             return self
+        # kept edges miss u and clones hold it, and distinct edges through v
+        # have distinct clones, so no edge repeats
         new_edges = [e for e in self.edges if u not in e]
         for e in self.edges:
             if v in e and u not in e:
-                new_edges.append(tuple(sorted(w for w in e if w != v)) + (u,))
-        return Hypergraph(self.n, self.r, tuple(new_edges))
+                new_edges.append(tuple(sorted(u if w == v else w for w in e)))
+        return Hypergraph._trusted(self.n, self.r, tuple(sorted(new_edges)))
 
     def blow_up(self, t: Sequence[int]) -> "Hypergraph":
         """Blow-up: vertex v becomes t[v] copies; edges inherited across copies.

@@ -8,9 +8,10 @@ all vertex subsets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import (
     BadK,
@@ -19,7 +20,7 @@ from .errors import (
     TargetMismatch,
     TrivialPartition,
 )
-from .hypergraph import Hypergraph, _incidence, _k_closure
+from .hypergraph import Hypergraph, _k_closure
 
 Partition = tuple[int, ...]
 
@@ -145,11 +146,7 @@ def _size_lex(u: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (len(u), u)
 
 
-def _edge_masks(g: Hypergraph) -> list[int]:
-    return [sum(1 << v for v in e) for e in g.edges]
-
-
-def _uncut_edge_set(masks: list[int], umask: int, k: int, r: int) -> bool:
+def _uncut_edge_set(masks: Iterable[int], umask: int, k: int, r: int) -> bool:
     """Does umask induce an edge while no edge meets it in k..r-1 vertices?"""
     for em in masks:
         if em & umask == em:
@@ -168,7 +165,7 @@ def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
     u = set(int(v) for v in subset)
     if not u or len(u) >= g.n:
         return False
-    return _uncut_edge_set(_edge_masks(g), sum(1 << v for v in u), k, g.r)
+    return _uncut_edge_set(g.edge_masks, sum(1 << v for v in u), k, g.r)
 
 
 def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
@@ -183,8 +180,7 @@ def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
     if g.m == 0:
         raise EmptyGraph("k-tightness is defined for graphs with an edge")
     _check_k(g, k)
-    inc = _incidence(g.n, g.edges)
-    closures = (_k_closure(g.edges, inc, e, k) for e in g.edges)
+    closures = (_k_closure(g.edges, g.incidence, e, k) for e in g.edges)
     witness = min((u for u in closures if len(u) < g.n), key=_size_lex, default=None)
     return TightnessCertificate(witness is None, k, witness)
 
@@ -195,12 +191,11 @@ def is_k_bridge(g: Hypergraph, e, k: int) -> BridgeCertificate:
     lex order: the first k-closure in H - e of a k-subset of e that misses a
     vertex of e (a valid A contains such a closure, which is valid itself)."""
     key = tuple(sorted(int(v) for v in e))
-    if key not in set(g.edges):
+    if key not in g.edge_set:
         raise NoSuchEdge(f"{key} not an edge")
     _check_k(g, k)
-    inc = _incidence(g.n, g.edges)
-    skip = g.edges.index(key)
-    closures = (_k_closure(g.edges, inc, s, k, skip) for s in combinations(key, k))
+    skip = bisect_left(g.edges, key)
+    closures = (_k_closure(g.edges, g.incidence, s, k, skip) for s in combinations(key, k))
     a = min((u for u in closures if not set(key).issubset(u)), key=_size_lex, default=None)
     b = None if a is None else tuple(sorted(set(range(g.n)).difference(a)))
     return BridgeCertificate(a is not None, k, key, a, b)
@@ -233,7 +228,7 @@ def is_lambda_plateau(
     if len(lam) < 2:
         raise TrivialPartition("a plateau requires a nontrivial partition")
     key = tuple(sorted(int(v) for v in e))
-    if key not in set(h.edges):
+    if key not in h.edge_set:
         raise NoSuchEdge(f"{key} not an edge")
     comps = h.remove_edge(key).components()
     eset = set(key)

@@ -26,7 +26,6 @@ from hspex.structure import (
     BridgeCertificate,
     TightnessCertificate,
     _check_k,
-    _edge_masks,
     _uncut_edge_set,
 )
 
@@ -249,6 +248,60 @@ def induced_search_dfs(host: Hypergraph, pattern: Hypergraph) -> Optional[tuple[
     return tuple(phi) if extend(0) else None
 
 
+def search_sorted_tuples(
+    host: Hypergraph,
+    pattern: Hypergraph,
+    fixed: Optional[dict[int, Sequence[int]]] = None,
+    avoid: Sequence[tuple[int, ...]] = (),
+) -> Optional[tuple[int, ...]]:
+    """Reference `embedding._search`: the same order and pruning, but every
+    r-set's image is tested as a sorted tuple against a set of host edges
+    rebuilt on each call, with degrees counted afresh."""
+    hn, pn = host.n, pattern.n
+    if pn > hn or pattern.m > host.m:
+        return None
+    fixed = fixed or {}
+    host_edges = set(host.edges)
+    pdeg = [sum(v in e for e in pattern.edges) for v in range(pn)]
+    hdeg = [sum(v in e for e in host.edges) for v in range(hn)]
+    order = sorted(range(pn), key=lambda v: (v not in fixed, -pdeg[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    choices = [fixed.get(v, range(hn)) for v in order]
+    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
+    avoid_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
+    for sets, at in ((pattern.edges, edges_at), (avoid, avoid_at)):
+        for e in sets:
+            at[max(pos[v] for v in e)].append(e)
+    phi = [-1] * pn
+    used = [False] * hn
+
+    def feasible(depth: int) -> bool:
+        for e in edges_at[depth]:
+            if tuple(sorted(phi[v] for v in e)) not in host_edges:
+                return False
+        for e in avoid_at[depth]:
+            if tuple(sorted(phi[v] for v in e)) in host_edges:
+                return False
+        return True
+
+    def extend(depth: int) -> bool:
+        if depth == pn:
+            return True
+        v = order[depth]
+        for w in choices[depth]:
+            if used[w] or hdeg[w] < pdeg[v]:
+                continue
+            phi[v] = w
+            used[w] = True
+            if feasible(depth) and extend(depth + 1):
+                return True
+            used[w] = False
+            phi[v] = -1
+        return False
+
+    return tuple(phi) if extend(0) else None
+
+
 def creates_copy_required_edge(
     host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph
 ) -> bool:
@@ -325,7 +378,7 @@ def refines_bruteforce(mu, lam) -> bool:
 def is_k_tight_bruteforce(g: Hypergraph, k: int) -> TightnessCertificate:
     """Reference k-tightness: try every proper vertex subset by size, then lex."""
     _check_k(g, k)
-    masks = _edge_masks(g)
+    masks = [sum(1 << v for v in e) for e in g.edges]
     for size in range(g.r, g.n):
         for combo in combinations(range(g.n), size):
             if _uncut_edge_set(masks, sum(1 << v for v in combo), k, g.r):
@@ -337,7 +390,7 @@ def is_k_bridge_bruteforce(g: Hypergraph, e, k: int) -> BridgeCertificate:
     """Reference k-bridge test: try every bipartition (A, B) by A's size, then lex."""
     key = tuple(sorted(int(v) for v in e))
     _check_k(g, k)
-    masks = _edge_masks(g)
+    masks = [sum(1 << v for v in e) for e in g.edges]
     ekey_mask = sum(1 << v for v in key)
     full = (1 << g.n) - 1
     for size in range(1, g.n):

@@ -16,7 +16,7 @@ from hspex.embedding import (
 from hspex.errors import OutOfRange, RepeatedVertex, UniformityMismatch, WrongArity
 from hspex.hypergraph import Hypergraph, complete_r_graph, l_gadget, new_hypergraph
 from conftest import bowtie3, cycle, path3, random_graph
-from oracles import creates_copy_required_edge, induced_search_dfs
+from oracles import creates_copy_required_edge, induced_search_dfs, search_sorted_tuples
 
 
 def brute_contains(host: Hypergraph, pattern: Hypergraph) -> bool:
@@ -257,3 +257,64 @@ def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
                 calls.clear()
                 creates_copy(host, e, pattern)
                 assert len(calls) <= pattern.m
+
+
+SEARCH_PATTERNS = {
+    2: [
+        path3(),
+        complete_r_graph(3, 2),
+        cycle(4),
+        new_hypergraph(4, 2, [(0, 1), (2, 3)]),
+        new_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)]),
+        Hypergraph(4, 2, path3().edges),
+        Hypergraph(2, 2, ()),
+    ],
+    3: [
+        new_hypergraph(3, 3, [(0, 1, 2)]),
+        new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)]),
+        new_hypergraph(5, 3, [(0, 1, 2), (0, 3, 4)]),
+        complete_r_graph(4, 3),
+        Hypergraph(4, 3, ((0, 1, 2),)),
+        Hypergraph(3, 3, ()),
+    ],
+}
+
+
+def search_constraints(host: Hypergraph, pattern: Hypergraph):
+    """(fixed, avoid) pairs as every caller uses them: none, the pattern's
+    non-edges (induced), a pattern edge pinned onto a host edge's vertex set
+    (copy check), both, and one vertex pinned to every other host vertex."""
+    non_edges = [e for e in combinations(range(pattern.n), pattern.r) if e not in pattern.edge_set]
+    yield None, ()
+    yield None, non_edges
+    if pattern.m and host.m:
+        pin = dict.fromkeys(pattern.edges[-1], host.edges[host.m // 2])
+        yield pin, ()
+        yield pin, non_edges
+    if pattern.n:
+        yield {0: tuple(range(0, host.n, 2))}, ()
+
+
+def all_hosts(n: int, r: int):
+    cand = list(combinations(range(n), r))
+    for mask in range(1 << len(cand)):
+        yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
+
+
+@pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6)])
+def test_bitmask_search_returns_oracle_witness(r, n):
+    """Every labeled host up to n = 5, and 150 seeded ones at n = 6: the
+    bitmask search returns the very witness of the sorted-tuple search."""
+    if n <= 5:
+        hosts = all_hosts(n, r)
+    else:
+        rng = random.Random(n * r)
+        hosts = (random_graph(n, r, rng.uniform(0.2, 0.8), rng) for _ in range(150))
+    found = 0
+    for host in hosts:
+        for pattern in SEARCH_PATTERNS[r]:
+            for fixed, avoid in search_constraints(host, pattern):
+                phi = _search(host, pattern, fixed, avoid)
+                assert phi == search_sorted_tuples(host, pattern, fixed, avoid), (host, pattern, fixed)
+                found += phi is not None
+    assert found  # the cases are not all misses

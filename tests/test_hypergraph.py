@@ -1,5 +1,6 @@
 """Construction, queries, transformations, and the .hg text format."""
 
+import random
 
 import pytest
 
@@ -124,8 +125,9 @@ class TestTransformations:
         assert g.edges == ((0, 2), (1, 2))
         e = triple_edge().remove_edge((0, 1, 2))
         assert e.n == 3 and e.m == 0
-        with pytest.raises(NoSuchEdge):
-            path3().remove_edge((0, 2))
+        for absent in [(0, 2), (2, 0), (0, 5), (1, 2, 3)]:
+            with pytest.raises(NoSuchEdge):
+                path3().remove_edge(absent)
 
     def test_clone_keeps_n(self, rng):
         for _ in range(50):
@@ -274,3 +276,76 @@ class TestStructuralInvariants:
         assert new_hypergraph(3, 2, [(1, 2), (0, 1)]) == new_hypergraph(
             3, 2, [(0, 1), (1, 2)]
         )
+
+
+def fresh_indexes(g: Hypergraph) -> dict:
+    """Every cached index of g, computed from its edges alone."""
+    inc = [[i for i, e in enumerate(g.edges) if v in e] for v in range(g.n)]
+    return {
+        "edge_set": frozenset(g.edges),
+        "degree_list": tuple(len(ids) for ids in inc),
+        "incidence": tuple(tuple(ids) for ids in inc),
+        "edge_masks": frozenset(sum(1 << v for v in e) for e in g.edges),
+    }
+
+
+def assert_validated_value(got: Hypergraph, n: int, r: int, edges) -> None:
+    """got is the value the validating constructor builds from (n, r, edges),
+    and reading its cached indexes changes nothing about it."""
+    want = Hypergraph(n, r, tuple(edges))
+    assert got == want
+    assert got.edges == want.edges and type(got.edges) is tuple
+    assert all(type(e) is tuple for e in got.edges)
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+    for name, value in fresh_indexes(got).items():
+        assert getattr(got, name) == value, name
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+class TestTrustedPath:
+    """add_edge, remove_edge, clone_vertex and induced_subgraph build their
+    results without re-validation; each must equal the validated value."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences_match_validating_constructor(self, r, seed):
+        rng = random.Random(1000 * r + seed)
+        n = rng.randint(r + 2, r + 5)
+        g = random_graph(n, r, rng.uniform(0.1, 0.6), rng)
+        for _ in range(40):
+            edges = set(g.edges)
+            steps = []
+            new = tuple(rng.sample(range(g.n), r))  # unsorted on purpose
+            steps.append((g.add_edge(new), g.n, edges | {tuple(sorted(new))}))
+            if g.m:
+                old = rng.choice(g.edges)
+                again = g.add_edge(rng.sample(old, r))
+                assert again is g
+                assert_validated_value(again, g.n, r, edges)
+                steps.append((g.remove_edge(rng.sample(old, r)), g.n, edges - {old}))
+            u, v = rng.randrange(g.n), rng.randrange(g.n)
+            cloned = {e for e in edges if u not in e} | {
+                tuple(sorted(u if w == v else w for w in e))
+                for e in edges if v in e and u not in e
+            }
+            steps.append((g.clone_vertex(u, v), g.n, cloned if u != v else edges))
+            keep = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+            rank = {w: i for i, w in enumerate(keep)}
+            inside = {tuple(rank[w] for w in e) for e in edges if set(e) <= set(keep)}
+            steps.append((g.induced_subgraph(reversed(keep)), len(keep), inside))
+            for got, n_got, want in steps:
+                assert_validated_value(got, n_got, r, want)
+            g = rng.choice([got for got, n_got, _ in steps if n_got >= r + 2] or [g])
+
+    def test_cached_indexes_are_immutable(self, k4_3):
+        g = k4_3.remove_edge((0, 1, 2))
+        assert isinstance(g.incidence, tuple) and all(isinstance(i, tuple) for i in g.incidence)
+        assert isinstance(g.degree_list, tuple)
+        for name in fresh_indexes(g):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+
+    def test_add_edge_still_validates_the_new_edge(self, k3):
+        for bad, error in [((0, 0), RepeatedVertex), ((0, 1, 2), WrongArity), ((0, 3), OutOfRange)]:
+            with pytest.raises(error):
+                k3.remove_edge((0, 1)).add_edge(bad)
