@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--forbid", action="append", default=[])
     exp.add_argument("--p", type=float, default=2.0)
     exp.add_argument("--n", type=str, default="4..6",
-                     help="single n, list 4,5,6, or range 4..8")
+                     help="single n, list 4,5,6, or range 4..8 (bridgeless-tight: single n)")
     exp.add_argument("--k", type=int, default=1)
     exp.add_argument("--ell", type=int, default=2)
     exp.add_argument("--count", type=int, default=100)
@@ -230,11 +230,15 @@ def _cmd_experiment(args) -> int:
     elif name == "ratio-scaling":
         report = run_ratio_scaling(_load_family(args.forbid), args.p, n_list, cfg)
     elif name == "bridgeless-tight":
+        if len(n_list) != 1:
+            raise HspexError(f"experiment {name} takes a single --n, got {args.n!r}")
         hs = [_load_graph(p) for p in args.forbid]
         report = run_bridgeless_tight_suite(
             hs, args.k, n_list[0], args.trials, seed=args.seed
         )
     elif name == "plateau-construct":
+        if len(args.forbid) != 1:
+            raise HspexError(f"experiment {name} takes a single --forbid, got {len(args.forbid)}")
         report = run_plateau_construction(_load_graph(args.forbid[0]), args.k, args.ell)
     elif name == "coarseness-probe":
         report = run_coarseness_probe(_load_family(args.forbid), args.p, n_list, cfg)

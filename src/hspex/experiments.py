@@ -109,10 +109,9 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
 def connected_graph_classes(v: int, r: int = 2) -> list[Hypergraph]:
     """All connected r-graphs on exactly v labeled vertices, one per iso class:
     the first in ascending edge-mask order."""
-    pool = list(combinations(range(v), r))
     # connectivity is invariant under relabeling: testing one graph per class
     # keeps the same first-seen representatives
-    return [g for g in _mask_classes(range(1 << len(pool)), pool, v, r) if g.is_connected()]
+    return [g for g in _mask_classes(range(1 << math.comb(v, r)), v, r) if g.is_connected()]
 
 
 def is_r_partite(h: Hypergraph) -> bool:

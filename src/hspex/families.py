@@ -6,17 +6,21 @@ Extremal computations enumerate labeled graphs on exactly n vertices by one
 batched numpy walk over the tree of edge subsets with incremental
 forbidden-copy pruning (`_walk`), which serves every sweep.  The masks a
 result depends on are sorted into DFS preorder by a closed-form key
-(`_preorder_key`).  Each such mask set (all members, the edge-maximal ones,
-those of maximum size) is closed under relabeling, so its isomorphism
-classes are its S_n-orbits, which `_orbit_classes` labels in numpy with no
-isomorphism test.  Everything is deterministic.
+(`_preorder_key`).  Each such mask set (all members, the edge-maximal ones)
+is closed under relabeling, so its isomorphism classes are its S_n-orbits,
+which `_orbit_classes` labels in numpy with no isomorphism test.  One
+immutable record per (family, n), `_SweepData`, holds the member count,
+the edge-maximal masks and one graph per class of those; `extremal_pi` and
+`extremal_lambda_p` both read it.  The lex-ordered candidate edges that
+give mask bits their meaning are built in this module alone.  Everything
+is deterministic.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -32,7 +36,7 @@ from .embedding import (
     _search,
 )
 from .errors import NotMember, OutOfRange, TooLarge, UniformityMismatch
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, serialize
 from .spectral import SolverConfig, SpectralSolution, solve_rho_p
 
 ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
@@ -165,13 +169,14 @@ def check_multiplicative_witness(fam: Family, g: Hypergraph, t) -> bool:
 # --- labeled enumeration sweep --------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SweepData:
+    """One cached sweep: the member count, every edge-maximal member's mask
+    in preorder, and the first of each class of those in preorder."""
+
     count: int
-    max_edges: int
-    pi_argmax_masks: tuple[int, ...]
     maximal_masks: tuple[int, ...]
-    maximal_reps: Optional[tuple[Hypergraph, ...]] = None  # filled on first use
+    maximal: tuple[Hypergraph, ...]
 
 
 _sweep_cache: dict[tuple, _SweepData] = {}
@@ -181,11 +186,9 @@ def _family_signature(fam: ForbiddenFamily) -> tuple:
     return tuple(sorted(canonical_key(h) for h in fam.forbidden)) + (fam.induced,)
 
 
-def _sweepable(
-    fam: Family, n: int, limit: int
-) -> tuple[ForbiddenFamily, list[tuple[int, ...]]]:
-    """A plain forbidden family whose C(n, r) candidate edges fit the guard
-    `limit`, with those edges in lex order."""
+def _check_sweepable(fam: Family, n: int, limit: int) -> None:
+    """Raise unless fam is a plain forbidden family whose C(n, r) candidate
+    edges fit the guard `limit`."""
     if not isinstance(fam, ForbiddenFamily) or fam.induced:
         raise ValueError(
             "enumeration requires a plain (non-induced) forbidden-subgraph family"
@@ -197,7 +200,6 @@ def _sweepable(
             f"C({n},{fam.r}) = {comb(n, fam.r)} candidate edges exceeds the guard ({limit}); "
             "reduce n or r"
         )
-    return fam, _candidate_edges(n, fam.r)
 
 
 def _require_members(count: int) -> None:
@@ -325,12 +327,9 @@ def _member_masks(fam: ForbiddenFamily, n: int) -> np.ndarray:
 
 
 def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
-    """Member count, maximum edge count with its argmax masks, and every
-    edge-maximal member (addable set empty), all in preorder.
-
-    A maximum-size member of a subgraph-closed family is edge-maximal, so
-    the argmax masks are the maximal masks of largest popcount.
-    """
+    """Member count, every edge-maximal member (addable set empty) in
+    preorder, and one graph per class of those, labelled once per
+    (family, n) and cached."""
     key = _family_signature(fam) + (n,)
     hit = _sweep_cache.get(key)
     if hit is not None:
@@ -340,10 +339,8 @@ def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
     for batch in _walk(fam, n):
         count += len(batch)
         found.append(batch[batch < 1 << 32])
-    maximal = _in_preorder(found, comb(n, fam.r)).tolist()
-    best = max((m.bit_count() for m in maximal), default=0)
-    argmax = tuple(m for m in maximal if m.bit_count() == best)
-    data = _SweepData(count, best, argmax, tuple(maximal))
+    maximal = _in_preorder(found, comb(n, fam.r))
+    data = _SweepData(count, tuple(maximal.tolist()), tuple(_mask_classes(maximal, n, fam.r)))
     _sweep_cache[key] = data
     return data
 
@@ -397,12 +394,11 @@ def _orbit_classes(masks: np.ndarray, n: int, r: int) -> np.ndarray:
             return masks[label == np.arange(len(masks))]
 
 
-def _mask_classes(
-    masks: Iterable[int], cand: list[tuple[int, ...]], n: int, r: int
-) -> list[Hypergraph]:
+def _mask_classes(masks: Iterable[int], n: int, r: int) -> list[Hypergraph]:
     """One graph per isomorphism class of a relabeling-closed mask set:
     the first of each class in the given order (`_orbit_classes`)."""
     reps = _orbit_classes(np.asarray(masks, dtype=np.int64), n, r)
+    cand = _candidate_edges(n, r)
     return [_mask_to_graph(m, cand, n, r) for m in reps.tolist()]
 
 
@@ -422,8 +418,8 @@ def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     member masks (`_orbit_classes`).  The walk and the labelling run in
     full before the first one is yielded.
     """
-    ffam, cand = _sweepable(fam, n, STREAM_GUARD_BITS)
-    yield from _mask_classes(_member_masks(ffam, n), cand, n, ffam.r)
+    _check_sweepable(fam, n, STREAM_GUARD_BITS)
+    yield from _mask_classes(_member_masks(fam, n), n, fam.r)
 
 
 @dataclass
@@ -443,8 +439,6 @@ class ExtremalResult:
     def to_json_dict(self, timings: bool = False, stats: bool = False) -> dict:
         """JSON fields; `stats` appends the solve counters (opt-in, so
         default bytes stay fixed)."""
-        from .hypergraph import serialize
-
         out: dict = {"n": self.n}
         if self.p is not None:
             out["p"] = self.p
@@ -465,14 +459,16 @@ class ExtremalResult:
 def extremal_pi(fam: Family, n: int) -> ExtremalResult:
     """Maximum edge count over members on exactly n labeled vertices."""
     t0 = time.perf_counter()
-    ffam, cand = _sweepable(fam, n, ENUM_GUARD_BITS)
-    data = _sweep(ffam, n)
+    _check_sweepable(fam, n, ENUM_GUARD_BITS)
+    data = _sweep(fam, n)
     _require_members(data.count)
-    reps = _mask_classes(data.pi_argmax_masks, cand, n, ffam.r)
+    # a maximum-size member of a subgraph-closed family is edge-maximal, and
+    # a class's first maximal mask in preorder is its first argmax mask
+    best = max(g.m for g in data.maximal)
     return ExtremalResult(
         n=n,
-        value=float(data.max_edges),
-        argmax=tuple(reps),
+        value=float(best),
+        argmax=tuple(g for g in data.maximal if g.m == best),
         count_members=data.count,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
@@ -492,15 +488,15 @@ def extremal_lambda_p(
     One representative per isomorphism class is solved.
     """
     t0 = time.perf_counter()
-    ffam, cand = _sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
+    _check_sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     if full:  # the audit walk itself counts the members
-        masks = _member_masks(ffam, n)
+        masks = _member_masks(fam, n)
         count = len(masks)
-        reps = _mask_classes(masks, cand, n, ffam.r)
+        reps = _mask_classes(masks, n, fam.r)
     else:
-        data = _sweep(ffam, n)
+        data = _sweep(fam, n)
         count = data.count
-        reps = _maximal_representatives(ffam, n, data, cand)
+        reps = data.maximal
     _require_members(count)
 
     cfg = config or SolverConfig()
@@ -524,11 +520,3 @@ def extremal_lambda_p(
         classes_solved=len(reps),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-
-
-def _maximal_representatives(
-    fam: ForbiddenFamily, n: int, data: _SweepData, cand: list[tuple[int, ...]]
-) -> list[Hypergraph]:
-    if data.maximal_reps is None:
-        data.maximal_reps = tuple(_mask_classes(data.maximal_masks, cand, n, fam.r))
-    return list(data.maximal_reps)

@@ -32,6 +32,7 @@ from .errors import (
     BadP,
     DimensionMismatch,
     IsolatedVertex,
+    OutOfRange,
     SameVertex,
     UniformityMismatch,
 )
@@ -171,6 +172,9 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
     sorted and summed exactly like `lagrangian` on the cloned graph, so the
     identity with lagrangian(clone_vertex(g, u, z), x) holds bit-for-bit.
     """
+    for w in (u, z):
+        if not 0 <= w < g.n:
+            raise OutOfRange(f"vertex {w} outside [0, {g.n})")
     if u == z:
         raise SameVertex(f"u == z == {u}")
     arr = _as_weights(g, x)

@@ -13,7 +13,7 @@ import numpy as np
 from hspex.canonical import canonical_key, refinement_signature
 from hspex.embedding import _search
 from hspex.errors import AllZero, BadP, DimensionMismatch
-from hspex.families import ForbiddenFamily, _SweepData, _candidate_edges, _copy_masks
+from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
 from hspex.spectral import (
     CLAMP_EPS,
@@ -107,19 +107,22 @@ def classes_by_key(graphs: Iterable[Hypergraph]) -> list[Hypergraph]:
     return out
 
 
-def sweep_dfs(fam: ForbiddenFamily, n: int) -> _SweepData:
+def sweep_dfs(
+    fam: ForbiddenFamily, n: int
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """Reference sweep: recursive DFS with completion masks, one call per member.
 
-    Tracks in one pass the member count, the maximum edge count with every
-    argmax mask (reset when a larger member appears) and every edge-maximal
-    member (addable set empty), all in preorder.
+    Returns (count, max_edges, argmax_masks, maximal_masks), tracked in one
+    pass: the member count, the maximum edge count with every argmax mask
+    (reset when a larger member appears) and every edge-maximal member
+    (addable set empty), all in preorder.
     """
     cand = _candidate_edges(n, fam.r)
     m_all = len(cand)
     eindex = {e: i for i, e in enumerate(cand)}
     copies = _copy_masks(fam, n, eindex)
     if any(c == 0 for c in copies):
-        return _SweepData(0, 0, (), ())
+        return (0, 0, (), ())
     completions: list[list[int]] = [[] for _ in range(m_all)]
     for c in copies:
         bits = c
@@ -161,7 +164,7 @@ def sweep_dfs(fam: ForbiddenFamily, n: int) -> _SweepData:
             dfs(new_mask, child, j + 1, popcnt + 1)
 
     dfs(0, root_addable, 0, 0)
-    return _SweepData(count, best, tuple(argmax), tuple(maximal))
+    return (count, best, tuple(argmax), tuple(maximal))
 
 
 def member_masks_dfs(fam: ForbiddenFamily, n: int) -> Iterator[int]:

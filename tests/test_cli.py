@@ -405,6 +405,29 @@ class TestExperiment:
         assert err.splitlines() == [f"error: {flag} must be >= 0, got -1"]
         assert not out_dir.exists()
 
+    def test_bridgeless_tight_n_range_exit_1(self, capsys, files, tmp_path):
+        out_dir = tmp_path / "reports"
+        argv = ["experiment", "bridgeless-tight", "--forbid", files["k3"],
+                "--trials", "1", "--out", str(out_dir)]
+        code, _, err = run(capsys, argv + ["--n", "4..6"])
+        assert code == 1
+        assert err.splitlines() == [
+            "error: experiment bridgeless-tight takes a single --n, got '4..6'"
+        ]
+        assert not out_dir.exists()
+        code, _, _ = run(capsys, argv + ["--n", "5"])
+        assert code == 0 and (out_dir / "bridgeless-tight-0.json").exists()
+
+    def test_plateau_construct_two_forbid_exit_1(self, capsys, files, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, ["experiment", "plateau-construct", "--forbid", files["bowtie"],
+                                    "--forbid", files["k3"], "--k", "2", "--out", str(out_dir)])
+        assert code == 1
+        assert err.splitlines() == [
+            "error: experiment plateau-construct takes a single --forbid, got 2"
+        ]
+        assert not out_dir.exists()
+
     def test_degree_bound_starts_reach_solver(self, capsys, tmp_path, monkeypatch):
         starts = []
         solve = spectral.solve_rho_p

@@ -284,8 +284,18 @@ def fresh_sweep(fam: ForbiddenFamily, n: int):
     return _sweep(fam, n)
 
 
-def sweep_fields(data) -> tuple:
-    return (data.count, data.max_edges, data.pi_argmax_masks, data.maximal_masks)
+def check_sweep(fam: ForbiddenFamily, n: int):
+    """A cold sweep's member count and maximal masks equal the recursive
+    oracle's, and `extremal_pi` gives the oracle's maximum edge count with
+    the classes of its argmax masks, in order.  Returns the sweep."""
+    count, best, argmax, maximal = sweep_dfs(fam, n)
+    data = fresh_sweep(fam, n)
+    assert (data.count, data.maximal_masks) == (count, maximal)
+    if count:
+        res = extremal_pi(fam, n)
+        assert res.value == best
+        assert edge_lists(res.argmax) == edge_lists(_classes(mask_graphs(argmax, n, fam.r)))
+    return data
 
 
 @pytest.mark.parametrize("forbidden, n", WALK_CASES)
@@ -297,8 +307,7 @@ def test_walk_matches_recursive_oracles(forbidden, n):
 
     assert math.comb(n, forbidden[0].r) <= 20
     fam = ForbiddenFamily(forbidden)
-    data = fresh_sweep(fam, n)
-    assert sweep_fields(data) == sweep_fields(sweep_dfs(fam, n))
+    data = check_sweep(fam, n)
     masks = [int(node) & 0xFFFFFFFF for batch in _walk(fam, n) for node in batch]
     keys = _preorder_key(np.array(masks, dtype=np.int64), math.comb(n, fam.r)).tolist()
     assert [mask for _, mask in sorted(zip(keys, masks))] == list(member_masks_dfs(fam, n))
@@ -318,7 +327,7 @@ def test_walk_results_do_not_depend_on_batch_size(forbidden, n, batch_nodes, mon
 
     monkeypatch.setattr(families, "WALK_BATCH", batch_nodes)
     fam = ForbiddenFamily(forbidden)
-    assert sweep_fields(fresh_sweep(fam, n)) == sweep_fields(sweep_dfs(fam, n))
+    check_sweep(fam, n)
     assert families._member_masks(fam, n).tolist() == list(member_masks_dfs(fam, n))
 
 
@@ -329,9 +338,7 @@ def test_walk_results_do_not_depend_on_batch_size(forbidden, n, batch_nodes, mon
 def test_sweep_above_20_bits_matches_recursive_oracle(forbidden, members):
     """21 candidate edges: past the cases above, and past 2**20 masks."""
     fam = ForbiddenFamily(forbidden)
-    data = fresh_sweep(fam, 7)
-    assert data.count == members
-    assert sweep_fields(data) == sweep_fields(sweep_dfs(fam, 7))
+    assert check_sweep(fam, 7).count == members
 
 
 @pytest.mark.parametrize("m", range(13))
@@ -366,14 +373,18 @@ def orbit_reps(masks, n: int, r: int) -> list[int]:
 def test_orbit_classes_match_class_oracles(forbidden, n):
     """On each relabeling-closed mask set a sweep reduces (all members,
     edge-maximal and maximum-size ones), orbit labelling keeps exactly the
-    class representatives of the isomorphism oracles, in the same order.
-    Only K4^(3) at n = 6's 477,965 members are past the isomorphism oracles
-    and are checked against the brute-force orbit oracle alone."""
+    class representatives of the isomorphism oracles, in the same order,
+    and the sweep record holds the edge-maximal ones as graphs.  Only
+    K4^(3) at n = 6's 477,965 members are past the isomorphism oracles and
+    are checked against the brute-force orbit oracle alone."""
     from hspex.families import _member_masks
 
     fam = ForbiddenFamily(forbidden)
     data = fresh_sweep(fam, n)
-    for masks in (_member_masks(fam, n).tolist(), data.maximal_masks, data.pi_argmax_masks):
+    argmax_masks = sweep_dfs(fam, n)[2]
+    maximal_reps = orbit_reps(data.maximal_masks, n, fam.r)
+    assert edge_lists(data.maximal) == edge_lists(mask_graphs(maximal_reps, n, fam.r))
+    for masks in (_member_masks(fam, n).tolist(), data.maximal_masks, argmax_masks):
         reps = orbit_reps(masks, n, fam.r)
         assert reps == orbit_classes_bruteforce(masks, n, fam.r)
         if len(masks) <= ORACLE_CLASS_MASKS:
@@ -551,6 +562,23 @@ class TestExtremal:
         res = extremal_lambda_p(fam, 5, 2.0, SolverConfig(starts=2, seed=1), full=True)
         assert calls == [5]
         assert res.count_members == brute_member_count(fam, 5)
+
+    def test_maximal_classes_are_labelled_once(self, monkeypatch):
+        """From a cold cache, pi and then two lambda solves on one (family,
+        n) label the edge-maximal masks once, inside the sweep."""
+        import hspex.families as families
+
+        fam = k3_family()
+        families._sweep_cache.pop(families._family_signature(fam) + (6,), None)  # cold
+        calls = []
+        orbit = families._orbit_classes
+        monkeypatch.setattr(families, "_orbit_classes",
+                            lambda masks, n, r: calls.append(n) or orbit(masks, n, r))
+        cfg = SolverConfig(starts=2, seed=1)
+        extremal_pi(fam, 6)
+        extremal_lambda_p(fam, 6, 2.0, cfg)
+        extremal_lambda_p(fam, 6, 3.0, cfg)
+        assert calls == [6]
 
     @pytest.mark.parametrize("full", [False, True])
     def test_no_members_raises(self, full):

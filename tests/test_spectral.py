@@ -12,6 +12,7 @@ from hspex.errors import (
     BadP,
     DimensionMismatch,
     IsolatedVertex,
+    OutOfRange,
     SameVertex,
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph, ell_cliques
@@ -558,6 +559,16 @@ class TestCloningIdentity:
     def test_same_vertex_rejected(self, k3):
         with pytest.raises(SameVertex):
             cloning_lagrangian_delta(k3, 1, 1, [1, 1, 1])
+
+    @pytest.mark.parametrize("u, z", [(1, 5), (-1, 2), (5, 1)])
+    def test_vertex_out_of_range_rejected(self, u, z):
+        """As `clone_vertex` does: no value read through a negative index,
+        no bare IndexError."""
+        g = complete_r_graph(4, 3)
+        with pytest.raises(OutOfRange):
+            g.clone_vertex(u, z)
+        with pytest.raises(OutOfRange):
+            cloning_lagrangian_delta(g, u, z, [0.5] * 4)
 
     def test_bitwise_identity_with_cloned_graph(self, rng):
         for _ in range(120):
