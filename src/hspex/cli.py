@@ -129,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument("--forbid", action="append", default=[])
     exp.add_argument("--p", type=float, default=2.0)
-    exp.add_argument("--n", type=str, default="4..6",
-                     help="single n, list 4,5,6, or range 4..8 (bridgeless-tight: single n)")
+    exp.add_argument("--n", type=str, default=None,
+                     help="single n, list 4,5,6, or range 4..8 (default 4..6); "
+                          "bridgeless-tight requires a single n")
     exp.add_argument("--k", type=int, default=1)
     exp.add_argument("--ell", type=int, default=2)
     exp.add_argument("--count", type=int, default=100)
@@ -220,7 +221,7 @@ def _cmd_experiment(args) -> int:
     name = args.name
     if name != "degree-bound" and not args.forbid:
         raise HspexError(f"experiment {name} requires --forbid")
-    n_list = _parse_range(args.n)
+    n_list = _parse_range("4..6" if args.n is None else args.n)
     for flag, value in (("--count", args.count), ("--trials", args.trials)):
         if value < 0:
             raise HspexError(f"{flag} must be >= 0, got {value}")
@@ -230,6 +231,8 @@ def _cmd_experiment(args) -> int:
     elif name == "ratio-scaling":
         report = run_ratio_scaling(_load_family(args.forbid), args.p, n_list, cfg)
     elif name == "bridgeless-tight":
+        if args.n is None:
+            raise HspexError(f"experiment {name} requires a single --n")
         if len(n_list) != 1:
             raise HspexError(f"experiment {name} takes a single --n, got {args.n!r}")
         hs = [_load_graph(p) for p in args.forbid]

@@ -7,12 +7,13 @@ under this fixed order).  Two optional constraints serve every caller:
 ``fixed`` pins pattern vertices to tuples of allowed host vertices (placed
 first), and ``avoid`` lists pattern r-sets that must map to host non-edges.
 Plain containment and isomorphism use neither, induced containment avoids
-the pattern's non-edges, and the incremental copy check pins each pattern
-edge onto the new host edge as a vertex set.
+the pattern's non-edges, and the incremental copy check pins one pattern
+edge per automorphism orbit onto the new host edge as a vertex set.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -95,11 +96,27 @@ def contains_subgraph(
     return (phi is not None, phi)
 
 
+@cache
+def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges`` order.
+
+    An injective edge-preserving self-map is an automorphism (both sides
+    have m edges), so f and g share an orbit iff pinning f onto g as a
+    vertex set finds a self-map.
+    """
+    reps: list[tuple[int, ...]] = []
+    for g in pattern.edges:
+        if not any(_search(pattern, pattern, dict.fromkeys(f, g)) is not None for f in reps):
+            reps.append(g)
+    return tuple(reps)
+
+
 def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph) -> bool:
     """Does host + ``new_edge`` hold a pattern copy that uses ``new_edge``?
 
-    Such a copy maps some pattern edge onto the new edge, so each pattern
-    edge in turn is pinned onto its vertex set (the injective search tries
+    Such a copy maps some pattern edge onto the new edge.  If an automorphism
+    sigma sends f onto g, a copy pinning g composed with sigma pins f, so one
+    edge per orbit is pinned onto its vertex set (the injective search tries
     every order).  Exact for any host, pattern-free or not.
     """
     if host.r != pattern.r:
@@ -108,7 +125,7 @@ def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergrap
     augmented = host.add_edge(key)
     return any(
         _search(augmented, pattern, dict.fromkeys(e, key)) is not None
-        for e in pattern.edges
+        for e in _edge_orbit_reps(pattern)
     )
 
 

@@ -42,12 +42,18 @@ def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
     return tuple(sorted(ids))
 
 
-def _k_closure(edges, inc, start, k: int, skip: int | None = None) -> tuple[int, ...]:
+def _k_closure(
+    edges, inc, start, k: int, skip: int | None = None, goal: Iterable[int] | None = None
+) -> tuple[int, ...] | None:
     """Sorted smallest vertex set holding `start` and every edge it meets in
     >= k vertices, `edges[skip]` left out; `inc` is the graph's `incidence`.
+    Given a `goal`, returns None as soon as every goal vertex is inside.
     Each edge counts its scanned vertices, so this costs O(sum of |e|).
     """
     inside = set(start)
+    missing = set(() if goal is None else goal).difference(inside)
+    if goal is not None and not missing:
+        return None
     work = list(inside)
     hits: dict[int, int] = {}
     while work:
@@ -57,6 +63,10 @@ def _k_closure(edges, inc, start, k: int, skip: int | None = None) -> tuple[int,
                 new = [w for w in edges[i] if w not in inside]
                 inside.update(new)
                 work.extend(new)
+                if missing:
+                    missing.difference_update(new)
+                    if not missing:
+                        return None
     return tuple(sorted(inside))
 
 

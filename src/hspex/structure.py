@@ -176,12 +176,21 @@ def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
     the first failing subset by size, then lexicographic order.  It is the
     first k-closure of an edge that is not all of V: a failing set contains
     the closure of each edge inside it, and such a closure is itself failing.
+    A closure stops once it is V, or once it holds the last edge whose
+    closure was V (it then contains that closure).
     """
     if g.m == 0:
         raise EmptyGraph("k-tightness is defined for graphs with an edge")
     _check_k(g, k)
-    closures = (_k_closure(g.edges, g.incidence, e, k) for e in g.edges)
-    witness = min((u for u in closures if len(u) < g.n), key=_size_lex, default=None)
+    proper = []
+    goal = range(g.n)
+    for e in g.edges:
+        u = _k_closure(g.edges, g.incidence, e, k, goal=goal)
+        if u is None:
+            goal = e
+        else:
+            proper.append(u)
+    witness = min(proper, key=_size_lex, default=None)
     return TightnessCertificate(witness is None, k, witness)
 
 
@@ -189,14 +198,15 @@ def is_k_bridge(g: Hypergraph, e, k: int) -> BridgeCertificate:
     """Is e the unique edge with >= k vertices in A and >= 1 in B, for some
     bipartition (A, B)?  The witness A is the first valid side by size, then
     lex order: the first k-closure in H - e of a k-subset of e that misses a
-    vertex of e (a valid A contains such a closure, which is valid itself)."""
+    vertex of e (a valid A contains such a closure, which is valid itself).
+    A closure stops once it holds all of e."""
     key = tuple(sorted(int(v) for v in e))
     if key not in g.edge_set:
         raise NoSuchEdge(f"{key} not an edge")
     _check_k(g, k)
     skip = bisect_left(g.edges, key)
-    closures = (_k_closure(g.edges, g.incidence, s, k, skip) for s in combinations(key, k))
-    a = min((u for u in closures if not set(key).issubset(u)), key=_size_lex, default=None)
+    closures = (_k_closure(g.edges, g.incidence, s, k, skip, key) for s in combinations(key, k))
+    a = min((u for u in closures if u is not None), key=_size_lex, default=None)
     b = None if a is None else tuple(sorted(set(range(g.n)).difference(a)))
     return BridgeCertificate(a is not None, k, key, a, b)
 

@@ -26,6 +26,7 @@ from hspex.structure import (
     BridgeCertificate,
     TightnessCertificate,
     _check_k,
+    _size_lex,
     _uncut_edge_set,
 )
 
@@ -354,6 +355,53 @@ def creates_copy_required_edge(
         return False
 
     return extend(0)
+
+
+def creates_copy_every_edge(
+    host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph
+) -> bool:
+    """Reference copy check: pin each pattern edge in turn onto the new edge."""
+    key = tuple(sorted(new_edge))
+    augmented = host.add_edge(key)
+    return any(
+        _search(augmented, pattern, dict.fromkeys(e, key)) is not None
+        for e in pattern.edges
+    )
+
+
+def k_closure_full(edges, inc, start, k: int, skip: Optional[int] = None) -> tuple[int, ...]:
+    """Reference k-closure: always grown to the end, `edges[skip]` left out."""
+    inside = set(start)
+    work = list(inside)
+    hits: dict[int, int] = {}
+    while work:
+        for i in inc[work.pop()]:
+            hits[i] = c = hits.get(i, 0) + 1
+            if c == k and i != skip:
+                new = [w for w in edges[i] if w not in inside]
+                inside.update(new)
+                work.extend(new)
+    return tuple(sorted(inside))
+
+
+def is_k_tight_full_closures(g: Hypergraph, k: int) -> TightnessCertificate:
+    """Reference k-tightness: the first proper full k-closure of an edge."""
+    _check_k(g, k)
+    closures = (k_closure_full(g.edges, g.incidence, e, k) for e in g.edges)
+    witness = min((u for u in closures if len(u) < g.n), key=_size_lex, default=None)
+    return TightnessCertificate(witness is None, k, witness)
+
+
+def is_k_bridge_full_closures(g: Hypergraph, e, k: int) -> BridgeCertificate:
+    """Reference k-bridge test: the first full k-closure in H - e of a
+    k-subset of e that misses a vertex of e."""
+    key = tuple(sorted(int(v) for v in e))
+    _check_k(g, k)
+    skip = g.edges.index(key)
+    closures = (k_closure_full(g.edges, g.incidence, s, k, skip) for s in combinations(key, k))
+    a = min((u for u in closures if not set(key).issubset(u)), key=_size_lex, default=None)
+    b = None if a is None else tuple(sorted(set(range(g.n)).difference(a)))
+    return BridgeCertificate(a is not None, k, key, a, b)
 
 
 def set_partitions(items: list) -> list[list[list]]:

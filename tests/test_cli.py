@@ -418,6 +418,20 @@ class TestExperiment:
         code, _, _ = run(capsys, argv + ["--n", "5"])
         assert code == 0 and (out_dir / "bridgeless-tight-0.json").exists()
 
+    def test_bridgeless_tight_without_n_exit_1(self, capsys, files, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, ["experiment", "bridgeless-tight", "--forbid", files["k3"],
+                                    "--trials", "1", "--out", str(out_dir)])
+        assert code == 1
+        assert err.splitlines() == ["error: experiment bridgeless-tight requires a single --n"]
+        assert not out_dir.exists()
+
+    def test_range_suites_default_n_4_to_6(self, capsys, files, tmp_path):
+        code, out, _ = run(capsys, ["experiment", "density-trend", "--forbid", files["k3"],
+                                    "--out", str(tmp_path), "--json"])
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)["rows"]] == [4, 5, 6]
+
     def test_plateau_construct_two_forbid_exit_1(self, capsys, files, tmp_path):
         out_dir = tmp_path / "reports"
         code, _, err = run(capsys, ["experiment", "plateau-construct", "--forbid", files["bowtie"],

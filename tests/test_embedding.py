@@ -7,6 +7,7 @@ import pytest
 
 from hspex import embedding
 from hspex.embedding import (
+    _edge_orbit_reps,
     _search,
     contains_induced_subgraph,
     contains_subgraph,
@@ -16,7 +17,12 @@ from hspex.embedding import (
 from hspex.errors import OutOfRange, RepeatedVertex, UniformityMismatch, WrongArity
 from hspex.hypergraph import Hypergraph, complete_r_graph, l_gadget, new_hypergraph
 from conftest import bowtie3, cycle, path3, random_graph
-from oracles import creates_copy_required_edge, induced_search_dfs, search_sorted_tuples
+from oracles import (
+    creates_copy_every_edge,
+    creates_copy_required_edge,
+    induced_search_dfs,
+    search_sorted_tuples,
+)
 
 
 def brute_contains(host: Hypergraph, pattern: Hypergraph) -> bool:
@@ -240,11 +246,13 @@ def test_vertex_set_pin_matches_bruteforce(seed):
 
 
 def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
-    calls = []
+    """At most one search into host + e per edge orbit of the pattern (the
+    orbit searches, pattern into itself, are not counted)."""
+    hosts = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return _search(*args, **kwargs)
+    def counted(host, *args, **kwargs):
+        hosts.append(host)
+        return _search(host, *args, **kwargs)
 
     monkeypatch.setattr(embedding, "_search", counted)
     for _ in range(40):
@@ -254,9 +262,81 @@ def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
         present = set(host.edges)
         for e in combinations(range(6), r):
             if e not in present:
-                calls.clear()
+                hosts.clear()
                 creates_copy(host, e, pattern)
-                assert len(calls) <= pattern.m
+                augmented = host.add_edge(e)
+                assert sum(h == augmented for h in hosts) <= len(_edge_orbit_reps(pattern))
+
+
+def edge_orbit_reps_bruteforce(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """First edge of each edge orbit, the automorphisms taken from every permutation."""
+    auts = [
+        p for p in permutations(range(pattern.n))
+        if all(tuple(sorted(p[v] for v in e)) in pattern.edge_set for e in pattern.edges)
+    ]
+    reps: list[tuple[int, ...]] = []
+    for g in pattern.edges:
+        if not any(tuple(sorted(p[v] for v in f)) == g for f in reps for p in auts):
+            reps.append(g)
+    return tuple(reps)
+
+
+RIGID_2 = new_hypergraph(6, 2, [(0, 5), (1, 2), (1, 3), (1, 4), (3, 4), (3, 5)])
+RIGID_3 = new_hypergraph(6, 3, [(0, 1, 3), (0, 2, 4), (0, 4, 5), (2, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "pattern, orbits",
+    [
+        (complete_r_graph(3, 2), 1),
+        (cycle(5), 1),
+        (complete_r_graph(4, 3), 1),
+        (path3(), 1),
+        (new_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)]), 1),  # K_{1,3}
+        (new_hypergraph(4, 2, [(0, 1), (2, 3)]), 1),
+        (new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]), 2),  # P4
+        (Hypergraph(3, 2, ()), 0),
+        (RIGID_2, RIGID_2.m),
+        (RIGID_3, RIGID_3.m),
+    ],
+)
+def test_edge_orbit_counts(pattern, orbits):
+    reps = _edge_orbit_reps(pattern)
+    assert len(reps) == orbits
+    assert reps == edge_orbit_reps_bruteforce(pattern)
+
+
+def test_edge_orbit_reps_match_bruteforce(rng):
+    for _ in range(300):
+        r = rng.choice([2, 3])
+        pattern = random_graph(rng.randint(r, 6), r, rng.uniform(0.2, 0.8), rng)
+        assert _edge_orbit_reps(pattern) == edge_orbit_reps_bruteforce(pattern), pattern
+
+
+NON_TRANSITIVE = [
+    new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]),  # P4
+    new_hypergraph(5, 2, [(0, 1), (0, 2), (0, 3), (3, 4)]),  # star plus a pendant edge
+    new_hypergraph(5, 2, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # vertex 4 isolated
+    RIGID_3,
+]
+
+
+@pytest.mark.parametrize("pattern", NON_TRANSITIVE)
+def test_creates_copy_matches_every_edge_pin(pattern):
+    """Pinning one edge per orbit decides every non-edge of every labeled host
+    up to n = 5 (r = 2) and of seeded hosts up to n = 7 like pinning every edge."""
+    r = pattern.r
+    hosts = [h for n in range(r, 6) for h in all_hosts(n, r)] if r == 2 else []
+    rng = random.Random(pattern.m)
+    hosts += [random_graph(rng.randint(6, 7), r, rng.uniform(0.1, 0.6), rng) for _ in range(120)]
+    results = set()
+    for host in hosts:
+        for e in combinations(range(host.n), r):
+            if e not in host.edge_set:
+                got = creates_copy(host, e, pattern)
+                assert got == creates_copy_every_edge(host, e, pattern), (host, e)
+                results.add(got)
+    assert results == {False, True}
 
 
 SEARCH_PATTERNS = {

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from hspex import structure
 from hspex.errors import (
     BadK,
     EmptyGraph,
@@ -13,8 +14,9 @@ from hspex.errors import (
     TargetMismatch,
     TrivialPartition,
 )
-from hspex.hypergraph import Hypergraph, ell_cliques, new_hypergraph
+from hspex.hypergraph import Hypergraph, _k_closure, ell_cliques, new_hypergraph
 from hspex.structure import (
+    TightnessCertificate,
     find_k_bridges,
     find_plateaus,
     is_k_bridge,
@@ -26,7 +28,14 @@ from hspex.structure import (
     tightness_violation_holds,
 )
 from conftest import bowtie3, path3, path4, random_graph
-from oracles import is_k_bridge_bruteforce, is_k_tight_bruteforce, refines_bruteforce
+from oracles import (
+    is_k_bridge_bruteforce,
+    is_k_bridge_full_closures,
+    is_k_tight_bruteforce,
+    is_k_tight_full_closures,
+    k_closure_full,
+    refines_bruteforce,
+)
 
 
 class TestPartitions:
@@ -154,6 +163,67 @@ class TestOracles:
             g = random_graph(rng.randint(4, 8), 4, rng.uniform(0.05, 0.3), rng)
             if g.m:
                 assert_certificates_match_oracles(g)
+
+
+def assert_deciders_match_full_closures(g: Hypergraph, ks) -> tuple[bool, int]:
+    """Goal-stopped closures give the certificates of full closures; returns
+    (k-tight at the last k, bridges found)."""
+    found = 0
+    for k in ks:
+        tight = is_k_tight(g, k)
+        assert tight == is_k_tight_full_closures(g, k), (g, k)
+        want = [is_k_bridge_full_closures(g, e, k) for e in g.edges]
+        assert [is_k_bridge(g, e, k) for e in g.edges] == want, (g, k)
+        assert find_k_bridges(g, k) == [c for c in want if c.result], (g, k)
+        found += sum(c.result for c in want)
+    return tight.result, found
+
+
+class TestFullClosureOracles:
+    def test_all_labeled_2graphs_up_to_n5(self):
+        verdicts, found = set(), 0
+        for n in range(2, 6):
+            for g in all_graphs(n, 2):
+                if g.m:
+                    tight, bridges = assert_deciders_match_full_closures(g, [1])
+                    verdicts.add(tight)
+                    found += bridges
+        assert verdicts == {False, True} and found
+
+    def test_seeded_3_and_4_graphs_up_to_n8_every_k(self):
+        rng = random.Random(15)
+        verdicts, found = set(), 0
+        for _ in range(1500):
+            r = rng.choice([3, 4])
+            g = random_graph(rng.randint(r, 8), r, rng.uniform(0.05, 0.6), rng)
+            if g.m:
+                tight, bridges = assert_deciders_match_full_closures(g, range(1, r))
+                verdicts.add(tight)
+                found += bridges
+        assert verdicts == {False, True} and found
+
+    def test_tightness_closures_stop_at_a_spanning_edge(self, monkeypatch):
+        """After an edge whose closure is V, closures stop once they hold that edge."""
+        goals = []
+
+        def recording(edges, inc, start, k, skip=None, goal=None):
+            goals.append(goal)
+            return _k_closure(edges, inc, start, k, skip, goal)
+
+        monkeypatch.setattr(structure, "_k_closure", recording)
+        g = new_hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        assert is_k_tight(g, 2) == TightnessCertificate(False, 2, (2, 3, 4))
+        assert goals == [range(5), (0, 1, 2), (0, 1, 3)]
+
+    def test_closure_stops_at_goal(self):
+        g = new_hypergraph(6, 2, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        closure = k_closure_full(g.edges, g.incidence, (0,), 1)
+        assert closure == (0, 1, 2, 3)
+        assert _k_closure(g.edges, g.incidence, (0,), 1) == closure
+        assert _k_closure(g.edges, g.incidence, (0,), 1, goal=(3,)) is None
+        assert _k_closure(g.edges, g.incidence, (0,), 1, goal=(0,)) is None
+        assert _k_closure(g.edges, g.incidence, (0,), 1, goal=(2, 4)) == closure
+        assert _k_closure(g.edges, g.incidence, (0,), 1, skip=1, goal=(2,)) == (0, 1)
 
 
 def classical_bridges(g: Hypergraph) -> set:
