@@ -27,6 +27,11 @@ bytes of what comes back, layer by layer:
              isomorphic on random 2- and 3-graphs; lex and random saturate
              runs, and the benchmark's certify-mix saturations for seeds
              401-403
+  cli        exit code, stdout and report files (not stderr, which names
+             paths) of hspex.cli.main on a fixed set of invocations in a
+             temporary directory: rho --json --stats, check tight, bridge
+             and plateau, extremal with and without --p, lex and random
+             saturate, and every experiment suite at small sizes
 
 Equal digests on two trees mean byte-identical results on these inputs.
 Digests depend on the numpy build and the CPU, so compare trees on one
@@ -36,9 +41,12 @@ machine; they are not constants to check in.  Uses only the stdlib and numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import random
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
@@ -207,12 +215,58 @@ def membership_layer(hspex, emit) -> None:
                 emit(("certify", seed, cycle, h.edges, n), g.edges)
 
 
+# {d} is the directory of the input graphs, {out} a fresh report directory;
+# every invocation uses only flags its command reads
+CLI_RUNS = [
+    "rho --input {d}/p3.hg --p 2 --json --stats",
+    "rho --input {d}/c5.hg --p 3 --starts 3 --seed 1 --json --stats",
+    "check tight --input {d}/2k3.hg --k 1",
+    "check tight --input {d}/c5.hg --k 1",
+    "check bridge --input {d}/p3.hg --edge 0,1 --k 1",
+    "check plateau --input {d}/bowtie.hg --edge 0,1,2 --lambda 2,1",
+    "extremal --forbid {d}/k3.hg --n 6",
+    "extremal --forbid {d}/k3.hg --forbid {d}/c5.hg --n 6 --p 2 --starts 4 --seed 1 --stats",
+    "saturate --forbid {d}/k3.hg --n 6 --order lex",
+    "saturate --forbid {d}/k3.hg --n 7 --order random --seed 7",
+    "experiment degree-bound --count 4 --seed 3 --starts 2 --out {out} --json",
+    "experiment ratio-scaling --forbid {d}/k3.hg --p 2 --n 4..5 --seed 7 --starts 2 --out {out}",
+    "experiment bridgeless-tight --forbid {d}/k3.hg --k 1 --n 5 --trials 3 --seed 2 --out {out}",
+    "experiment plateau-construct --forbid {d}/bowtie.hg --k 2 --ell 2 --out {out} --json",
+    "experiment coarseness-probe --forbid {d}/k3.hg --p 3 --n 4,6 --seed 1 --starts 2 --out {out}",
+    "experiment density-trend --forbid {d}/c5.hg --n 4..6 --out {out} --json",
+]
+
+
+def cli_layer(hspex, emit) -> None:
+    from hspex.cli import main
+
+    graphs = {
+        "p3": hspex.new_hypergraph(3, 2, [(0, 1), (1, 2)]),
+        "k3": hspex.complete_r_graph(3, 2),
+        "2k3": hspex.new_hypergraph(6, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+        "c5": hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        "bowtie": hspex.new_hypergraph(6, 3, [(0, 1, 2), (0, 1, 3), (2, 4, 5)]),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, g in graphs.items():
+            (d / f"{name}.hg").write_text(hspex.serialize(g), encoding="utf-8")
+        for i, template in enumerate(CLI_RUNS):
+            out = d / f"out{i}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(template.format(d=d, out=out).split())
+            reports = sorted((f.name, f.read_bytes()) for f in out.glob("*"))
+            emit(("cli", template), (code, stdout.getvalue(), reports))
+
+
 LAYERS = [
     ("solver", solver_layer),
     ("kernel", kernel_layer),
     ("structure", structure_layer),
     ("extremal", extremal_layer),
     ("membership", membership_layer),
+    ("cli", cli_layer),
 ]
 
 

@@ -7,8 +7,8 @@ under this fixed order).  Two optional constraints serve every caller:
 ``fixed`` pins pattern vertices to tuples of allowed host vertices (placed
 first), and ``avoid`` lists pattern r-sets that must map to host non-edges.
 Plain containment and isomorphism use neither, induced containment avoids
-the pattern's non-edges, and the incremental copy check pins one pattern
-edge per automorphism orbit onto the new host edge as a vertex set.
+the pattern's non-edges, and the incremental copy check searches the rest
+of the pattern after pinning one edge per orbit onto the new host edge.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .errors import UniformityMismatch
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _normalize_edge
 
 Embedding = tuple[int, ...]  # phi[pattern vertex] = host vertex
 
@@ -96,7 +96,6 @@ def contains_subgraph(
     return (phi is not None, phi)
 
 
-@cache
 def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges`` order.
 
@@ -111,22 +110,26 @@ def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
     return tuple(reps)
 
 
+@cache
+def _orbit_pins(pattern: Hypergraph) -> tuple[tuple[tuple[int, ...], Hypergraph], ...]:
+    """Each edge orbit representative f of pattern with pattern - f."""
+    return tuple((f, pattern.remove_edge(f)) for f in _edge_orbit_reps(pattern))
+
+
 def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph) -> bool:
     """Does host + ``new_edge`` hold a pattern copy that uses ``new_edge``?
 
-    Such a copy maps some pattern edge onto the new edge.  If an automorphism
-    sigma sends f onto g, a copy pinning g composed with sigma pins f, so one
-    edge per orbit is pinned onto its vertex set (the injective search tries
-    every order).  Exact for any host, pattern-free or not.
+    Such a copy maps one pattern edge f onto the new edge, and no other (it
+    is injective), so pattern - f is searched in the host with f pinned onto
+    the new edge as a vertex set.  A copy pinning g composed with an
+    automorphism sending f onto g pins f, so one f per edge orbit suffices.
+    Exact for any host, pattern-free or not.
     """
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
-    key = tuple(sorted(new_edge))
-    augmented = host.add_edge(key)
-    return any(
-        _search(augmented, pattern, dict.fromkeys(e, key)) is not None
-        for e in _edge_orbit_reps(pattern)
-    )
+    key = _normalize_edge(new_edge, host.r, host.n)
+    return any(_search(host, rest, dict.fromkeys(f, key)) is not None
+               for f, rest in _orbit_pins(pattern))
 
 
 def contains_induced_subgraph(

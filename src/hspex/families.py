@@ -9,8 +9,8 @@ result depends on are sorted into DFS preorder by a closed-form key
 (`_preorder_key`).  Each such mask set (all members, the edge-maximal ones)
 is closed under relabeling, so its isomorphism classes are its S_n-orbits,
 which `_orbit_classes` labels in numpy with no isomorphism test.  One
-immutable record per (family, n), `_SweepData`, holds the member count,
-the edge-maximal masks and one graph per class of those; `extremal_pi` and
+immutable record per (family, n), `_SweepData`, holds the member count
+and one graph per class of the edge-maximal members; `extremal_pi` and
 `extremal_lambda_p` both read it.  The lex-ordered candidate edges that
 give mask bits their meaning are built in this module alone.  Everything
 is deterministic.
@@ -171,11 +171,10 @@ def check_multiplicative_witness(fam: Family, g: Hypergraph, t) -> bool:
 
 @dataclass(frozen=True)
 class _SweepData:
-    """One cached sweep: the member count, every edge-maximal member's mask
-    in preorder, and the first of each class of those in preorder."""
+    """One cached sweep: the member count and the first of each class of
+    edge-maximal members in preorder."""
 
     count: int
-    maximal_masks: tuple[int, ...]
     maximal: tuple[Hypergraph, ...]
 
 
@@ -327,9 +326,8 @@ def _member_masks(fam: ForbiddenFamily, n: int) -> np.ndarray:
 
 
 def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
-    """Member count, every edge-maximal member (addable set empty) in
-    preorder, and one graph per class of those, labelled once per
-    (family, n) and cached."""
+    """Member count and one graph per class of the edge-maximal members
+    (addable set empty), labelled once per (family, n) and cached."""
     key = _family_signature(fam) + (n,)
     hit = _sweep_cache.get(key)
     if hit is not None:
@@ -340,7 +338,7 @@ def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
         count += len(batch)
         found.append(batch[batch < 1 << 32])
     maximal = _in_preorder(found, comb(n, fam.r))
-    data = _SweepData(count, tuple(maximal.tolist()), tuple(_mask_classes(maximal, n, fam.r)))
+    data = _SweepData(count, tuple(_mask_classes(maximal, n, fam.r)))
     _sweep_cache[key] = data
     return data
 

@@ -1,12 +1,15 @@
 """CLI flags, exit codes, and byte-deterministic output."""
 
 import dataclasses
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from hspex import families, spectral
+from hspex import cli, families, spectral
 from hspex.cli import main
+from hspex.experiments import ExperimentReport
 from hspex.hypergraph import serialize, complete_r_graph
 from conftest import bowtie3, cycle, path3
 
@@ -120,6 +123,13 @@ class TestRho:
         assert code == 1 and out == ""
         assert err == "error: tol must be positive and starts >= 1\n"
 
+    def test_missing_p_exit_1(self, capsys, files):
+        """A usage error is an input error: exit 1, not 2 (which means the
+        solver did not converge), and one line, not a usage block."""
+        code, out, err = run(capsys, ["rho", "--input", files["p3"]])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: the following arguments are required: --p"]
+
     def test_negative_max_iter_exit_1(self, capsys, files):
         code, out, err = run(
             capsys, ["rho", "--input", files["p3"], "--p", "2", "--max-iter", "-1"]
@@ -156,8 +166,9 @@ class TestCheck:
         assert code == 0 and json.loads(out)["result"] is True
 
     def test_missing_flag_exit_1(self, capsys, files):
-        code, _, err = run(capsys, ["check", "tight", "--input", files["2k3"]])
-        assert code == 1
+        code, out, err = run(capsys, ["check", "tight", "--input", files["2k3"]])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: the following arguments are required: --k"]
 
     def test_unknown_edge_exit_1(self, capsys, files):
         code, _, err = run(
@@ -172,7 +183,7 @@ class TestCheck:
             ["check", "bridge", "--input", files["p3"], "--edge", "0,x", "--k", "1"],
         )
         assert code == 1 and out == ""
-        assert err == "error: not an integer: 'x'\n"
+        assert err == "error: argument --edge: not an integer: 'x'\n"
 
 
 class TestExtremalSaturate:
@@ -227,6 +238,19 @@ class TestExtremalSaturate:
         code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "5", "--full"])
         assert code == 1 and out == ""
         assert err == "error: --full requires --p\n"
+
+    @pytest.mark.parametrize("flag", [["--starts", "0"], ["--seed", "3"], ["--starts", "8"]])
+    def test_extremal_solver_flag_without_p_exit_1(self, capsys, files, flag):
+        code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "5"] + flag)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {flag[0]} requires --p"]
+
+    def test_extremal_solver_flag_defaults(self, capsys, files):
+        """With --p, --starts 8 --seed 0 is the default."""
+        argv = ["extremal", "--forbid", files["k3"], "--n", "5", "--p", "2"]
+        _, plain, _ = run(capsys, argv)
+        _, explicit, _ = run(capsys, argv + ["--starts", "8", "--seed", "0"])
+        assert plain == explicit
 
     def test_extremal_default_bytes(self, capsys, files):
         """Without --stats the JSON keeps the bytes it had before the flag."""
@@ -300,6 +324,19 @@ class TestExtremalSaturate:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+    def test_saturate_lex_seed_exit_1(self, capsys, files):
+        code, out, err = run(
+            capsys, ["saturate", "--forbid", files["k3"], "--n", "4", "--seed", "3"]
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: --seed requires --order random"]
+
+    def test_saturate_random_default_seed_0(self, capsys, files):
+        argv = ["saturate", "--forbid", files["k3"], "--n", "6", "--order", "random"]
+        _, plain, _ = run(capsys, argv)
+        _, explicit, _ = run(capsys, argv + ["--seed", "0"])
+        assert plain == explicit
 
     def test_saturate_input_vertex_count_must_match_n(self, capsys, files):
         code, out, err = run(
@@ -381,28 +418,37 @@ class TestExperiment:
         out_dir = tmp_path / "reports"
         code, _, err = run(capsys, ["experiment", name, "--out", str(out_dir)])
         assert code == 1
-        assert err.splitlines() == [f"error: experiment {name} requires --forbid"]
+        missing = "--forbid, --n" if name == "bridgeless-tight" else "--forbid"
+        assert err.splitlines() == [f"error: the following arguments are required: {missing}"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("name", ["degree-bound", "ratio-scaling", "bridgeless-tight",
                                       "plateau-construct", "coarseness-probe",
                                       "density-trend"])
     def test_empty_n_range_exit_1(self, capsys, files, tmp_path, name):
+        """An empty range is refused where --n is a range, is not an int
+        where it is a single n, and --n is unknown where no --n is read."""
         out_dir = tmp_path / "reports"
         code, _, err = run(capsys, ["experiment", name, "--forbid", files["k3"],
                                     "--n", "5..3", "--out", str(out_dir)])
         assert code == 1
-        assert err.splitlines() == ["error: empty range: '5..3'"]
+        expected = {
+            "degree-bound": f"unrecognized arguments: --forbid {files['k3']} --n 5..3",
+            "plateau-construct": "unrecognized arguments: --n 5..3",
+            "bridgeless-tight": "argument --n: invalid int value: '5..3'",
+        }.get(name, "argument --n: empty range: '5..3'")
+        assert err.splitlines() == [f"error: {expected}"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("name, flag", [("degree-bound", "--count"),
                                             ("bridgeless-tight", "--trials")])
     def test_negative_count_or_trials_exit_1(self, capsys, files, tmp_path, name, flag):
         out_dir = tmp_path / "reports"
-        code, _, err = run(capsys, ["experiment", name, "--forbid", files["k3"],
+        required = [] if name == "degree-bound" else ["--forbid", files["k3"], "--n", "5"]
+        code, _, err = run(capsys, ["experiment", name, *required,
                                     flag, "-1", "--out", str(out_dir)])
         assert code == 1
-        assert err.splitlines() == [f"error: {flag} must be >= 0, got -1"]
+        assert err.splitlines() == [f"error: argument {flag}: must be >= 0, got -1"]
         assert not out_dir.exists()
 
     def test_bridgeless_tight_n_range_exit_1(self, capsys, files, tmp_path):
@@ -411,9 +457,7 @@ class TestExperiment:
                 "--trials", "1", "--out", str(out_dir)]
         code, _, err = run(capsys, argv + ["--n", "4..6"])
         assert code == 1
-        assert err.splitlines() == [
-            "error: experiment bridgeless-tight takes a single --n, got '4..6'"
-        ]
+        assert err.splitlines() == ["error: argument --n: invalid int value: '4..6'"]
         assert not out_dir.exists()
         code, _, _ = run(capsys, argv + ["--n", "5"])
         assert code == 0 and (out_dir / "bridgeless-tight-0.json").exists()
@@ -423,7 +467,7 @@ class TestExperiment:
         code, _, err = run(capsys, ["experiment", "bridgeless-tight", "--forbid", files["k3"],
                                     "--trials", "1", "--out", str(out_dir)])
         assert code == 1
-        assert err.splitlines() == ["error: experiment bridgeless-tight requires a single --n"]
+        assert err.splitlines() == ["error: the following arguments are required: --n"]
         assert not out_dir.exists()
 
     def test_range_suites_default_n_4_to_6(self, capsys, files, tmp_path):
@@ -457,3 +501,150 @@ class TestExperiment:
              "--starts", "2", "--out", str(tmp_path)],
         )
         assert starts == [2] * 8
+
+
+# Which flags each command reads.  Kept here, apart from cli's own tables, so
+# that a flag added to or dropped from a command fails one of the tests below.
+SUITE_FLAGS = {
+    "degree-bound": "count seed starts out json",
+    "ratio-scaling": "forbid p n seed starts out json",
+    "bridgeless-tight": "forbid k n trials seed out json",
+    "plateau-construct": "forbid k ell out json",
+    "coarseness-probe": "forbid p n seed starts out json",
+    "density-trend": "forbid n out json",
+}
+CHECK_FLAGS = {"tight": "input k", "bridge": "input edge k", "plateau": "input edge lambda"}
+EXPERIMENT_ALL = "forbid p n k ell count trials seed starts out json".split()
+CHECK_ALL = "input k edge lambda".split()
+RUNNERS = ["run_degree_bound_suite", "run_ratio_scaling", "run_bridgeless_tight_suite",
+           "run_plateau_construction", "run_coarseness_probe", "run_density_trend"]
+
+
+def _flag_argv(files, flag, value_index):
+    """``--flag value`` with the first or the second of two values; the
+    first of an optional flag is its default, so it is left out."""
+    values = {
+        "forbid": [files["k3"], files["c4"]], "input": [files["p3"], files["c4"]],
+        "n": [None, "5"], "p": [None, "3"], "k": [None, "2"], "ell": [None, "3"],
+        "count": [None, "7"], "trials": [None, "7"], "seed": [None, "9"],
+        "starts": [None, "2"], "out": [None, "elsewhere"], "json": [None, ""],
+        "edge": ["0,1", "1,2"], "lambda": ["2,1", "1,1,1"],
+    }[flag]
+    value = values[value_index]
+    if value is None:
+        return []
+    return [f"--{flag}"] + ([value] if value else [])
+
+
+def _suite_argv(files, name, changed=None, extra=()):
+    argv = ["experiment", name]
+    for flag in SUITE_FLAGS[name].split():
+        if name == "bridgeless-tight" and flag == "n":  # required: two values
+            argv += ["--n", "6" if flag == changed else "5"]
+        else:
+            argv += _flag_argv(files, flag, int(flag == changed))
+    return argv + list(extra)
+
+
+def _check_argv(files, prop, changed=None, extra=()):
+    argv = ["check", prop]
+    for flag in CHECK_FLAGS[prop].split():
+        if flag == "k":  # required: two values
+            argv += ["--k", "2" if flag == changed else "1"]
+        else:
+            argv += _flag_argv(files, flag, int(flag == changed))
+    return argv + list(extra)
+
+
+@pytest.fixture
+def observe(capsys, monkeypatch, tmp_path):
+    """Run argv in a fresh working directory with the suite runners and the
+    check deciders replaced by recorders; return (exit code, recorded calls,
+    stdout, stderr lines, report files written)."""
+    runs = itertools.count()
+    calls = []
+
+    def recorder(name, result):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return result
+        return record
+
+    for runner in RUNNERS:
+        monkeypatch.setattr(cli, runner, recorder(runner, ExperimentReport("x", {}, 0)))
+    cert = SimpleNamespace(result=True, to_json_dict=dict)
+    monkeypatch.setattr(cli, "is_k_tight", recorder("tight", cert))
+    monkeypatch.setattr(cli, "is_k_bridge", recorder("bridge", cert))
+    monkeypatch.setattr(cli, "is_lambda_plateau", recorder("plateau", (True, None)))
+
+    def run_recorded(argv):
+        calls.clear()
+        work = tmp_path / f"run{next(runs)}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code = main(argv)
+        out = capsys.readouterr()
+        written = sorted(str(f.relative_to(work)) for f in work.rglob("*") if f.is_file())
+        return code, list(calls), out.out, out.err.splitlines(), written
+
+    return run_recorded
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name, flags in SUITE_FLAGS.items() for flag in flags.split()
+])
+def test_each_suite_flag_is_read(observe, files, name, flag):
+    """Changing one declared flag from its default (or a required flag from
+    one value to another) changes the runner's arguments, the report files
+    or stdout."""
+    default = observe(_suite_argv(files, name))
+    changed = observe(_suite_argv(files, name, changed=flag))
+    assert default[0] == changed[0] == 0
+    assert len(default[1]) == len(changed[1]) == 1
+    assert default[1:3] + default[4:] != changed[1:3] + changed[4:]
+
+
+@pytest.mark.parametrize("prop, flag", [
+    (prop, flag) for prop, flags in CHECK_FLAGS.items() for flag in flags.split()
+])
+def test_each_check_flag_is_read(observe, files, prop, flag):
+    default = observe(_check_argv(files, prop))
+    changed = observe(_check_argv(files, prop, changed=flag))
+    assert default[0] == changed[0] == 0
+    assert len(default[1]) == len(changed[1]) == 1 and default[1] != changed[1]
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name, flags in SUITE_FLAGS.items()
+    for flag in EXPERIMENT_ALL if flag not in flags.split()
+])
+def test_undeclared_suite_flag_exit_1(observe, files, name, flag):
+    extra = ["--" + flag] + ([] if flag == "json" else [files["k3"] if flag == "forbid" else "5"])
+    code, calls, out, err, written = observe(_suite_argv(files, name, extra=extra))
+    assert (code, calls, out, written) == (1, [], "", [])
+    assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: --" + flag)
+
+
+@pytest.mark.parametrize("prop, flag", [
+    (prop, flag) for prop, flags in CHECK_FLAGS.items()
+    for flag in CHECK_ALL if flag not in flags.split()
+])
+def test_undeclared_check_flag_exit_1(observe, files, prop, flag):
+    code, calls, out, err, _ = observe(_check_argv(files, prop, extra=["--" + flag, "1"]))
+    assert (code, calls, out) == (1, [], "")
+    assert err == [f"error: unrecognized arguments: --{flag} 1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["experiment"], "the following arguments are required: name"),
+    (["check"], "the following arguments are required: property"),
+    (["experiment", "nope"], "argument name: invalid choice: 'nope' (choose from "
+     "'degree-bound', 'ratio-scaling', 'bridgeless-tight', 'plateau-construct', "
+     "'coarseness-probe', 'density-trend')"),
+    (["rho", "--input", "g.hg", "--p", "two"], "argument --p: invalid float value: 'two'"),
+])
+def test_usage_error_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]

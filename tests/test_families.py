@@ -236,11 +236,7 @@ class TestEnumeration:
         assert _sweep(fam, 5).count == brute_member_count(fam, 5)
 
     def test_maximal_masks_match_definition_n5(self):
-        from hspex.families import _sweep, _candidate_edges, _mask_to_graph
-
         fam = k3_family()
-        data = _sweep(fam, 5)
-        cand = _candidate_edges(5, 2)
         expected = set()
         pool = list(combinations(range(5), 2))
         for mask in range(1 << len(pool)):
@@ -248,7 +244,7 @@ class TestEnumeration:
             g = Hypergraph(5, 2, edges)
             if is_member(fam, g) and is_edge_maximal(fam, g)[0]:
                 expected.add(mask)
-        assert set(data.maximal_masks) == expected
+        assert set(maximal_masks(fam, 5)) == expected
 
 
 def _random_forbidden(seed: int) -> tuple[tuple[Hypergraph, ...], int]:
@@ -277,6 +273,14 @@ WALK_CASES = (
 )
 
 
+def maximal_masks(fam: ForbiddenFamily, n: int) -> tuple[int, ...]:
+    """The walk's edge-maximal members (addable set empty), in preorder."""
+    from hspex.families import _in_preorder, _walk
+
+    found = [b[b < 1 << 32] for b in _walk(fam, n)]
+    return tuple(_in_preorder(found, math.comb(n, fam.r)).tolist())
+
+
 def fresh_sweep(fam: ForbiddenFamily, n: int):
     from hspex.families import _family_signature, _sweep, _sweep_cache
 
@@ -285,12 +289,12 @@ def fresh_sweep(fam: ForbiddenFamily, n: int):
 
 
 def check_sweep(fam: ForbiddenFamily, n: int):
-    """A cold sweep's member count and maximal masks equal the recursive
-    oracle's, and `extremal_pi` gives the oracle's maximum edge count with
-    the classes of its argmax masks, in order.  Returns the sweep."""
+    """A cold sweep's member count and the walk's maximal masks equal the
+    recursive oracle's, and `extremal_pi` gives the oracle's maximum edge
+    count with the classes of its argmax masks, in order.  Returns the sweep."""
     count, best, argmax, maximal = sweep_dfs(fam, n)
     data = fresh_sweep(fam, n)
-    assert (data.count, data.maximal_masks) == (count, maximal)
+    assert (data.count, maximal_masks(fam, n)) == (count, maximal)
     if count:
         res = extremal_pi(fam, n)
         assert res.value == best
@@ -382,9 +386,10 @@ def test_orbit_classes_match_class_oracles(forbidden, n):
     fam = ForbiddenFamily(forbidden)
     data = fresh_sweep(fam, n)
     argmax_masks = sweep_dfs(fam, n)[2]
-    maximal_reps = orbit_reps(data.maximal_masks, n, fam.r)
+    maximal = maximal_masks(fam, n)
+    maximal_reps = orbit_reps(maximal, n, fam.r)
     assert edge_lists(data.maximal) == edge_lists(mask_graphs(maximal_reps, n, fam.r))
-    for masks in (_member_masks(fam, n).tolist(), data.maximal_masks, argmax_masks):
+    for masks in (_member_masks(fam, n).tolist(), maximal, argmax_masks):
         reps = orbit_reps(masks, n, fam.r)
         assert reps == orbit_classes_bruteforce(masks, n, fam.r)
         if len(masks) <= ORACLE_CLASS_MASKS:
