@@ -37,8 +37,29 @@ EXIT_PROPERTY_FALSE = 3
 EXIT_TOO_LARGE = 4
 
 
+class _Once(argparse.Action):
+    """Store a single-valued flag; giving it twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser.given:
+            parser.error(f"argument {option_string}: given more than once")
+        parser.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise HspexError, so they exit 1 like any input error."""
+    """Usage errors raise HspexError, so they exit 1 like any input error.
+    Flags are matched whole (no abbreviations), and a single-valued flag
+    may be given once; subparsers are built from this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _Once)
+        self.register("action", "store", _Once)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given: set[str] = set()  # the single-valued flags seen so far
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise HspexError(message)

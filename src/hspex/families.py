@@ -4,7 +4,9 @@ Membership is non-induced by default (a family member contains no forbidden
 graph as a subgraph); an induced mode exists for counterexample fixtures.
 Extremal computations enumerate labeled graphs on exactly n vertices by one
 batched numpy walk over the tree of edge subsets with incremental
-forbidden-copy pruning (`_walk`), which serves every sweep.  The masks a
+forbidden-copy pruning (`_walk`), which serves every sweep: one broadcast
+step per candidate edge blocks all of its completions in a batch of
+children at once, and leaves are yielded without being expanded.  The masks a
 result depends on are sorted into DFS preorder by a closed-form key
 (`_preorder_key`).  Each such mask set (all members, the edge-maximal ones)
 is closed under relabeling, so its isomorphism classes are its S_n-orbits,
@@ -43,7 +45,10 @@ ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
 STREAM_GUARD_BITS = 24     # stricter cap for streaming every member
 FULL_MODE_GUARD_BITS = 20  # cap when materializing all members (--full audits)
 VALUE_COLLAPSE = 1e-9      # spectral argmax graphs within this of the best
-WALK_BATCH = 4096          # member nodes the walk pops and expands per step
+WALK_BATCH = 4096          # member nodes the walk pops and expands per step; leaves
+                           # are yielded once this many wait
+GAP_ROWS = 64              # completions per (rows, children) block of a child step,
+                           # which caps the walk's gap scratch at 2 * GAP_ROWS * WALK_BATCH
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ def _copy_masks(fam: ForbiddenFamily, n: int, eindex: dict) -> list[int]:
 
 
 def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
-    """Yield every member node, in batches of up to WALK_BATCH nodes.
+    """Yield every member node once, in batches of up to 2 * WALK_BATCH nodes.
 
     A node is one int64: the member's edge set over the lex-ordered
     candidate edges in the low 32 bits, and `addable`, the non-edges whose
@@ -227,12 +232,17 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
     edge j above all of the node's edges (`mask < 2**j`), so every member
     is reached once.  Adding j blocks every non-edge that is the single gap
     of a copy through j (its completion masks).  Nodes wait on one explicit
-    stack and are popped a batch at a time; each candidate edge is one
-    vectorised child step written straight onto the stack, and each
-    completion mask one masked clear.  All work happens in the stack and in
-    fixed scratch buffers.  A yielded batch is scratch too, valid until the
-    next one, and is in walk order: consumers that need DFS preorder sort
-    by `_preorder_key`.
+    stack and are popped a batch at a time, and each candidate edge j is one
+    vectorised child step over the whole batch: j's completions, held as
+    int64 columns of at most GAP_ROWS rows, broadcast against the children
+    into (rows, children) blocks of missing edges, `(gap & (gap - 1)) - 1
+    >> 63` keeps the single gaps, and one OR down the rows gives the edges
+    that leave a child's addable set.  A child with no addable edge above j
+    is a leaf: it goes to a leaf buffer, never to the stack, and is yielded
+    once WALK_BATCH leaves wait (and at the end).  All work happens in the
+    stack and in fixed scratch buffers.  A yielded batch is scratch too,
+    valid until the next one, and is in walk order: consumers that need DFS
+    preorder sort by `_preorder_key`.
     """
     cand = _candidate_edges(n, fam.r)
     m_all = len(cand)
@@ -250,12 +260,22 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
     for j in range(m_all):
         if all(comp != 0 for comp in completions[j]):
             root_addable |= 1 << j
+    # j's completions as int64 columns of at most GAP_ROWS rows each
+    blocks = [
+        [np.array(comps[i:i + GAP_ROWS], dtype=np.int64).reshape(-1, 1)
+         for i in range(0, len(comps), GAP_ROWS)]
+        for comps in completions
+    ]
+    rows = min(max(map(len, completions), default=0), GAP_ROWS)
 
     stack = np.empty(8 * WALK_BATCH, dtype=np.int64)
     stack[0] = root_addable << 32
     top = 1
-    nodes, work, gap, rest, blocked = (np.empty(WALK_BATCH, dtype=np.int64) for _ in range(5))
-    pick, single = (np.empty(WALK_BATCH, dtype=bool) for _ in range(2))
+    leaves = np.empty(2 * WALK_BATCH, dtype=np.int64)
+    held = 0
+    nodes, work, child, blocked, spare = (np.empty(WALK_BATCH, dtype=np.int64) for _ in range(5))
+    gap, single = (np.empty(rows * WALK_BATCH, dtype=np.int64) for _ in range(2))
+    pick = np.empty(WALK_BATCH, dtype=bool)
     while top:
         b = min(top, WALK_BATCH)
         top -= b
@@ -272,26 +292,48 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
             k = int(np.count_nonzero(pick[:b]))
             if not k:
                 continue
-            if top + k > len(stack):
-                stack = np.concatenate((stack[:top], np.empty_like(stack)))
-            child = stack[top:top + k]
-            top += k
-            np.compress(pick[:b], batch, out=child)
-            np.bitwise_xor(child, (1 << 32 + j) | (1 << j), out=child)  # add j
-            if not completions[j]:
-                continue
-            gap_k, rest_k, single_k, blocked_k = gap[:k], rest[:k], single[:k], blocked[:k]
-            non_edges = np.invert(child, out=work[:k])  # in the low 32 bits
-            blocked_k.fill(0)
-            for comp in completions[j]:
-                np.bitwise_and(non_edges, comp, out=gap_k)  # comp's missing edges
-                np.subtract(gap_k, 1, out=rest_k)
-                np.bitwise_and(rest_k, gap_k, out=rest_k)
-                np.logical_not(rest_k, out=single_k)  # at most one missing
-                np.bitwise_or(blocked_k, gap_k, out=blocked_k, where=single_k)
-            np.left_shift(blocked_k, 32, out=blocked_k)
-            np.invert(blocked_k, out=blocked_k)
-            np.bitwise_and(child, blocked_k, out=child)  # blocked edges leave addable
+            child_k = batch.compress(pick[:b], out=child[:k])
+            np.bitwise_xor(child_k, (1 << 32 + j) | (1 << j), out=child_k)  # add j
+            if blocks[j]:
+                non_edges = np.invert(child_k, out=work[:k])  # in the low 32 bits
+                blocked_k = blocked[:k]
+                for i, column in enumerate(blocks[j]):
+                    gap_ck = gap[:column.size * k].reshape(-1, k)
+                    single_ck = single[:gap_ck.size].reshape(-1, k)
+                    np.bitwise_and(column, non_edges, out=gap_ck)  # each comp's missing edges
+                    np.subtract(gap_ck, 1, out=single_ck)
+                    np.bitwise_and(single_ck, gap_ck, out=single_ck)
+                    np.subtract(single_ck, 1, out=single_ck)
+                    np.right_shift(single_ck, 63, out=single_ck)  # all ones iff at most one missing
+                    np.bitwise_and(gap_ck, single_ck, out=gap_ck)
+                    if i:
+                        blocked_k |= np.bitwise_or.reduce(gap_ck, axis=0, out=spare[:k])
+                    else:
+                        np.bitwise_or.reduce(gap_ck, axis=0, out=blocked_k)
+                np.left_shift(blocked_k, 32, out=blocked_k)
+                np.invert(blocked_k, out=blocked_k)
+                np.bitwise_and(child_k, blocked_k, out=child_k)  # blocked edges leave addable
+            # a leaf has no addable edge above j
+            leaf_k = np.less(child_k, 1 << 33 + j, out=pick[:k])
+            leaf = int(np.count_nonzero(leaf_k))
+            if leaf == k:
+                leaves[held:held + k] = child_k
+            elif leaf:
+                child_k.compress(leaf_k, out=leaves[held:held + leaf])
+            held += leaf
+            if leaf < k:
+                if top + k - leaf > len(stack):
+                    stack = np.concatenate((stack[:top], np.empty_like(stack)))
+                if leaf:
+                    child_k.compress(np.logical_not(leaf_k, out=leaf_k), out=stack[top:top + k - leaf])
+                else:
+                    stack[top:top + k] = child_k
+                top += k - leaf
+            if held >= WALK_BATCH:
+                yield leaves[:held]
+                held = 0
+    if held:
+        yield leaves[:held]
 
 
 def _preorder_key(masks: np.ndarray, m: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from hspex.canonical import canonical_key, refinement_signature
 from hspex.embedding import _search
 from hspex.errors import AllZero, BadP, DimensionMismatch
-from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
+from hspex.families import WALK_BATCH, ForbiddenFamily, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
 from hspex.spectral import (
     CLAMP_EPS,
@@ -189,6 +189,85 @@ def member_masks_dfs(fam: ForbiddenFamily, n: int) -> Iterator[int]:
             yield from gen(new, j + 1)
 
     yield from gen(0, 0)
+
+
+def walk_per_completion(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
+    """Reference member walk: `families._walk` as it was before its child
+    step blocked all of an edge's completions in one broadcast step and
+    kept leaves off the stack.  Yields every member node, in batches of up
+    to WALK_BATCH nodes.
+
+    A node is one int64: the member's edge set over the lex-ordered
+    candidate edges in the low 32 bits, and `addable`, the non-edges whose
+    addition keeps it a member, in the high 32.  A child adds one addable
+    edge j above all of the node's edges (`mask < 2**j`), so every member
+    is reached once.  Adding j blocks every non-edge that is the single gap
+    of a copy through j (its completion masks).  Nodes wait on one explicit
+    stack and are popped a batch at a time; each candidate edge is one
+    vectorised child step written straight onto the stack, and each
+    completion mask one masked clear.  All work happens in the stack and in
+    fixed scratch buffers.  A yielded batch is scratch too, valid until the
+    next one, and is in walk order: consumers that need DFS preorder sort
+    by `_preorder_key`.
+    """
+    cand = _candidate_edges(n, fam.r)
+    m_all = len(cand)
+    copies = _copy_masks(fam, n, {e: i for i, e in enumerate(cand)})
+    if any(c == 0 for c in copies):
+        return  # an edgeless forbidden graph fits everywhere: no members
+    completions: list[list[int]] = [[] for _ in range(m_all)]
+    for c in copies:
+        bits = c
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            completions[low.bit_length() - 1].append(c & ~low)
+    root_addable = 0
+    for j in range(m_all):
+        if all(comp != 0 for comp in completions[j]):
+            root_addable |= 1 << j
+
+    stack = np.empty(8 * WALK_BATCH, dtype=np.int64)
+    stack[0] = root_addable << 32
+    top = 1
+    nodes, work, gap, rest, blocked = (np.empty(WALK_BATCH, dtype=np.int64) for _ in range(5))
+    pick, single = (np.empty(WALK_BATCH, dtype=bool) for _ in range(2))
+    while top:
+        b = min(top, WALK_BATCH)
+        top -= b
+        batch = nodes[:b]
+        batch[:] = stack[top:top + b]
+        yield batch
+        # no child adds an edge below the smallest mask's top edge or above
+        # the largest addable edge
+        first = int(np.bitwise_and(batch, 0xFFFFFFFF, out=work[:b]).min()).bit_length()
+        for j in range(first, (int(batch.max()) >> 32).bit_length()):
+            # j addable (bit 32 + j) and no edge at or above j present
+            np.bitwise_and(batch, (1 << 32 + j) | (1 << 32) - (1 << j), out=work[:b])
+            np.equal(work[:b], 1 << 32 + j, out=pick[:b])
+            k = int(np.count_nonzero(pick[:b]))
+            if not k:
+                continue
+            if top + k > len(stack):
+                stack = np.concatenate((stack[:top], np.empty_like(stack)))
+            child = stack[top:top + k]
+            top += k
+            np.compress(pick[:b], batch, out=child)
+            np.bitwise_xor(child, (1 << 32 + j) | (1 << j), out=child)  # add j
+            if not completions[j]:
+                continue
+            gap_k, rest_k, single_k, blocked_k = gap[:k], rest[:k], single[:k], blocked[:k]
+            non_edges = np.invert(child, out=work[:k])  # in the low 32 bits
+            blocked_k.fill(0)
+            for comp in completions[j]:
+                np.bitwise_and(non_edges, comp, out=gap_k)  # comp's missing edges
+                np.subtract(gap_k, 1, out=rest_k)
+                np.bitwise_and(rest_k, gap_k, out=rest_k)
+                np.logical_not(rest_k, out=single_k)  # at most one missing
+                np.bitwise_or(blocked_k, gap_k, out=blocked_k, where=single_k)
+            np.left_shift(blocked_k, 32, out=blocked_k)
+            np.invert(blocked_k, out=blocked_k)
+            np.bitwise_and(child, blocked_k, out=child)  # blocked edges leave addable
 
 
 def subset_tree_preorder(m: int) -> list[int]:

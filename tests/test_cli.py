@@ -635,6 +635,55 @@ def test_undeclared_check_flag_exit_1(observe, files, prop, flag):
     assert err == [f"error: unrecognized arguments: --{flag} 1"]
 
 
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name, flags in SUITE_FLAGS.items()
+    for flag in flags.split() if flag not in ("forbid", "json")
+])
+def test_repeated_suite_flag_exit_1(observe, files, name, flag):
+    """A single-valued flag given twice is a usage error, not its last value."""
+    extra = _flag_argv(files, flag, 1) * 2
+    code, calls, out, err, written = observe(_suite_argv(files, name, extra=extra))
+    assert (code, calls, out, written) == (1, [], "", [])
+    assert err == [f"error: argument --{flag}: given more than once"]
+
+
+@pytest.mark.parametrize("prop, flag", [
+    (prop, flag) for prop, flags in CHECK_FLAGS.items() for flag in flags.split()
+])
+def test_repeated_check_flag_exit_1(observe, files, prop, flag):
+    extra = ["--k", "2"] if flag == "k" else _flag_argv(files, flag, 1)
+    code, calls, out, err, _ = observe(_check_argv(files, prop, extra=extra))
+    assert (code, calls, out) == (1, [], "")
+    assert err == [f"error: argument --{flag}: given more than once"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "degree-bound", "--count", "1", "--seed", "1", "--seed", "2"],
+     "argument --seed: given more than once"),
+    (["experiment", "degree-bound", "--cou", "1", "--se", "4"],
+     "unrecognized arguments: --cou 1 --se 4"),
+    (["rho", "--input", "g.hg", "--p", "2", "--p", "3"], "argument --p: given more than once"),
+    (["rho", "--inp", "g.hg", "--p", "2"], "the following arguments are required: --input"),
+    (["extremal", "--forbid", "h.hg", "--n", "4", "--n", "5"],
+     "argument --n: given more than once"),
+    (["saturate", "--forbid", "h.hg", "--n", "4", "--ord", "random"],
+     "unrecognized arguments: --ord random"),
+])
+def test_repeated_or_abbreviated_flag_exit_1(observe, argv, message):
+    """Flags match whole names only, and a single-valued flag is read once:
+    no report is written and no runner is called."""
+    code, calls, out, err, written = observe(argv)
+    assert (code, calls, out, written) == (1, [], "", [])
+    assert err == [f"error: {message}"]
+
+
+def test_forbid_stays_repeatable(observe, files):
+    argv = ["experiment", "density-trend", "--forbid", files["k3"], "--forbid", files["c4"]]
+    code, calls, _, _, _ = observe(argv)
+    assert code == 0 and [name for name, _, _ in calls] == ["run_density_trend"]
+    assert len(calls[0][1][0].forbidden) == 2
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["experiment"], "the following arguments are required: name"),

@@ -34,6 +34,7 @@ from oracles import (
     orbit_classes_bruteforce,
     subset_tree_preorder,
     sweep_dfs,
+    walk_per_completion,
 )
 
 
@@ -318,19 +319,49 @@ def test_walk_matches_recursive_oracles(forbidden, n):
     assert len(masks) == data.count
 
 
-@pytest.mark.parametrize("batch_nodes", [1, 16])
+def walk_nodes(walk, fam: ForbiddenFamily, n: int) -> np.ndarray:
+    """Every node a walk yields (edge mask and addable set), sorted."""
+    batches = [batch.copy() for batch in walk(fam, n)]
+    return np.sort(np.concatenate(batches or [np.zeros(0, dtype=np.int64)]))
+
+
+@pytest.mark.parametrize("forbidden, n", WALK_CASES + [
+    pytest.param((complete_r_graph(3, 2),), 7, id="K3-n7"),
+    pytest.param((cycle(4),), 7, id="C4-n7"),
+    pytest.param((complete_r_graph(4, 3),), 2, id="K4_3-n2"),
+    pytest.param((Hypergraph(2, 2, ((0, 1),)),), 4, id="K2-n4"),
+])
+def test_walk_nodes_match_per_completion_oracle(forbidden, n):
+    """The walk yields the same node multiset as the per-completion walk it
+    replaced: with no candidate edges (n < r), with no completions for any
+    edge (K6 at n = 5), and with one empty completion per edge (K2)."""
+    from hspex.families import _walk
+
+    fam = ForbiddenFamily(forbidden)
+    expected = walk_nodes(walk_per_completion, fam, n)
+    assert np.array_equal(walk_nodes(_walk, fam, n), expected)
+
+
+@pytest.mark.parametrize("batch_nodes", [1, 2, 16])
 @pytest.mark.parametrize("forbidden, n", [
     pytest.param((complete_r_graph(3, 2),), 6, id="K3-n6"),
     pytest.param((cycle(5),), 6, id="C5-n6"),
     pytest.param((complete_r_graph(4, 3),), 5, id="K4_3-n5"),
 ])
 def test_walk_results_do_not_depend_on_batch_size(forbidden, n, batch_nodes, monkeypatch):
-    """Tiny batches split every level, and one-node batches outgrow the
-    initial stack at the root: sweep and member masks stay the oracles'."""
+    """Tiny batches split every level, flush leaves at exactly the batch
+    size, and outgrow the initial stack; blocks of ten completion rows
+    split C5's 24 completions per edge.  Sweep and member masks stay the
+    recursive oracles', and the node multiset the per-completion walk's."""
     import hspex.families as families
 
-    monkeypatch.setattr(families, "WALK_BATCH", batch_nodes)
     fam = ForbiddenFamily(forbidden)
+    expected = walk_nodes(walk_per_completion, fam, n)
+    monkeypatch.setattr(families, "WALK_BATCH", batch_nodes)
+    monkeypatch.setattr(families, "GAP_ROWS", 10)
+    batches = [batch.copy() for batch in families._walk(fam, n)]
+    assert max(map(len, batches)) < 2 * batch_nodes
+    assert np.array_equal(np.sort(np.concatenate(batches)), expected)
     check_sweep(fam, n)
     assert families._member_masks(fam, n).tolist() == list(member_masks_dfs(fam, n))
 
