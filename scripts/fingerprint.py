@@ -16,8 +16,9 @@ bytes of what comes back, layer by layer:
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
   extremal   extremal_pi and extremal_lambda_p results with solution bytes
              (K3 and K4^(3) free, K3 free at n = 8 as in the sweep benchmark,
-             and C4, C5 and {K3, C4} free at n = 6, 7, whose maximal members
-             have mixed sizes), enumerate_family edge lists and
+             C4, C5 and {K3, C4} free at n = 6, 7, whose maximal members
+             have mixed sizes, and P5 free at n = 7, whose 240 completions
+             per edge fill several gap blocks), enumerate_family edge lists and
              extremal_lambda_p(full=True) results, so every consumer of the
              member walk is covered; connected_graph_classes edge lists for
              v = 1..6 with r = 2 and v = 4 with r = 3, the other consumer of
@@ -159,6 +160,11 @@ def extremal_layer(hspex, emit) -> None:
             for p in (2.0, 3.0):
                 res = hspex.extremal_lambda_p(fam, n, p, hspex.SolverConfig(starts=4, seed=n))
                 emit(("lambda", name, n, p), _extremal(res))
+    p5 = hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    fam = hspex.ForbiddenFamily((p5,))  # 240 completions per edge at n = 7
+    emit(("pi", "P5", 7), hspex.extremal_pi(fam, 7).to_json_dict())
+    res = hspex.extremal_lambda_p(fam, 7, 2.0, hspex.SolverConfig(starts=4, seed=7))
+    emit(("lambda", "P5", 7, 2.0), _extremal(res))
     for h, enum_ns, full_ns in ((k3, range(3, 7), range(3, 7)), (k4_3, range(4, 6), (5,))):
         fam = hspex.ForbiddenFamily((h,))
         for n in enum_ns:

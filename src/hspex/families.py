@@ -4,10 +4,11 @@ Membership is non-induced by default (a family member contains no forbidden
 graph as a subgraph); an induced mode exists for counterexample fixtures.
 Extremal computations enumerate labeled graphs on exactly n vertices by one
 batched numpy walk over the tree of edge subsets with incremental
-forbidden-copy pruning (`_walk`), which serves every sweep: one broadcast
-step per candidate edge blocks all of its completions in a batch of
-children at once, and leaves are yielded without being expanded.  The masks a
-result depends on are sorted into DFS preorder by a closed-form key
+forbidden-copy pruning (`_walk`), which serves every sweep: it pops
+WALK_BATCH nodes at a time, one broadcast step per candidate edge blocks all
+of its completions in the batch's children, in blocks of fixed size, and
+leaves are yielded without being expanded.  The masks a result depends on
+are sorted into DFS preorder by a closed-form key
 (`_preorder_key`).  Each such mask set (all members, the edge-maximal ones)
 is closed under relabeling, so its isomorphism classes are its S_n-orbits,
 which `_orbit_classes` labels in numpy with no isomorphism test.  One
@@ -45,10 +46,11 @@ ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
 STREAM_GUARD_BITS = 24     # stricter cap for streaming every member
 FULL_MODE_GUARD_BITS = 20  # cap when materializing all members (--full audits)
 VALUE_COLLAPSE = 1e-9      # spectral argmax graphs within this of the best
-WALK_BATCH = 4096          # member nodes the walk pops and expands per step; leaves
+WALK_BATCH = 16384         # member nodes the walk pops and expands per step; leaves
                            # are yielded once this many wait
-GAP_ROWS = 64              # completions per (rows, children) block of a child step,
-                           # which caps the walk's gap scratch at 2 * GAP_ROWS * WALK_BATCH
+GAP_ROWS = 64              # completions and children per (rows, children) block of a
+GAP_CHILDREN = 4096        # child step: the walk's gap scratch is at most
+                           # 2 * GAP_ROWS * GAP_CHILDREN int64 (4 MiB), whatever WALK_BATCH is
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,8 @@ def _copy_masks(fam: ForbiddenFamily, n: int, eindex: dict) -> list[int]:
 
 
 def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
-    """Yield every member node once, in batches of up to 2 * WALK_BATCH nodes.
+    """Yield every member node once, in batches of fewer than 2 * WALK_BATCH
+    nodes.
 
     A node is one int64: the member's edge set over the lex-ordered
     candidate edges in the low 32 bits, and `addable`, the non-edges whose
@@ -232,17 +235,18 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
     edge j above all of the node's edges (`mask < 2**j`), so every member
     is reached once.  Adding j blocks every non-edge that is the single gap
     of a copy through j (its completion masks).  Nodes wait on one explicit
-    stack and are popped a batch at a time, and each candidate edge j is one
-    vectorised child step over the whole batch: j's completions, held as
-    int64 columns of at most GAP_ROWS rows, broadcast against the children
-    into (rows, children) blocks of missing edges, `(gap & (gap - 1)) - 1
-    >> 63` keeps the single gaps, and one OR down the rows gives the edges
-    that leave a child's addable set.  A child with no addable edge above j
-    is a leaf: it goes to a leaf buffer, never to the stack, and is yielded
-    once WALK_BATCH leaves wait (and at the end).  All work happens in the
-    stack and in fixed scratch buffers.  A yielded batch is scratch too,
-    valid until the next one, and is in walk order: consumers that need DFS
-    preorder sort by `_preorder_key`.
+    stack and are popped WALK_BATCH at a time, and each candidate edge j is
+    one vectorised child step over the whole batch: j's completions, held as
+    int64 columns of at most GAP_ROWS rows, broadcast against at most
+    GAP_CHILDREN children at a time into (rows, children) blocks of missing
+    edges, `(gap & (gap - 1)) - 1 >> 63` keeps the single gaps, and one OR
+    down the rows gives the edges that leave a child's addable set.  A child
+    with no addable edge above j is a leaf: it goes to a leaf buffer, never
+    to the stack, and is yielded once WALK_BATCH leaves wait (and at the
+    end).  All work happens in the stack and in fixed scratch buffers, and
+    the gap blocks' scratch does not grow with WALK_BATCH.  A yielded batch
+    is scratch too, valid until the next one, and is in walk order:
+    consumers that need DFS preorder sort by `_preorder_key`.
     """
     cand = _candidate_edges(n, fam.r)
     m_all = len(cand)
@@ -274,7 +278,8 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
     leaves = np.empty(2 * WALK_BATCH, dtype=np.int64)
     held = 0
     nodes, work, child, blocked, spare = (np.empty(WALK_BATCH, dtype=np.int64) for _ in range(5))
-    gap, single = (np.empty(rows * WALK_BATCH, dtype=np.int64) for _ in range(2))
+    width = min(WALK_BATCH, GAP_CHILDREN)  # children per gap block
+    gap, single = (np.empty(rows * width, dtype=np.int64) for _ in range(2))
     pick = np.empty(WALK_BATCH, dtype=bool)
     while top:
         b = min(top, WALK_BATCH)
@@ -295,21 +300,25 @@ def _walk(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
             child_k = batch.compress(pick[:b], out=child[:k])
             np.bitwise_xor(child_k, (1 << 32 + j) | (1 << j), out=child_k)  # add j
             if blocks[j]:
-                non_edges = np.invert(child_k, out=work[:k])  # in the low 32 bits
+                non_edges_k = np.invert(child_k, out=work[:k])  # in the low 32 bits
+                for lo in range(0, k, width):
+                    non_edges = non_edges_k[lo:lo + width]
+                    w = len(non_edges)
+                    blocked_w = blocked[lo:lo + w]
+                    for i, column in enumerate(blocks[j]):
+                        gap_cw = gap[:column.size * w].reshape(-1, w)
+                        single_cw = single[:gap_cw.size].reshape(-1, w)
+                        np.bitwise_and(column, non_edges, out=gap_cw)  # each comp's missing edges
+                        np.subtract(gap_cw, 1, out=single_cw)
+                        np.bitwise_and(single_cw, gap_cw, out=single_cw)
+                        np.subtract(single_cw, 1, out=single_cw)
+                        np.right_shift(single_cw, 63, out=single_cw)  # all ones iff <= 1 missing
+                        np.bitwise_and(gap_cw, single_cw, out=gap_cw)
+                        if i:
+                            blocked_w |= np.bitwise_or.reduce(gap_cw, axis=0, out=spare[:w])
+                        else:
+                            np.bitwise_or.reduce(gap_cw, axis=0, out=blocked_w)
                 blocked_k = blocked[:k]
-                for i, column in enumerate(blocks[j]):
-                    gap_ck = gap[:column.size * k].reshape(-1, k)
-                    single_ck = single[:gap_ck.size].reshape(-1, k)
-                    np.bitwise_and(column, non_edges, out=gap_ck)  # each comp's missing edges
-                    np.subtract(gap_ck, 1, out=single_ck)
-                    np.bitwise_and(single_ck, gap_ck, out=single_ck)
-                    np.subtract(single_ck, 1, out=single_ck)
-                    np.right_shift(single_ck, 63, out=single_ck)  # all ones iff at most one missing
-                    np.bitwise_and(gap_ck, single_ck, out=gap_ck)
-                    if i:
-                        blocked_k |= np.bitwise_or.reduce(gap_ck, axis=0, out=spare[:k])
-                    else:
-                        np.bitwise_or.reduce(gap_ck, axis=0, out=blocked_k)
                 np.left_shift(blocked_k, 32, out=blocked_k)
                 np.invert(blocked_k, out=blocked_k)
                 np.bitwise_and(child_k, blocked_k, out=child_k)  # blocked edges leave addable

@@ -18,6 +18,10 @@ def path4() -> Hypergraph:
     return new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
 
 
+def path5() -> Hypergraph:
+    return new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
 def cycle(n: int) -> Hypergraph:
     return new_hypergraph(n, 2, [(i, (i + 1) % n) for i in range(n)])
 

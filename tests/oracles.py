@@ -13,7 +13,7 @@ import numpy as np
 from hspex.canonical import canonical_key, refinement_signature
 from hspex.embedding import _search
 from hspex.errors import AllZero, BadP, DimensionMismatch
-from hspex.families import WALK_BATCH, ForbiddenFamily, _candidate_edges, _copy_masks
+from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
 from hspex.spectral import (
     CLAMP_EPS,
@@ -191,11 +191,14 @@ def member_masks_dfs(fam: ForbiddenFamily, n: int) -> Iterator[int]:
     yield from gen(0, 0)
 
 
+ORACLE_BATCH = 4096  # the reference walk's own pop size: retuning families.WALK_BATCH leaves it alone
+
+
 def walk_per_completion(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
     """Reference member walk: `families._walk` as it was before its child
     step blocked all of an edge's completions in one broadcast step and
     kept leaves off the stack.  Yields every member node, in batches of up
-    to WALK_BATCH nodes.
+    to ORACLE_BATCH nodes.
 
     A node is one int64: the member's edge set over the lex-ordered
     candidate edges in the low 32 bits, and `addable`, the non-edges whose
@@ -227,13 +230,13 @@ def walk_per_completion(fam: ForbiddenFamily, n: int) -> Iterator[np.ndarray]:
         if all(comp != 0 for comp in completions[j]):
             root_addable |= 1 << j
 
-    stack = np.empty(8 * WALK_BATCH, dtype=np.int64)
+    stack = np.empty(8 * ORACLE_BATCH, dtype=np.int64)
     stack[0] = root_addable << 32
     top = 1
-    nodes, work, gap, rest, blocked = (np.empty(WALK_BATCH, dtype=np.int64) for _ in range(5))
-    pick, single = (np.empty(WALK_BATCH, dtype=bool) for _ in range(2))
+    nodes, work, gap, rest, blocked = (np.empty(ORACLE_BATCH, dtype=np.int64) for _ in range(5))
+    pick, single = (np.empty(ORACLE_BATCH, dtype=bool) for _ in range(2))
     while top:
-        b = min(top, WALK_BATCH)
+        b = min(top, ORACLE_BATCH)
         top -= b
         batch = nodes[:b]
         batch[:] = stack[top:top + b]

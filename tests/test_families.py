@@ -25,7 +25,7 @@ from hspex.families import (
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_hypergraph
 from hspex.spectral import SolverConfig, rho_infinity
-from conftest import complete_bipartite, cycle, path3, random_graph, relabel
+from conftest import complete_bipartite, cycle, path3, path5, random_graph, relabel
 from oracles import (
     _classes,
     classes_by_key,
@@ -330,11 +330,13 @@ def walk_nodes(walk, fam: ForbiddenFamily, n: int) -> np.ndarray:
     pytest.param((cycle(4),), 7, id="C4-n7"),
     pytest.param((complete_r_graph(4, 3),), 2, id="K4_3-n2"),
     pytest.param((Hypergraph(2, 2, ((0, 1),)),), 4, id="K2-n4"),
+    pytest.param((path5(),), 7, id="P5-n7"),
 ])
 def test_walk_nodes_match_per_completion_oracle(forbidden, n):
     """The walk yields the same node multiset as the per-completion walk it
     replaced: with no candidate edges (n < r), with no completions for any
-    edge (K6 at n = 5), and with one empty completion per edge (K2)."""
+    edge (K6 at n = 5), with one empty completion per edge (K2), and with
+    240 completions per edge (P5 at n = 7), four blocks of GAP_ROWS rows."""
     from hspex.families import _walk
 
     fam = ForbiddenFamily(forbidden)
@@ -351,19 +353,43 @@ def test_walk_nodes_match_per_completion_oracle(forbidden, n):
 def test_walk_results_do_not_depend_on_batch_size(forbidden, n, batch_nodes, monkeypatch):
     """Tiny batches split every level, flush leaves at exactly the batch
     size, and outgrow the initial stack; blocks of ten completion rows
-    split C5's 24 completions per edge.  Sweep and member masks stay the
-    recursive oracles', and the node multiset the per-completion walk's."""
+    split C5's 24 completions per edge, and blocks of three children split
+    a child step of 16 nodes, rows and children in one step.  Sweep and
+    member masks stay the recursive oracles', and the node multiset the
+    per-completion walk's."""
     import hspex.families as families
 
     fam = ForbiddenFamily(forbidden)
     expected = walk_nodes(walk_per_completion, fam, n)
     monkeypatch.setattr(families, "WALK_BATCH", batch_nodes)
     monkeypatch.setattr(families, "GAP_ROWS", 10)
+    monkeypatch.setattr(families, "GAP_CHILDREN", 3)
     batches = [batch.copy() for batch in families._walk(fam, n)]
     assert max(map(len, batches)) < 2 * batch_nodes
     assert np.array_equal(np.sort(np.concatenate(batches)), expected)
     check_sweep(fam, n)
     assert families._member_masks(fam, n).tolist() == list(member_masks_dfs(fam, n))
+
+
+def test_walk_scratch_stays_within_its_bound():
+    """A full P5-free walk at n = 7, whose 240 completions per edge fill
+    every gap row, allocates no more than the gap blocks' fixed bound,
+    2 * GAP_ROWS * GAP_CHILDREN int64, plus about 16 * WALK_BATCH int64 of
+    stack and batch buffers and 1 MiB for the copy and completion tables:
+    gap scratch sized by WALK_BATCH would need 16 MiB at 16,384 pops."""
+    import tracemalloc
+
+    from hspex.families import GAP_CHILDREN, GAP_ROWS, WALK_BATCH, _walk
+
+    fam = ForbiddenFamily((path5(),))
+    tracemalloc.start()
+    try:
+        count = sum(len(batch) for batch in _walk(fam, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 20_056
+    assert peak < 8 * (2 * GAP_ROWS * GAP_CHILDREN + 16 * WALK_BATCH) + 2**20
 
 
 @pytest.mark.parametrize("forbidden, members", [
