@@ -28,6 +28,12 @@ bytes of what comes back, layer by layer:
              isomorphic on random 2- and 3-graphs; lex and random saturate
              runs, and the benchmark's certify-mix saturations for seeds
              401-403
+  construction  every graph constructor's value (repr, which holds n, r and
+             the edges): blow-ups, complete r-graphs, disjoint unions, clique
+             families and gadgets, canonical relabelings, random connected
+             graphs and parse_hypergraph of a serialized blow-up; and the
+             exception type and message of constructor calls on invalid
+             edges and arguments, and of parse_hypergraph on invalid text
   cli        exit code, stdout and report files (not stderr, which names
              paths) of hspex.cli.main on a fixed set of invocations in a
              temporary directory: rho --json --stats, check tight, bridge
@@ -221,6 +227,105 @@ def membership_layer(hspex, emit) -> None:
                 emit(("certify", seed, cycle, h.edges, n), g.edges)
 
 
+# (n, r, edges factory): a factory builds fresh edges for each call, as some
+# edges are one-shot iterators; the ids are invalid, or valid only through int()
+INVALID_EDGES = [
+    (3, 2, lambda: [(0, 1), (2, 2)]),
+    (4, 2, lambda: [(0, 1), (0, 0, 1)]),
+    (3, 2, lambda: [(0, 1), (1, 5)]),
+    (3, 2, lambda: [(0, -1)]),
+    (0, 2, lambda: [(0, 1)]),
+    (3, 3, lambda: [(0, 1, 2), (0, 1)]),
+    (3, 2, lambda: [(7,)]),
+    (3, 2, lambda: [()]),
+    (3, 2, lambda: [(0, "a")]),
+    (3, 2, lambda: [(0, 1), 5]),
+    (3, 2, lambda: [(0, None)]),
+    (3, 2, lambda: [(0.0, 1.7), (2.9, 1)]),
+    (3, 2, lambda: [(True, 0), (2, False)]),
+    (3, 2, lambda: [(True, 1)]),
+    (3, 2, lambda: [("2", " 1 ")]),
+    (3, 2, lambda: iter([iter((1, 0)), iter((2, 1))])),
+    (3, 2, lambda: (iter(e) for e in [(1, 0), (2, 2)])),
+    (3, 2, lambda: (iter(e) for e in [(1, 0), (2, "x"), (1, 1)])),
+    (3, 2, lambda: [(0, 5), (1, 1)]),
+    (3, 2, lambda: [(1, 1), (0, 5)]),
+    (3, 2, lambda: [(1, 1), (0, "x")]),
+    (3, 2, lambda: [(0, 1, 2), (0, 0)]),
+    (3, 2, lambda: [(0, "x"), (1, 1)]),
+    (-1, 2, lambda: [(0, 1)]),
+    (3, 1, lambda: [(0,)]),
+]
+
+INVALID_TEXT = [
+    "2 3 4\n0 1\n\n# an edge\n1 9\n2 2\n0 2 1\n",
+    "2 3 3\n0 1\n0 1 2\n1 1\n",
+    "3 4 2\n0 1 2\n3 3 1\n",
+    "2 3 2\n0 x\n0 1\n",
+    "2 3\n",
+    "2 3 2\n0 1\n",
+    "1 3 0\n",
+    "2 -1 0\n",
+]
+
+
+def _outcome(call) -> tuple:
+    try:
+        return ("ok", repr(call()))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def construction_layer(hspex, emit) -> None:
+    from hspex.experiments import random_connected_hypergraph
+
+    rng = random.Random(624)
+    for i in range(90):
+        r = (2, 3, 4)[i % 3]
+        g = _random_graph(hspex, rng, rng.randint(r, r + 3), r, rng.uniform(0.2, 0.9))
+        h = _random_graph(hspex, rng, rng.randint(0, r + 3), r, rng.uniform(0.2, 0.9))
+        t = [rng.randint(1, 4) for _ in range(g.n)]
+        emit(("blow-up", g.edges, t), repr(g.blow_up(t)))
+        emit(("union", g.edges, h.n, h.edges), repr(hspex.disjoint_union(g, h)))
+        emit(("canonical", g.n, g.edges), repr(hspex.canonical_relabeling(g)))
+    for t in range(9):
+        for r in (2, 3, 4, 5):
+            emit(("complete", t, r), repr(hspex.complete_r_graph(t, r)))
+    for ell, t, r in [(0, 3, 2), (1, 4, 3), (3, 3, 2), (2, 5, 4), (4, 4, 3)]:
+        emit(("cliques", ell, t, r), repr(hspex.ell_cliques(ell, t, r)))
+    for lam, t in [((1, 1), 2), ((2, 1), 4), ((2, 2), 4), ((1, 1, 1), 3), ((3, 1), 5)]:
+        emit(("gadget", lam, t), repr(hspex.l_gadget(len(lam), lam, t)))
+    for n, r, m in [(6, 2, 5), (8, 2, 12), (6, 3, 4), (7, 3, 12), (6, 4, 6)]:
+        for seed in range(4):
+            emit(("connected", n, r, m, seed), repr(random_connected_hypergraph(n, r, m, seed)))
+    big = hspex.complete_r_graph(6, 3).blow_up((3, 1, 4, 1, 5, 2))
+    emit(("parse", "blow-up"), repr(hspex.parse_hypergraph(hspex.serialize(big))))
+    k3 = hspex.complete_r_graph(3, 2)
+    for i, (n, r, make) in enumerate(INVALID_EDGES):
+        emit(("invalid", i), _outcome(lambda: hspex.Hypergraph(n, r, make())))
+        emit(("invalid-new", i), _outcome(lambda: hspex.new_hypergraph(n, r, make())))
+    for text in INVALID_TEXT:
+        emit(("invalid-text", text), _outcome(lambda: hspex.parse_hypergraph(text)))
+    bad_args = [
+        lambda: hspex.complete_r_graph(-1, 2),
+        lambda: hspex.complete_r_graph(4, 1),
+        lambda: hspex.complete_r_graph(4, -1),
+        lambda: k3.blow_up([1, 0, 2]),
+        lambda: k3.blow_up([1, 2]),
+        lambda: hspex.disjoint_union(k3, hspex.complete_r_graph(3, 3)),
+        lambda: hspex.ell_cliques(-1, 3, 2),
+        lambda: hspex.ell_cliques(2, 3, 1),
+        lambda: hspex.l_gadget(3, (1, 1), 2),
+        lambda: hspex.l_gadget(1, (3,), 5),
+        lambda: hspex.l_gadget(2, (1, 2), 5),
+        lambda: hspex.l_gadget(2, (2, 1), 2),
+        lambda: random_connected_hypergraph(6, 2, 4, 0),
+        lambda: random_connected_hypergraph(4, 2, 7, 0),
+    ]
+    for i, call in enumerate(bad_args):
+        emit(("bad-args", i), _outcome(call))
+
+
 # {d} is the directory of the input graphs, {out} a fresh report directory;
 # every invocation uses only flags its command reads
 CLI_RUNS = [
@@ -272,6 +377,7 @@ LAYERS = [
     ("structure", structure_layer),
     ("extremal", extremal_layer),
     ("membership", membership_layer),
+    ("construction", construction_layer),
     ("cli", cli_layer),
 ]
 

@@ -99,8 +99,7 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     rng = random.Random(seed)
     pool = list(combinations(range(n), r))
     for _ in range(200_000):
-        edges = rng.sample(pool, m)
-        g = Hypergraph(n, r, tuple(edges))
+        g = Hypergraph._trusted(n, r, tuple(sorted(rng.sample(pool, m))))
         if g.is_connected():
             return g
     raise Infeasible(f"no connected sample found for n={n}, r={r}, m={m}")
