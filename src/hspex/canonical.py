@@ -122,6 +122,5 @@ def canonical_key_string(g: Hypergraph) -> str:
 
 def canonical_relabeling(g: Hypergraph) -> Hypergraph:
     """The canonical representative itself (same n, r; relabeled edges)."""
-    # a relabeled edge list is still distinct increasing tuples, and sorted
-    return Hypergraph._trusted(g.n, g.r, canonical_form(g))
+    return Hypergraph(g.n, g.r, canonical_form(g))
 

@@ -99,7 +99,8 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     rng = random.Random(seed)
     pool = list(combinations(range(n), r))
     for _ in range(200_000):
-        g = Hypergraph._trusted(n, r, tuple(sorted(rng.sample(pool, m))))
+        edges = rng.sample(pool, m)
+        g = Hypergraph(n, r, tuple(edges))
         if g.is_connected():
             return g
     raise Infeasible(f"no connected sample found for n={n}, r={r}, m={m}")

@@ -12,7 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,53 +40,6 @@ def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
         if not 0 <= v < n:
             raise OutOfRange(f"vertex {v} outside [0, {n})")
     return tuple(sorted(ids))
-
-
-def _check_sizes(n: int, r: int) -> None:
-    if n < 0:
-        raise OutOfRange(f"vertex count {n} < 0")
-    if r < 2:
-        raise WrongArity(f"uniformity {r} < 2")
-
-
-def _all_valid(edges: list[Edge], r: int, n: int) -> bool:
-    """True iff each tuple of the nonempty list `edges` holds r strictly
-    increasing ids in [0, n): the columns rise and stay within [0, n)."""
-    if any(len(e) != r for e in edges):
-        return False
-    # one list per column: zip(*edges) would hold a tracked iterator per edge
-    cols = [list(map(itemgetter(k), edges)) for k in range(r)]
-    return (
-        all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
-        and min(cols[0]) >= 0
-        and max(cols[-1]) < n
-    )
-
-
-def _normalize_edges(edges: Iterable[Iterable[int]], r: int, n: int) -> tuple[Edge, ...]:
-    """Every edge as by `_normalize_edge`, deduplicated and sorted, in one pass.
-
-    Each edge is read once into an int tuple, and one bulk check covers all
-    of them; if it fails, the check runs again on the sorted tuples, so
-    input that already lists each edge in increasing order is not copied.
-    Only when that fails too are the int tuples rescanned edge by edge, so
-    the first bad edge in input order raises its error.
-    """
-    ids: list[Edge] = []
-    try:
-        for e in edges:
-            ids.append(tuple(map(int, e)))
-    except Exception:
-        for t in ids:  # an invalid earlier edge is reported first
-            _normalize_edge(t, r, n)
-        raise
-    if ids and not _all_valid(ids, r, n):
-        norm = [tuple(sorted(t)) for t in ids]
-        if not _all_valid(norm, r, n):
-            for t in ids:
-                _normalize_edge(t, r, n)
-        ids = norm
-    return tuple(sorted(set(ids)))
 
 
 def _k_closure(
@@ -123,16 +75,12 @@ class Hypergraph:
     """An immutable simple r-uniform hypergraph on vertex ids 0..n-1.
 
     ``edges`` is always a lexicographically sorted tuple of strictly
-    increasing r-tuples.  The constructor validates and normalizes any
-    iterable-of-iterables input in one pass: it reads each edge once through
-    ``int()``, checks arity, distinct ids and range for all edges in bulk,
-    and only when that fails rescans them to raise the error of the first
-    bad edge in input order.  Values built from valid parts (blow-ups,
-    complete graphs, disjoint unions, canonical relabelings and the
-    transformations below) skip the check through ``_trusted``.  Derived
-    indexes (``edge_set``, ``degree_list``, ``incidence``, ``edge_masks``)
-    are computed on first use and cached on the value; they take no part in
-    ``==``, ``hash`` or ``repr``.
+    increasing r-tuples; construction validates and normalizes any
+    iterable-of-iterables input.  Values derived from a valid value (blow-ups
+    and the other transformations below) skip the check through
+    ``_trusted``.  Derived indexes (``edge_set``, ``degree_list``,
+    ``incidence``, ``edge_masks``) are computed on first use and cached on
+    the value; they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     n: int
@@ -140,8 +88,12 @@ class Hypergraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self):
-        _check_sizes(self.n, self.r)
-        object.__setattr__(self, "edges", _normalize_edges(self.edges, self.r, self.n))
+        if self.n < 0:
+            raise OutOfRange(f"vertex count {self.n} < 0")
+        if self.r < 2:
+            raise WrongArity(f"uniformity {self.r} < 2")
+        norm = sorted({_normalize_edge(e, self.r, self.n) for e in self.edges})
+        object.__setattr__(self, "edges", tuple(norm))
 
     @classmethod
     def _trusted(cls, n: int, r: int, edges: tuple[Edge, ...]) -> "Hypergraph":
@@ -306,9 +258,7 @@ def new_hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph
 
 def complete_r_graph(t: int, r: int) -> Hypergraph:
     """Complete r-graph on t vertices (empty edge set when t < r)."""
-    edges = tuple(combinations(range(t), r))  # raises ValueError for r < 0
-    _check_sizes(t, r)
-    return Hypergraph._trusted(t, r, edges)
+    return Hypergraph(t, r, tuple(combinations(range(t), r)))
 
 
 def disjoint_union(g1: Hypergraph, g2: Hypergraph) -> Hypergraph:
@@ -316,8 +266,7 @@ def disjoint_union(g1: Hypergraph, g2: Hypergraph) -> Hypergraph:
     if g1.r != g2.r:
         raise UniformityMismatch(f"r={g1.r} vs r={g2.r}")
     shifted = tuple(tuple(v + g1.n for v in e) for e in g2.edges)
-    # every shifted edge starts at or above g1.n, so the concatenation is sorted
-    return Hypergraph._trusted(g1.n + g2.n, g1.r, g1.edges + shifted)
+    return Hypergraph(g1.n + g2.n, g1.r, g1.edges + shifted)
 
 
 def ell_cliques(ell: int, t: int, r: int) -> Hypergraph:

@@ -14,7 +14,7 @@ from hspex.canonical import canonical_key, refinement_signature
 from hspex.embedding import _search
 from hspex.errors import AllZero, BadP, DimensionMismatch
 from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
-from hspex.hypergraph import Hypergraph, _normalize_edge
+from hspex.hypergraph import Hypergraph
 from hspex.spectral import (
     CLAMP_EPS,
     GAP_EPS,
@@ -582,12 +582,6 @@ def p_norm(x, p: float) -> float:
     """(sum |x_i|^p)^(1/p)."""
     arr = np.asarray(x, dtype=float)
     return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
-
-
-def validate_per_edge(edges: Iterable[Iterable[int]], r: int, n: int) -> tuple:
-    """The constructor's per-edge check: each edge validated and sorted in
-    turn, so the first invalid edge in input order raises."""
-    return tuple(sorted({_normalize_edge(e, r, n) for e in edges}))
 
 
 def blow_up_edge_count(g: Hypergraph, t: Sequence[int]) -> int:

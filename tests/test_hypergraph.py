@@ -1,14 +1,13 @@
 """Construction, queries, transformations, and the .hg text format."""
 
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
 from hspex.errors import (
     BadCounts,
     BadPartition,
-    Infeasible,
     NoSuchEdge,
     OutOfRange,
     ParseError,
@@ -27,10 +26,8 @@ from hspex.hypergraph import (
     parse_hypergraph,
     serialize,
 )
-from hspex.canonical import canonical_form, canonical_relabeling
-from hspex.experiments import random_connected_hypergraph
 from conftest import bowtie3, path3, random_graph, triple_edge
-from oracles import blow_up_edge_count, validate_per_edge
+from oracles import blow_up_edge_count
 
 
 class TestConstruction:
@@ -254,6 +251,16 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_hypergraph("2 -1 0\n")
 
+    def test_parse_reports_first_offending_line(self):
+        text = "# header next\n2 3 4\n0 1\n\n# an edge\n1 9\n2 2\n0 2 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert err.value.line == 6 and str(err.value) == "line 6: vertex 9 outside [0, 3)"
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph("2 3 3\n0 1\n0 1 2\n1 1\n")
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: edge (0, 1, 2) has 3 vertices, expected 2"
+
     def test_serialize_lf_only(self):
         text = serialize(bowtie3())
         assert "\r" not in text and text.endswith("\n")
@@ -296,9 +303,7 @@ def fresh_indexes(g: Hypergraph) -> dict:
 def assert_validated_value(got: Hypergraph, n: int, r: int, edges) -> None:
     """got is the value the validating constructor builds from (n, r, edges),
     and reading its cached indexes changes nothing about it."""
-    edges = tuple(edges)
-    want = Hypergraph(n, r, edges)
-    assert want.edges == validate_per_edge(edges, r, n)
+    want = Hypergraph(n, r, tuple(edges))
     assert got == want
     assert got.edges == want.edges and type(got.edges) is tuple
     assert all(type(e) is tuple for e in got.edges)
@@ -309,10 +314,9 @@ def assert_validated_value(got: Hypergraph, n: int, r: int, edges) -> None:
 
 
 class TestTrustedPath:
-    """add_edge, remove_edge, clone_vertex, induced_subgraph, blow_up,
-    complete_r_graph, disjoint_union (so ell_cliques and l_gadget),
-    canonical_relabeling and random_connected_hypergraph build their results
-    without re-validation; each must equal the validated value."""
+    """add_edge, remove_edge, clone_vertex, induced_subgraph and blow_up
+    build their results without re-validation; each must equal the
+    validated value."""
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
@@ -372,153 +376,3 @@ class TestTrustedPath:
             got = g.blow_up(t)
             assert got.m == blow_up_edge_count(g, t)
             assert_validated_value(got, sum(t), r, edges)
-
-    @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_complete_r_graph(self, r):
-        for t in range(8):
-            edges = list(combinations(range(t), r))
-            random.Random(t).shuffle(edges)
-            assert_validated_value(complete_r_graph(t, r), t, r, edges)
-
-    def test_disjoint_union_ell_cliques_and_gadgets(self, rng):
-        for _ in range(30):
-            r = rng.choice([2, 3])
-            g1 = random_graph(rng.randint(0, 6), r, rng.uniform(0.2, 0.8), rng)
-            g2 = random_graph(rng.randint(0, 6), r, rng.uniform(0.2, 0.8), rng)
-            shifted = [tuple(v + g1.n for v in e) for e in g2.edges]
-            assert_validated_value(disjoint_union(g1, g2), g1.n + g2.n, r,
-                                   shifted[::-1] + list(g1.edges))
-        for ell, t, r in [(0, 3, 2), (1, 4, 3), (3, 3, 2), (2, 5, 4), (3, 0, 2)]:
-            cliques = [tuple(i * t + v for v in e)
-                       for i in range(ell) for e in combinations(range(t), r)]
-            assert_validated_value(ell_cliques(ell, t, r), ell * t, r, cliques[::-1])
-        for lam, t in [((1, 1), 2), ((2, 1), 4), ((2, 2), 4), ((1, 1, 1), 3), ((3, 1), 5)]:
-            r, ell = sum(lam), len(lam)
-            cliques = [tuple(i * t + v for v in e)
-                       for i in range(ell) for e in combinations(range(t), r)]
-            extra = tuple(j * t + v for j, part in enumerate(lam) for v in range(part))
-            assert_validated_value(l_gadget(ell, lam, t), ell * t, r, [extra] + cliques)
-
-    def test_canonical_relabeling(self, rng):
-        for _ in range(30):
-            r = rng.choice([2, 3])
-            g = random_graph(rng.randint(0, 6), r, rng.uniform(0.2, 0.8), rng)
-            assert_validated_value(canonical_relabeling(g), g.n, r, canonical_form(g)[::-1])
-
-    @pytest.mark.parametrize("n, r, m", [(6, 2, 5), (7, 2, 9), (6, 3, 4), (7, 3, 12), (6, 4, 6)])
-    def test_random_connected_hypergraph(self, n, r, m):
-        for seed in range(5):
-            # the sampling loop as it ran through the validating constructor
-            rng = random.Random(seed)
-            pool = list(combinations(range(n), r))
-            while True:
-                want = Hypergraph(n, r, tuple(rng.sample(pool, m)))
-                if want.is_connected():
-                    break
-            got = random_connected_hypergraph(n, r, m, seed)
-            assert_validated_value(got, n, r, want.edges[::-1])
-
-    def test_argument_errors_are_unchanged(self, k3):
-        cases = [
-            (lambda: complete_r_graph(-1, 2), OutOfRange, "vertex count -1 < 0"),
-            (lambda: complete_r_graph(4, 1), WrongArity, "uniformity 1 < 2"),
-            (lambda: complete_r_graph(-1, 1), OutOfRange, "vertex count -1 < 0"),
-            (lambda: complete_r_graph(4, -1), ValueError, "r must be non-negative"),
-            (lambda: k3.blow_up([1, 2]), BadCounts, "need 3 positive counts, got [1, 2]"),
-            (lambda: k3.blow_up([1, 0, 2]), BadCounts, "need 3 positive counts, got [1, 0, 2]"),
-            (lambda: disjoint_union(k3, triple_edge()), UniformityMismatch, "r=2 vs r=3"),
-            (lambda: ell_cliques(-1, 3, 2), TooSmall, "ell=-1, t=3 must be nonnegative"),
-            (lambda: ell_cliques(2, -1, 2), TooSmall, "ell=2, t=-1 must be nonnegative"),
-            (lambda: ell_cliques(2, 3, 1), WrongArity, "uniformity 1 < 2"),
-            (lambda: l_gadget(3, (1, 1), 2), BadPartition, "ell=3 != len(lam)=2"),
-            (lambda: l_gadget(1, (3,), 5), BadPartition,
-             "gadget requires a nontrivial partition (>= 2 parts)"),
-            (lambda: l_gadget(2, (1, 2), 5), BadPartition,
-             "(1, 2) is not a nonincreasing positive partition"),
-            (lambda: l_gadget(2, (2, 1), 2), TooSmall, "t=2 < max(lam_1=2, r=3)"),
-            (lambda: random_connected_hypergraph(6, 2, 4, 0), Infeasible,
-             "m=4 cannot connect n=6 vertices with r=2"),
-            (lambda: random_connected_hypergraph(4, 2, 7, 0), Infeasible,
-             "m=7 cannot connect n=4 vertices with r=2"),
-        ]
-        for build, error, message in cases:
-            with pytest.raises(error) as err:
-                build()
-            assert type(err.value) is error and str(err.value) == message
-
-
-def _outcome(build):
-    """("ok", edges) or (exception type name, message) of build()."""
-    try:
-        return ("ok", build())
-    except Exception as exc:
-        return (type(exc).__name__, str(exc))
-
-
-# (n, r, edges factory, expected exception type or None): each factory builds
-# fresh edges, so one-shot iterators serve both the oracle and the constructor
-INVALID = [
-    (3, 2, lambda: [(0, 1), (2, 2)], RepeatedVertex),
-    (4, 2, lambda: [(0, 1), (0, 0, 1)], RepeatedVertex),  # wrong arity too
-    (4, 3, lambda: [(1, 2, 1, 3)], RepeatedVertex),
-    (3, 2, lambda: [(0, 1), (1, 5)], OutOfRange),
-    (3, 2, lambda: [(0, -1)], OutOfRange),
-    (0, 2, lambda: [(0, 1)], OutOfRange),
-    (3, 3, lambda: [(0, 1, 2), (0, 1)], WrongArity),
-    (3, 2, lambda: [(7,)], WrongArity),
-    (3, 2, lambda: [()], WrongArity),
-    (3, 2, lambda: [(0, "a")], ValueError),
-    (3, 2, lambda: [(0, 1), 5], TypeError),
-    (3, 2, lambda: [(0, None)], TypeError),
-    (3, 2, lambda: [(0.0, 1.7), (2.9, 1)], None),  # int() truncates
-    (3, 2, lambda: [(True, 0), (2, False)], None),
-    (3, 2, lambda: [(True, 1)], RepeatedVertex),
-    (3, 2, lambda: [("2", " 1 ")], None),
-    (3, 2, lambda: iter([iter((1, 0)), iter((2, 1))]), None),
-    (3, 2, lambda: (iter(e) for e in [(1, 0), (2, 2)]), RepeatedVertex),
-    (3, 2, lambda: (iter(e) for e in [(1, 0), (2, "x"), (1, 1)]), ValueError),
-    (3, 2, lambda: [(0, 5), (1, 1)], OutOfRange),  # the earlier error wins
-    (3, 2, lambda: [(1, 1), (0, 5)], RepeatedVertex),
-    (3, 2, lambda: [(1, 1), (0, "x")], RepeatedVertex),
-    (3, 2, lambda: [(0, 1, 2), (0, 0)], WrongArity),
-    (3, 2, lambda: [(0, "x"), (1, 1)], ValueError),
-    (3, 2, lambda: [(0, 1), (0, 1, 2), (0, 9)], WrongArity),
-]
-
-
-class TestBulkValidation:
-    """The one-pass constructor check raises what the per-edge loop raises."""
-
-    @pytest.mark.parametrize("n, r, make, error", INVALID)
-    def test_error_identity(self, n, r, make, error):
-        want = _outcome(lambda: validate_per_edge(make(), r, n))
-        got = _outcome(lambda: Hypergraph(n, r, make()).edges)
-        assert got == want
-        assert got[0] == ("ok" if error is None else error.__name__)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_inputs_match_per_edge_loop(self, seed):
-        rng = random.Random(seed)
-        for _ in range(300):
-            r = rng.randint(2, 4)
-            n = rng.randint(0, 6)
-            edges = []
-            for _ in range(rng.randint(0, 6)):
-                e = [rng.randrange(-1, n + 1) for _ in range(rng.choice([r, r, r, r - 1, r + 1]))]
-                if rng.random() < 0.5:
-                    e.sort()
-                if rng.random() < 0.05:
-                    e[rng.randrange(len(e))] = rng.choice(["x", "3", 1.5, None])
-                edges.append(e)
-            want = _outcome(lambda: validate_per_edge(edges, r, n))
-            assert _outcome(lambda: Hypergraph(n, r, edges).edges) == want
-
-    def test_parse_reports_first_offending_line(self):
-        text = "# header next\n2 3 4\n0 1\n\n# an edge\n1 9\n2 2\n0 2 1\n"
-        with pytest.raises(ParseError) as err:
-            parse_hypergraph(text)
-        assert err.value.line == 6 and str(err.value) == "line 6: vertex 9 outside [0, 3)"
-        with pytest.raises(ParseError) as err:
-            parse_hypergraph("2 3 3\n0 1\n0 1 2\n1 1\n")
-        assert err.value.line == 3
-        assert str(err.value) == "line 3: edge (0, 1, 2) has 3 vertices, expected 2"
