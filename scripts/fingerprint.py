@@ -8,8 +8,10 @@ bytes of what comes back, layer by layer:
 
   solver     every SpectralSolution field, x as x.tobytes(), floats as hex:
              random 2-, 3- and 4-graphs at p in {1.5, 2, 3, 4} (both
-             strategies and a warm start), K_t^(r) blow-ups, and a 30-instance
-             run_degree_bound_suite report as JSON
+             strategies and a warm start), K_t^(r) blow-ups, two blow-ups
+             whose 16 starts run in one-row chunks and in chunks with a
+             partial last one, and a 30-instance run_degree_bound_suite
+             report as JSON
   kernel     lagrangian, lagrangian_gradient, eigen_residual and
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
              weight vectors that hold exact zeros
@@ -109,6 +111,13 @@ def solver_layer(hspex, emit) -> None:
         for p in P_VALUES:
             cfg = hspex.SolverConfig(starts=2, seed=t * 10 + r)
             emit(("blow-up", t, r, parts, p), _solution(hspex.solve_rho_p(g, p, cfg)))
+    # chunked solves: K10 blown up to 18,000 edges runs its starts one row at
+    # a time, and K5^(4)(2, 3, 5, 7, 9) runs 16 starts in chunks of 3 and 1
+    for t, r, parts in [(10, 2, (20,) * 10), (5, 4, (2, 3, 5, 7, 9))]:
+        g = hspex.complete_r_graph(t, r).blow_up(parts)
+        for p in P_VALUES:
+            cfg = hspex.SolverConfig(starts=16, seed=t * 10 + r)
+            emit(("chunked", t, r, parts, p), _solution(hspex.solve_rho_p(g, p, cfg)))
     for g in (hspex.Hypergraph(0, 2, ()), hspex.Hypergraph(4, 3, ())):
         emit(("trivial", g.n, g.r), _solution(hspex.solve_rho_p(g, 2.0)))
     from hspex.experiments import run_degree_bound_suite

@@ -253,7 +253,7 @@ class Hypergraph:
 
 def new_hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Validated, deduplicated, canonically sorted hypergraph value."""
-    return Hypergraph(n, r, tuple(tuple(e) for e in edges))
+    return Hypergraph(n, r, edges)
 
 
 def complete_r_graph(t: int, r: int) -> Hypergraph:

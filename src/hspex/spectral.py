@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,6 +42,10 @@ GAP_EPS = 1e-6     # multi-start disagreement threshold
 # A solve iterates at most this many gathered entries (rows * r * m) at once,
 # or one start's if that is more: a graph with many edges runs its starts a
 # few rows, or one row, at a time, so memory stays at the one-start level.
+# The kernel sizes its scratch from it once per solve: with
+# E = max(BATCH_ENTRIES, r * m), the gather, prefix and leave-one-out buffers
+# hold 2E float64, the index and its b-row copy at most 2E intp, and the
+# candidate buffer r * m float64, so under 40E bytes in all.
 BATCH_ENTRIES = 1 << 15
 
 
@@ -59,15 +62,24 @@ class _Lagrangian:
 
     Built from (edges, n, r, rows); caches r!, (r-1)! and an (r, rows, m)
     index whose [j, b] row holds each edge's j-th vertex offset by b*n, its
-    place in row b of a flattened (b, n) batch.  A batch x of up to `rows`
-    iterates is gathered once, ``X = gather(x)``, for both `value` and
-    `grad`, whose products multiply positions left to right: the factor
-    order of np.prod over an (m, r) index, so the bits match it for every r
-    (prefix times suffix would regroup them for r >= 4).  Edges are summed
-    in the order given, which callers keep sorted.  Every row gets the bits
-    it would get alone: `np.add.reduce` along a contiguous row and
-    `bincount` on offset indices add in the one-row order, and a stacked
-    matmul makes one dot product per row.
+    place in row b of a flattened (b, n) batch.  The kernel owns its scratch,
+    sized once from (r, rows, m): the gather buffer, a one-row `candidate`
+    buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1 and one
+    leave-one-out buffer.  Contiguous views of them and the index for the
+    current batch size b are rebuilt only when b changes.
+
+    A batch x of up to `rows` iterates is gathered once, ``X = gather(x)``,
+    for both `value` and `grad`; X stays valid until the next gather into its
+    buffer.  `value` keeps its prefixes and `grad` of the same X reuses them,
+    loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}; a gather invalidates them, and
+    `grad` of any other X computes its own.  Every product multiplies
+    positions left to right: the factor order of np.prod over an (m, r)
+    index, so the bits match it for every r (prefix times suffix would
+    regroup them for r >= 4).  Edges are summed in the order given, which
+    callers keep sorted.  Every row gets the bits it would get alone:
+    `np.add.reduce` along a contiguous row and `bincount` on offset indices
+    add in the one-row order, and a stacked matmul makes one dot product per
+    row.
     """
 
     def __init__(self, edges: Sequence[tuple[int, ...]], n: int, r: int, rows: int = 1):
@@ -76,23 +88,62 @@ class _Lagrangian:
         self.rm1fact = math.factorial(r - 1)
         position = np.array(edges, dtype=np.intp).reshape(-1, r).T.copy()
         self.index = position[:, None, :] + n * np.arange(rows, dtype=np.intp)[:, None]
+        m = position.shape[1]
+        del position  # not held while the scratch below is allocated
+        self._gathered = np.empty(r * rows * m)
+        self._prefix = np.empty((r - 1) * rows * m)
+        self._loo = np.empty(rows * m)
+        self.candidate = np.empty((r, 1, m))
+        self._b = None
+        self._valid = None  # the gather whose products the prefix buffer holds
 
-    def gather(self, x: np.ndarray) -> np.ndarray:
-        """The (r, b, m) array of a (b, n) batch x over each edge position."""
-        return x.reshape(-1)[self.index[:, : len(x)]]
+    def _batch(self, b: int) -> None:
+        """Point the views and the row index at a batch of b rows."""
+        if b != self._b:
+            r, _, m = self.index.shape
+            self._b = b
+            self._index = np.ascontiguousarray(self.index[:, :b])
+            self._flat_index = [row.reshape(-1) for row in self._index]
+            self._X = self._gathered[: r * b * m].reshape(r, b, m)
+            self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
+            self._L = self._loo[: b * m].reshape(b, m)
+
+    def gather(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (r, b, m) array of a (b, n) batch x over each edge position,
+        written into `out` or, by default, the gather buffer."""
+        self._batch(len(x))
+        self._valid = None
+        # the indices are in range by construction; mode="raise" would copy out
+        return x.reshape(-1).take(self._index, out=self._X if out is None else out, mode="clip")
+
+    def _prefixes(self, X: np.ndarray, k: int) -> np.ndarray:
+        """P_1 .. P_k of a gather X into the prefix buffer, left to right."""
+        self._batch(X.shape[1])
+        self._valid = None
+        prev = X[0]
+        for j in range(1, k + 1):
+            prev = np.multiply(prev, X[j], out=self._P[j - 1])
+        return self._P
 
     def value(self, X: np.ndarray) -> np.ndarray:
         """Per row, r! * sum of per-edge products, from a gather X."""
-        return self.rfact * np.add.reduce(reduce(np.multiply, X), axis=1)
+        P = self._prefixes(X, len(X) - 1)
+        self._valid = X
+        return self.rfact * np.add.reduce(P[-1], axis=1)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
-        b = X.shape[1]
+        r, b = X.shape[:2]
+        P = self._P if X is self._valid else self._prefixes(X, r - 2)
+        prefix = (X[0], *P)  # prefix[k] = P_k
         out = None
-        for j in range(len(X)):
-            loo = reduce(np.multiply, [X[k] for k in range(len(X)) if k != j])
+        for j in range(r):
+            # loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}, left to right
+            loo = prefix[j - 1] if j else X[1]
+            for k in range(max(j + 1, 2), r):
+                loo = np.multiply(loo, X[k], out=self._L)
             part = np.bincount(
-                self.index[j, :b].reshape(-1), weights=loo.reshape(-1), minlength=b * self.n
+                self._flat_index[j], weights=loo.reshape(-1), minlength=b * self.n
             )
             if out is None:
                 out = part
@@ -366,7 +417,7 @@ def _ascent(
     """Projected-gradient ascent of one start, a (1, n) batch, with halving
     line search; returns (best x, best L, iters, converged).  The iterate is
     always the best one so far."""
-    X = kernel.gather(x)
+    X, spare = kernel.gather(x), kernel.candidate
     val = kernel.value(X)[0]
     eta = 0.25  # direction is sup-normalized, so steps live on the entry scale
     it = 0
@@ -383,12 +434,13 @@ def _ascent(
         gain = 0.0
         while eta > 1e-18:
             cand = _normalize_p(np.maximum(x + eta * direction, 0.0), p)
-            cand_X = kernel.gather(cand)
+            cand_X = kernel.gather(cand, out=spare)  # X survives a rejected step
             it += 1
             cand_val = kernel.value(cand_X)[0]
             if cand_val > val:
                 gain = cand_val - val
-                x, X, val = cand, cand_X, cand_val
+                x, val = cand, cand_val
+                X, spare = cand_X, X
                 eta = min(eta * 1.5, 1e6)
                 break
             eta *= 0.5

@@ -161,6 +161,81 @@ class TestKernelOracle:
                 assert rho[b] == np.dot(x[b], lagrangian_gradient(g, x[b]))
 
 
+class TestKernelScratch:
+    """The kernel's own buffers: gathers written into them, prefix products
+    shared by `value` and `grad` of one gather, and views rebuilt when the
+    batch size changes, all with the per-column oracle's bits."""
+
+    @staticmethod
+    def check(g, x, val, grad):
+        for b, xb in enumerate(x):
+            assert val[b].tobytes() == np.float64(lagrangian_percolumn(g, xb)).tobytes()
+            assert grad[b].tobytes() == lagrangian_gradient_percolumn(g, xb).tobytes()
+
+    @staticmethod
+    def batch(g, b, rng):
+        return np.array([_weights_with_zeros(g.n, rng) for _ in range(b)]).reshape(b, g.n)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_batch_size(self, r, rng):
+        """b runs down from rows to 1 and back up; at each b, grad before
+        value computes its own prefixes, grad after value reuses value's,
+        and a gather in between leaves nothing of the last batch behind."""
+        for _ in range(12):
+            g = random_graph(rng.randint(r, 8), r, rng.uniform(0.2, 0.9), rng)
+            rows = rng.randint(1, 6)
+            kernel = _Lagrangian(g.edges, g.n, g.r, rows=rows)
+            for b in [*range(rows, 0, -1), rows]:
+                x = self.batch(g, b, rng)
+                X = kernel.gather(x)
+                first = kernel.grad(X)
+                val = kernel.value(X)
+                self.check(g, x, val, first)
+                self.check(g, x, val, kernel.grad(X))
+                y = self.batch(g, b, rng)
+                Y = kernel.gather(y)  # the same buffer; value's prefixes were x's
+                self.check(g, y, kernel.value(Y), kernel.grad(Y))
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_candidate_gather_leaves_the_current_gather(self, r, rng):
+        for _ in range(20):
+            g = random_graph(rng.randint(r, 8), r, rng.uniform(0.2, 0.9), rng)
+            kernel = _Lagrangian(g.edges, g.n, g.r, rows=rng.randint(1, 4))
+            x, c = self.batch(g, 1, rng), self.batch(g, 1, rng)
+            X = kernel.gather(x)
+            val = kernel.value(X)
+            before = X.tobytes()
+            C = kernel.gather(c, out=kernel.candidate)
+            assert C is kernel.candidate and X.tobytes() == before
+            assert C.tobytes() == _Lagrangian(g.edges, g.n, g.r).gather(c).tobytes()
+            cval = kernel.value(C)
+            self.check(g, x, val, kernel.grad(X))  # the prefixes held c's products
+            self.check(g, c, cval, kernel.grad(C))
+
+    def test_scratch_stays_at_one_row(self):
+        """A solve on a graph with r * m > BATCH_ENTRIES runs its starts one
+        row at a time, so its kernel holds one row of scratch: the edge
+        index (r * m intp), the gather, prefix and leave-one-out buffers
+        (2 * r * m float64) and the candidate buffer (r * m float64), and
+        the tuple-to-array conversion of the edges (3 * r * m intp at its
+        peak) is done before they exist.  512 KiB covers the per-start
+        arrays; a second row of scratch would add 3 * r * m entries."""
+        import tracemalloc
+
+        g = complete_r_graph(10, 2).blow_up((20,) * 10)
+        assert g.r * g.m > BATCH_ENTRIES
+        for p in (1.5, 3.0):  # both strategies; the first call also warms numpy up
+            solve_rho_p(complete_r_graph(3, 2), p)
+            tracemalloc.start()
+            try:
+                sol = solve_rho_p(g, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sol.converged
+            assert peak < 8 * 4 * g.r * g.m + 2**19
+
+
 class TestResidualAndRatios:
     def test_symmetric_solutions_have_zero_residual(self, k3):
         assert eigen_residual(k3, [3**-0.5] * 3, 2, 2.0) < 1e-15
