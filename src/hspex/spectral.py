@@ -44,8 +44,8 @@ GAP_EPS = 1e-6     # multi-start disagreement threshold
 # few rows, or one row, at a time, so memory stays at the one-start level.
 # The kernel sizes its scratch from it once per solve: with
 # E = max(BATCH_ENTRIES, r * m), the gather, prefix and leave-one-out buffers
-# hold 2E float64, the index and its b-row copy at most 2E intp, and the
-# candidate buffer r * m float64, so under 40E bytes in all.
+# hold 2E float64 and the index and its b-row copy at most 2E intp, so at
+# most 32E bytes in all.
 BATCH_ENTRIES = 1 << 15
 
 
@@ -63,14 +63,14 @@ class _Lagrangian:
     Built from (edges, n, r, rows); caches r!, (r-1)! and an (r, rows, m)
     index whose [j, b] row holds each edge's j-th vertex offset by b*n, its
     place in row b of a flattened (b, n) batch.  The kernel owns its scratch,
-    sized once from (r, rows, m): the gather buffer, a one-row `candidate`
-    buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1 and one
-    leave-one-out buffer.  Contiguous views of them and the index for the
-    current batch size b are rebuilt only when b changes.
+    sized once from (r, rows, m): the gather buffer, the prefix products
+    P_k = X_0 * ... * X_k for k = 1..r-1 and one leave-one-out buffer.
+    Contiguous views of them and the index for the current batch size b are
+    rebuilt only when b changes.
 
     A batch x of up to `rows` iterates is gathered once, ``X = gather(x)``,
-    for both `value` and `grad`; X stays valid until the next gather into its
-    buffer.  `value` keeps its prefixes and `grad` of the same X reuses them,
+    for both `value` and `grad`; X stays valid until the next gather.
+    `value` keeps its prefixes and `grad` of the same X reuses them,
     loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}; a gather invalidates them, and
     `grad` of any other X computes its own.  Every product multiplies
     positions left to right: the factor order of np.prod over an (m, r)
@@ -93,7 +93,6 @@ class _Lagrangian:
         self._gathered = np.empty(r * rows * m)
         self._prefix = np.empty((r - 1) * rows * m)
         self._loo = np.empty(rows * m)
-        self.candidate = np.empty((r, 1, m))
         self._b = None
         self._valid = None  # the gather whose products the prefix buffer holds
 
@@ -108,13 +107,13 @@ class _Lagrangian:
             self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
             self._L = self._loo[: b * m].reshape(b, m)
 
-    def gather(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def gather(self, x: np.ndarray) -> np.ndarray:
         """The (r, b, m) array of a (b, n) batch x over each edge position,
-        written into `out` or, by default, the gather buffer."""
+        written into the gather buffer."""
         self._batch(len(x))
         self._valid = None
         # the indices are in range by construction; mode="raise" would copy out
-        return x.reshape(-1).take(self._index, out=self._X if out is None else out, mode="clip")
+        return x.reshape(-1).take(self._index, out=self._X, mode="clip")
 
     def _prefixes(self, X: np.ndarray, k: int) -> np.ndarray:
         """P_1 .. P_k of a gather X into the prefix buffer, left to right."""
@@ -417,7 +416,7 @@ def _ascent(
     """Projected-gradient ascent of one start, a (1, n) batch, with halving
     line search; returns (best x, best L, iters, converged).  The iterate is
     always the best one so far."""
-    X, spare = kernel.gather(x), kernel.candidate
+    X = kernel.gather(x)
     val = kernel.value(X)[0]
     eta = 0.25  # direction is sup-normalized, so steps live on the entry scale
     it = 0
@@ -434,13 +433,12 @@ def _ascent(
         gain = 0.0
         while eta > 1e-18:
             cand = _normalize_p(np.maximum(x + eta * direction, 0.0), p)
-            cand_X = kernel.gather(cand, out=spare)  # X survives a rejected step
+            cand_X = kernel.gather(cand)
             it += 1
             cand_val = kernel.value(cand_X)[0]
             if cand_val > val:
                 gain = cand_val - val
-                x, val = cand, cand_val
-                X, spare = cand_X, X
+                x, X, val = cand, cand_X, cand_val
                 eta = min(eta * 1.5, 1e6)
                 break
             eta *= 0.5
