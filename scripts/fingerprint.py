@@ -27,9 +27,9 @@ bytes of what comes back, layer by layer:
              the class reduction
   membership contains_subgraph and contains_induced_subgraph witnesses,
              creates_copy on every non-edge, is_member, is_edge_maximal and
-             isomorphic on random 2- and 3-graphs; lex and random saturate
-             runs, and the benchmark's certify-mix saturations for seeds
-             401-403
+             isomorphic on random 2- and 3-graphs; the same witnesses and
+             copy checks on random 4-graphs; lex and random saturate runs,
+             and the benchmark's certify-mix saturations for seeds 401-403
   construction  every graph constructor's value (repr, which holds n, r and
              the edges): blow-ups, complete r-graphs, disjoint unions, clique
              families and gadgets, canonical relabelings, random connected
@@ -223,6 +223,15 @@ def membership_layer(hspex, emit) -> None:
             emit(("maximal", i), hspex.is_edge_maximal(fam, host))
             for order in ("lex", "random"):
                 emit(("saturate", i, order), hspex.saturate(fam, host, order, seed=i).edges)
+    rng = random.Random(624)
+    for i in range(60):
+        host = _random_graph(hspex, rng, rng.randint(4, 7), 4, rng.uniform(0.2, 0.7))
+        pattern = _random_graph(hspex, rng, rng.randint(1, 6), 4, rng.uniform(0.3, 0.9))
+        emit(("contains4", host.n, host.edges, pattern.n, pattern.edges),
+             (hspex.contains_subgraph(host, pattern),
+              hspex.contains_induced_subgraph(host, pattern)))
+        emit(("creates4", i), [creates_copy(host, e, pattern)
+                               for e in combinations(range(host.n), 4) if e not in host.edge_set])
     k3, k4_3 = hspex.complete_r_graph(3, 2), hspex.complete_r_graph(4, 3)
     c5 = hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     mix = ((k3, 12), (c5, 11), (k4_3, 9), (k4_3, 9))  # perfbench/workloads.py CERTIFY_MIX

@@ -1,26 +1,102 @@
 """Subgraph containment for uniform hypergraphs by one backtracking search.
 
-`_search` maps pattern vertices in descending pattern-degree order (ties
-by id), trying host candidates in ascending id order with degree pruning,
-so the first witness found is deterministic ("lexicographically first"
-under this fixed order).  Two optional constraints serve every caller:
-``fixed`` pins pattern vertices to tuples of allowed host vertices (placed
-first), and ``avoid`` lists pattern r-sets that must map to host non-edges.
-Plain containment and isomorphism use neither, induced containment avoids
-the pattern's non-edges, and the incremental copy check searches the rest
-of the pattern after pinning one edge per orbit onto the new host edge.
+A search is compiled once into a host-independent `_Plan` and then run
+against a host.  Pattern vertices are placed in descending pattern-degree
+order (ties by id).  At each depth the candidates form one bit mask: the
+allowed host vertices, degree-pruned, minus those already used, ANDed with
+the host's link mask (``Hypergraph.links``) of the placed images of every
+pattern edge completed at that depth.  Candidates are tried in ascending id
+order, so the first witness found is deterministic ("lexicographically
+first" under this fixed order).  Two optional constraints serve every
+caller: ``fixed`` pins pattern vertices to sets of allowed host vertices
+(placed first), and ``avoid`` lists pattern r-sets that must map to host
+non-edges (their link masks are masked out).  Plain containment and
+isomorphism use neither, induced containment avoids the pattern's
+non-edges, and the incremental copy check runs a cached plan of the rest of
+the pattern after pinning one edge per orbit onto the new host edge.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import UniformityMismatch
 from .hypergraph import Hypergraph, _normalize_edge
 
 Embedding = tuple[int, ...]  # phi[pattern vertex] = host vertex
+Depths = tuple[tuple[int, ...], ...]  # per r-set: the depths of its other r - 1 vertices
+
+
+class _Plan(NamedTuple):
+    """A search with everything that does not depend on the host worked out."""
+
+    order: tuple[int, ...]  # the pattern vertex placed at each depth, pinned ones first
+    degree: tuple[int, ...]  # its pattern degree, a lower bound on its image's host degree,
+    # or 0 where the edges it completes already force that bound through the link masks
+    edges: tuple[Depths, ...]  # per depth: each pattern edge whose last vertex it places
+    avoid: tuple[Depths, ...]  # per depth: the same for each r-set to map to a non-edge
+    m: int  # pattern edges
+
+
+def _compile(
+    pattern: Hypergraph, pinned: Collection[int], avoid: Sequence[tuple[int, ...]] = ()
+) -> _Plan:
+    """The plan that places the ``pinned`` pattern vertices first."""
+    pdeg = pattern.degree_list
+    order = tuple(sorted(range(pattern.n), key=lambda v: (v not in pinned, -pdeg[v], v)))
+    pos = {v: i for i, v in enumerate(order)}
+    edges_at: list[list[tuple[int, ...]]] = [[] for _ in order]
+    avoid_at: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for sets, at in ((pattern.edges, edges_at), (avoid, avoid_at)):
+        for e in sets:
+            *others, last = sorted(pos[v] for v in e)
+            at[last].append(tuple(others))
+    degree = tuple(0 if pdeg[v] <= len(at) else pdeg[v] for v, at in zip(order, edges_at))
+    return _Plan(order, degree, tuple(map(tuple, edges_at)), tuple(map(tuple, avoid_at)),
+                 pattern.m)
+
+
+def _run(plan: _Plan, host: Hypergraph, pins: Sequence[Iterable[int]]) -> Optional[Embedding]:
+    """The first embedding of plan's pattern into host, or None.
+
+    ``pins[d]`` holds the host vertices allowed at pinned depth d.
+    """
+    order, pdeg, edges_at, avoid_at, m = plan
+    pn, hn = len(order), host.n
+    if pn > hn or m > host.m:
+        return None
+    link = host.links.get
+    hdeg = host.degree_list
+    allowed = [sum(1 << w for w in pin if hdeg[w] >= k) for pin, k in zip(pins, pdeg)]
+    for k in pdeg[len(pins):]:
+        allowed.append(sum(1 << w for w in range(hn) if hdeg[w] >= k) if k else (1 << hn) - 1)
+    bits = [0] * pn  # bits[d] = 1 << (host image at depth d)
+    image = bits.__getitem__
+
+    def extend(depth: int, used: int) -> bool:
+        if depth == pn:
+            return True
+        cand = allowed[depth] & ~used
+        for others in edges_at[depth]:
+            cand &= link(sum(map(image, others)), 0)
+        for others in avoid_at[depth]:
+            cand &= ~link(sum(map(image, others)), 0)
+        while cand:
+            low = cand & -cand
+            bits[depth] = low
+            if extend(depth + 1, used | low):
+                return True
+            cand ^= low
+        return False
+
+    if not extend(0, 0):
+        return None
+    phi = [0] * pn
+    for v, b in zip(order, bits):
+        phi[v] = b.bit_length() - 1
+    return tuple(phi)
 
 
 def _search(
@@ -31,59 +107,13 @@ def _search(
 ) -> Optional[Embedding]:
     """Injective edge-preserving map of pattern into host, or None.
 
-    ``fixed`` maps a pinned pattern vertex to the host vertices it may take;
-    every r-set in ``avoid`` must map to a host non-edge.
+    ``fixed`` maps a pinned pattern vertex to the set of host vertices it
+    may take, tried in ascending id order; every r-set in ``avoid`` must
+    map to a host non-edge.
     """
-    hn, pn = host.n, pattern.n
-    if pn > hn or pattern.m > host.m:
-        return None
     fixed = fixed or {}
-    host_masks = host.edge_masks
-    pdeg = pattern.degree_list
-    hdeg = host.degree_list
-    order = sorted(range(pn), key=lambda v: (v not in fixed, -pdeg[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    choices = [fixed.get(v, range(hn)) for v in order]
-    # an r-set becomes checkable once its last vertex (in `order`) is placed
-    edges_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
-    avoid_at: list[list[tuple[int, ...]]] = [[] for _ in range(pn)]
-    for sets, at in ((pattern.edges, edges_at), (avoid, avoid_at)):
-        for e in sets:
-            at[max(pos[v] for v in e)].append(e)
-
-    phi = [-1] * pn
-    bit = [0] * pn  # bit[v] = 1 << phi[v]: an r-set's image mask is the sum of its bits
-    image = bit.__getitem__
-    used = [False] * hn
-
-    def feasible(depth: int) -> bool:
-        for e in edges_at[depth]:
-            if sum(map(image, e)) not in host_masks:
-                return False
-        for e in avoid_at[depth]:
-            if sum(map(image, e)) in host_masks:
-                return False
-        return True
-
-    def extend(depth: int) -> bool:
-        if depth == pn:
-            return True
-        v = order[depth]
-        for w in choices[depth]:
-            if used[w] or hdeg[w] < pdeg[v]:
-                continue
-            phi[v] = w
-            bit[v] = 1 << w
-            used[w] = True
-            if feasible(depth) and extend(depth + 1):
-                return True
-            used[w] = False
-            phi[v] = -1
-        return False
-
-    if extend(0):
-        return tuple(phi)
-    return None
+    plan = _compile(pattern, fixed, avoid)
+    return _run(plan, host, [set(fixed[v]) for v in plan.order[:len(fixed)]])
 
 
 def contains_subgraph(
@@ -111,9 +141,9 @@ def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _orbit_pins(pattern: Hypergraph) -> tuple[tuple[tuple[int, ...], Hypergraph], ...]:
-    """Each edge orbit representative f of pattern with pattern - f."""
-    return tuple((f, pattern.remove_edge(f)) for f in _edge_orbit_reps(pattern))
+def _orbit_pins(pattern: Hypergraph) -> tuple[_Plan, ...]:
+    """For each edge orbit representative f, the plan of pattern - f with f pinned."""
+    return tuple(_compile(pattern.remove_edge(f), f) for f in _edge_orbit_reps(pattern))
 
 
 def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph) -> bool:
@@ -127,9 +157,8 @@ def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergrap
     """
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
-    key = _normalize_edge(new_edge, host.r, host.n)
-    return any(_search(host, rest, dict.fromkeys(f, key)) is not None
-               for f, rest in _orbit_pins(pattern))
+    pins = (_normalize_edge(new_edge, host.r, host.n),) * host.r
+    return any(_run(plan, host, pins) is not None for plan in _orbit_pins(pattern))
 
 
 def contains_induced_subgraph(

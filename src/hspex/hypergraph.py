@@ -70,6 +70,14 @@ def _k_closure(
     return tuple(sorted(inside))
 
 
+def _link_edge(links: dict[int, int], e: Edge) -> None:
+    """Enter edge e into a ``links`` index."""
+    full = sum(1 << v for v in e)
+    for v in e:
+        rest = full ^ (1 << v)
+        links[rest] = links.get(rest, 0) | 1 << v
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An immutable simple r-uniform hypergraph on vertex ids 0..n-1.
@@ -79,8 +87,8 @@ class Hypergraph:
     iterable-of-iterables input.  Values derived from a valid value (blow-ups
     and the other transformations below) skip the check through
     ``_trusted``.  Derived indexes (``edge_set``, ``degree_list``,
-    ``incidence``, ``edge_masks``) are computed on first use and cached on
-    the value; they take no part in ``==``, ``hash`` or ``repr``.
+    ``incidence``, ``edge_masks``, ``links``) are computed on first use and
+    cached on the value; they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     n: int
@@ -132,6 +140,15 @@ class Hypergraph:
         """Each edge as the bit mask ``sum(1 << v for v in e)``."""
         bit = [1 << v for v in range(self.n)].__getitem__
         return frozenset([sum(map(bit, e)) for e in self.edges])
+
+    @cached_property
+    def links(self) -> dict[int, int]:
+        """Each (r-1)-set that lies in an edge, as a bit mask, mapped to the
+        mask of the vertices that complete it to an edge.  Read-only."""
+        links: dict[int, int] = {}
+        for e in self.edges:
+            _link_edge(links, e)
+        return links
 
     # --- basic queries -----------------------------------------------------
 
@@ -199,12 +216,26 @@ class Hypergraph:
         return Hypergraph._trusted(self.n, self.r, self.edges[:i] + self.edges[i + 1:])
 
     def add_edge(self, e: Iterable[int]) -> "Hypergraph":
-        """Same vertex set, one edge added (returns self on an existing edge)."""
+        """Same vertex set, one edge added (returns self on an existing edge).
+
+        The new value starts with this one's ``links`` and ``degree_list``,
+        updated by the edge, if they were built.
+        """
         key = _normalize_edge(e, self.r, self.n)
         i = bisect_left(self.edges, key)
         if i < self.m and self.edges[i] == key:
             return self
-        return Hypergraph._trusted(self.n, self.r, self.edges[:i] + (key,) + self.edges[i:])
+        g = Hypergraph._trusted(self.n, self.r, self.edges[:i] + (key,) + self.edges[i:])
+        built = self.__dict__
+        if "links" in built:
+            g.__dict__["links"] = links = dict(built["links"])
+            _link_edge(links, key)
+        if "degree_list" in built:
+            d = list(built["degree_list"])
+            for v in key:
+                d[v] += 1
+            g.__dict__["degree_list"] = tuple(d)
+        return g
 
     def clone_vertex(self, u: int, v: int) -> "Hypergraph":
         """Zykov symmetrization: clone v onto u.

@@ -612,17 +612,24 @@ def rho_p_bruteforce(
 ) -> float:
     """Grid oracle: maximize L over a recursively refined nonnegative p-sphere grid.
 
-    Accuracy argument: every maximizer x*, rescaled so its largest entry is
-    1, lies within h (sup-norm) of a kept grid point after each round, where
-    h halves per round from 1/16.  The value error through normalization is
-    at most K*h with K <= r! * m * r * (1 + n^(1/p)), since |dL/dx_v| <=
-    r * (r-1)! * deg(v) on [0,1]^n and renormalizing moves a point by at
-    most (1 + n^(1/p)) * h.  Points within 2*K*h of the incumbent are kept
-    and refined with step h/2 over {-h/2, 0, +h/2} offsets, which preserves
-    the h-tracking invariant.  At the default depth h_final = 2^-24, so
-    K*h_final < 2e-5 for every graph with n <= 4, inside the 1e-4 contract.
-    The beam cap is a safeguard for degenerate plateaus; all near-optimal
-    points then share the optimal value, so the reported maximum stands.
+    What runs: round 0 evaluates L at every point of a cube grid (step 1/8)
+    whose largest coordinate is 1, each rescaled onto the unit p-sphere.
+    Each of ``grid_depth`` rounds keeps the points whose value lies within
+    2*K*h of the incumbent, K = r! * m * r * (1 + n^(1/p)), then cuts them
+    to the ``beam`` highest values, and refines every survivor over the
+    {-h/2, 0, +h/2} offsets in each coordinate; h halves per round from
+    1/16.  The result is the largest value seen.
+
+    The margin would keep a maximizer tracked, but it does not choose the
+    survivors: in every round measured (K4^(3), a two-edge 3-graph, K4
+    and P4 at p in {1.5, 2, 3, 4}) every candidate passed it, and the
+    beam cap of 2,048 points chose them.  A margin that is both proven and
+    small does not exist near a smooth maximum, where the points within
+    K*h of the best fill a ball of radius about sqrt(K*h).  So the grid
+    proves one side only: each reported value is L at an actual unit
+    vector, so up to rounding it is at most lambda_p.  Closeness to
+    lambda_p from below is what the tests' tolerances check, not a
+    guarantee of this search.
     """
     if not (1.0 < p < math.inf):
         raise BadP(f"p={p} outside (1, inf)")

@@ -248,14 +248,16 @@ def test_vertex_set_pin_matches_bruteforce(seed):
 def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
     """At most one pinned search into the host itself per edge orbit of the
     pattern, and at least one if the pattern has an edge (the orbit
-    searches, pattern into itself, are not counted)."""
+    searches, pattern into itself, are not counted).  Searches are counted
+    where every one of them runs a plan: `_run`."""
     hosts = []
+    run = embedding._run
 
-    def counted(host, *args, **kwargs):
+    def counted(plan, host, *args, **kwargs):
         hosts.append(host)
-        return _search(host, *args, **kwargs)
+        return run(plan, host, *args, **kwargs)
 
-    monkeypatch.setattr(embedding, "_search", counted)
+    monkeypatch.setattr(embedding, "_run", counted)
     for _ in range(40):
         r = rng.choice([2, 3])
         pattern = random_graph(rng.randint(r, 4), r, 0.7, rng)
@@ -359,6 +361,14 @@ SEARCH_PATTERNS = {
         Hypergraph(4, 3, ((0, 1, 2),)),
         Hypergraph(3, 3, ()),
     ],
+    4: [
+        new_hypergraph(4, 4, [(0, 1, 2, 3)]),
+        new_hypergraph(5, 4, [(0, 1, 2, 3), (0, 1, 2, 4)]),
+        new_hypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 4, 5)]),
+        complete_r_graph(5, 4),
+        Hypergraph(5, 4, ((0, 1, 2, 3),)),
+        Hypergraph(4, 4, ()),
+    ],
 }
 
 
@@ -383,10 +393,13 @@ def all_hosts(n: int, r: int):
         yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
 
 
-@pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6)])
+@pytest.mark.parametrize(
+    "r, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
+)
 def test_bitmask_search_returns_oracle_witness(r, n):
     """Every labeled host up to n = 5, and 150 seeded ones at n = 6: the
-    bitmask search returns the very witness of the sorted-tuple search."""
+    link-mask search returns the very witness of the sorted-tuple search.
+    At r = 4 the links are keyed on 3-sets."""
     if n <= 5:
         hosts = all_hosts(n, r)
     else:
@@ -400,3 +413,22 @@ def test_bitmask_search_returns_oracle_witness(r, n):
                 assert phi == search_sorted_tuples(host, pattern, fixed, avoid), (host, pattern, fixed)
                 found += phi is not None
     assert found  # the cases are not all misses
+
+
+@pytest.mark.parametrize("pattern", SEARCH_PATTERNS[4][1:4] + [new_hypergraph(
+    6, 4, [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)])])
+def test_creates_copy_on_4_graphs_matches_every_edge_pin(pattern):
+    """On 4-graphs, pinning one edge per orbit decides every non-edge like
+    pinning every edge, and like the brute-force check on n = 6."""
+    rng = random.Random(pattern.m + 40)
+    hosts = [random_graph(rng.randint(5, 7), 4, rng.uniform(0.1, 0.6), rng) for _ in range(40)]
+    results = set()
+    for host in hosts:
+        for e in combinations(range(host.n), 4):
+            if e not in host.edge_set:
+                got = creates_copy(host, e, pattern)
+                assert got == creates_copy_every_edge(host, e, pattern), (host, e)
+                if host.n <= 6:
+                    assert got == brute_creates_copy(host, e, pattern), (host, e)
+                results.add(got)
+    assert results == {False, True}

@@ -1,7 +1,7 @@
 """Construction, queries, transformations, and the .hg text format."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -322,7 +322,18 @@ def fresh_indexes(g: Hypergraph) -> dict:
         "degree_list": tuple(len(ids) for ids in inc),
         "incidence": tuple(tuple(ids) for ids in inc),
         "edge_masks": frozenset(sum(1 << v for v in e) for e in g.edges),
+        "links": links_by_subsets(g),
     }
+
+
+def links_by_subsets(g: Hypergraph) -> dict[int, int]:
+    """``links`` by scanning every (r-1)-set of vertices for its completions."""
+    links = {}
+    for rest in combinations(range(g.n), g.r - 1):
+        ends = sum(1 << w for w in range(g.n) if tuple(sorted(rest + (w,))) in g.edge_set)
+        if ends:
+            links[sum(1 << v for v in rest)] = ends
+    return links
 
 
 def assert_validated_value(got: Hypergraph, n: int, r: int, edges) -> None:
@@ -401,3 +412,41 @@ class TestTrustedPath:
             got = g.blow_up(t)
             assert got.m == blow_up_edge_count(g, t)
             assert_validated_value(got, sum(t), r, edges)
+
+
+class TestCarriedIndexes:
+    """add_edge hands the parent's built ``links`` and ``degree_list`` on,
+    updated by the one edge; they must equal freshly built ones."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_edge_chains_match_fresh_values(self, r, seed):
+        rng = random.Random(5000 * r + seed)
+        n = rng.randint(r + 1, r + 5)
+        g = random_graph(n, r, rng.uniform(0.0, 0.4), rng)
+        for step in range(30):
+            built = step % 3 != 2  # now and then a parent that built nothing
+            if built:
+                before = (dict(g.links), g.degree_list)
+            else:
+                g = Hypergraph(n, r, g.edges)
+            e = tuple(rng.sample(range(n), r))  # unsorted on purpose
+            child = g.add_edge(e)
+            if tuple(sorted(e)) in g.edge_set:
+                assert child is g
+                continue
+            carried = set(child.__dict__) & {"links", "degree_list"}
+            assert carried == ({"links", "degree_list"} if built else set())
+            fresh = Hypergraph(n, r, g.edges + (e,))
+            assert child == fresh
+            assert child.links == links_by_subsets(fresh) == fresh.links
+            assert child.degree_list == fresh.degree_list
+            if built:
+                assert (g.links, g.degree_list) == before
+                assert g.links is not child.links
+            g = child
+
+    def test_readding_an_edge_returns_self(self, k4_3):
+        g = k4_3.remove_edge((0, 1, 3))
+        g.links, g.degree_list  # built, so a child would carry them
+        assert g.add_edge((2, 1, 0)) is g
