@@ -14,12 +14,16 @@ bytes of what comes back, layer by layer:
              report as JSON
   kernel     lagrangian, lagrangian_gradient, eigen_residual and
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
-             weight vectors that hold exact zeros
+             weight vectors that hold exact zeros, and the classical oracle
+             adjacency_spectral_radius (value and any warning) on the
+             random 2-graphs among them
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
   extremal   extremal_pi and extremal_lambda_p results with solution bytes
              (K3 and K4^(3) free, K3 free at n = 8 as in the sweep benchmark,
              C4, C5 and {K3, C4} free at n = 6, 7, whose maximal members
-             have mixed sizes, and P5 free at n = 7, whose 240 completions
+             have mixed sizes, the same at n = 6 for {C4, K3} and for {K3, C4}
+             and {C4} with C4 relabeled, which are other family values with
+             equal results, and P5 free at n = 7, whose 240 completions
              per edge fill several gap blocks), enumerate_family edge lists and
              extremal_lambda_p(full=True) results, so every consumer of the
              member walk is covered; connected_graph_classes edge lists for
@@ -56,6 +60,7 @@ import io
 import random
 import sys
 import tempfile
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -139,6 +144,11 @@ def kernel_layer(hspex, emit) -> None:
         if n >= 2:
             u, z = rng.sample(range(n), 2)
             emit(("clone", u, z), hspex.cloning_lagrangian_delta(g, u, z, x).hex())
+        if r == 2:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lam = hspex.adjacency_spectral_radius(g)
+            emit(("adjacency", g.n, g.edges), (lam.hex(), [str(w.message) for w in caught]))
 
 
 def structure_layer(hspex, emit) -> None:
@@ -168,9 +178,13 @@ def extremal_layer(hspex, emit) -> None:
     emit(("pi", k3.r, 8), hspex.extremal_pi(hspex.ForbiddenFamily((k3,)), 8).to_json_dict())
     c4 = hspex.new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
     c5 = hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    for name, forbidden in (("C4", (c4,)), ("C5", (c5,)), ("K3+C4", (k3, c4))):
+    c4_relabeled = hspex.new_hypergraph(4, 2, [(0, 2), (2, 1), (1, 3), (0, 3)])
+    for name, forbidden, ns in (("C4", (c4,), (6, 7)), ("C5", (c5,), (6, 7)),
+                                ("K3+C4", (k3, c4), (6, 7)), ("C4+K3", (c4, k3), (6,)),
+                                ("K3+C4'", (k3, c4_relabeled), (6,)),
+                                ("C4'", (c4_relabeled,), (6,))):
         fam = hspex.ForbiddenFamily(forbidden)
-        for n in (6, 7):
+        for n in ns:
             emit(("pi", name, n), hspex.extremal_pi(fam, n).to_json_dict())
             for p in (2.0, 3.0):
                 res = hspex.extremal_lambda_p(fam, n, p, hspex.SolverConfig(starts=4, seed=n))

@@ -9,7 +9,7 @@ exact: equal keys iff isomorphic.  Intended for desk scale (n up to ~10).
 There is no automorphism pruning, so a form visits about |Aut(G)| leaves
 (2 * 4! * 4! = 1152 for K_{4,4}).  Keys are therefore used only where their
 bytes are the result: the `argmax_key(s)` strings of reports and the CLI,
-the sweep-cache key of a forbidden family, and the public API.  The sweeps
+and the public API; the sweep cache is keyed on the family value.  The sweeps
 group masks into isomorphism classes with `families._orbit_classes`, which
 labels S_n-orbits and makes no isomorphism test; `families.isomorphic`
 compares `refinement_signature`s and settles equal ones by one embedding

@@ -103,6 +103,11 @@ class NotMember(HspexError):
     """The given graph is not a member of the family."""
 
 
+class BadFamily(HspexError, ValueError):
+    """A family or family operation is ill-posed: no forbidden graph, an
+    unknown saturation order, or a family the sweeps cannot enumerate."""
+
+
 class TooLarge(HspexError):
     """Instance exceeds the desk-scale enumeration guard."""
 

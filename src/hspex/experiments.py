@@ -42,6 +42,9 @@ from .structure import (
     tightness_violation_holds,
 )
 
+DEGREE_BOUND_P = (1.5, 2.0, 3.0, 4.0)  # the exponents of every degree-bound instance
+RATIO_CAP = 2.0  # ratio-scaling's pass cap on (gamma - 1) * n
+
 
 @dataclass
 class ExperimentReport:
@@ -148,14 +151,13 @@ def is_r_partite(h: Hypergraph) -> bool:
 def run_degree_bound_suite(
     count: int,
     r_set: Sequence[int] = (2, 3),
-    p_set: Sequence[float] = (1.5, 2.0, 3.0, 4.0),
     seed: int = 0,
     config: Optional[SolverConfig] = None,
 ) -> ExperimentReport:
     """Random connected instances vs the degree-ratio lower bound on gamma.
 
-    For each instance and exponent, solve rho_p; whenever the returned
-    eigenvector is strictly positive, check
+    For each instance and exponent in DEGREE_BOUND_P, solve rho_p; whenever
+    the returned eigenvector is strictly positive, check
     principal_ratio + 1e-9 >= (max_deg/min_deg)^(1/(p+r-2)).
     Non-converged solves are recorded, excluded from the verdict, counted.
     Each solve's seed is drawn from `seed`, replacing the seed of `config`
@@ -166,7 +168,7 @@ def run_degree_bound_suite(
     rng = random.Random(seed)
     report = ExperimentReport(
         "degree-bound",
-        {"count": count, "r_set": list(r_set), "p_set": list(p_set)},
+        {"count": count, "r_set": list(r_set), "p_set": list(DEGREE_BOUND_P)},
         seed,
     )
     violations = 0
@@ -177,7 +179,7 @@ def run_degree_bound_suite(
         m_hi = min(math.comb(n, r), max(m_lo + 1, 3 * n // 2))
         m = rng.randint(m_lo, m_hi)
         g = random_connected_hypergraph(n, r, m, rng.randrange(2**31))
-        for p in p_set:
+        for p in DEGREE_BOUND_P:
             cfg = replace(config or SolverConfig(starts=4), seed=rng.randrange(2**31))
             sol = solve_rho_p(g, p, cfg)
             positive = bool((sol.x > 0).all())
@@ -217,11 +219,10 @@ def run_ratio_scaling(
     p: float,
     n_range: Iterable[int],
     config: Optional[SolverConfig] = None,
-    cap: float = 2.0,
 ) -> ExperimentReport:
     """Principal ratio of spectral-extremal members: gamma - 1 should scale like 1/n.
 
-    The pass cap on (gamma - 1) * n defaults to 2, calibrated for the
+    The pass cap on (gamma - 1) * n, RATIO_CAP = 2, is calibrated for the
     triangle-free p=2 sweep where the exact odd-n value is
     (sqrt((a+1)/a) - 1) * n < 2; it is a suite constant, not a theorem.
     """
@@ -232,7 +233,7 @@ def run_ratio_scaling(
             warnings.warn("hypothesis: a forbidden graph is r-partite")
     report = ExperimentReport(
         "ratio-scaling",
-        {"p": p, "n_range": list(n_range), "cap": cap},
+        {"p": p, "n_range": list(n_range), "cap": RATIO_CAP},
         seed=(config or SolverConfig()).seed,
     )
     worst = 0.0
@@ -261,7 +262,7 @@ def run_ratio_scaling(
                     "argmax_key": canonical_key_string(g),
                 }
             )
-    ok = worst <= cap
+    ok = worst <= RATIO_CAP
     report.verdict = (
         ("pass-with-exclusions" if report.excluded else "pass") if ok else "fail"
     )
@@ -319,15 +320,13 @@ def run_bridgeless_tight_suite(
     return report
 
 
-def run_plateau_construction(
-    h: Hypergraph, k: int, ell: int, order: str = "lex"
-) -> ExperimentReport:
+def run_plateau_construction(h: Hypergraph, k: int, ell: int) -> ExperimentReport:
     """Build the known non-k-tight saturated graph from a k-plateaued pattern.
 
     With t = |V(H)|: start from ell disjoint complete r-graphs on t-1
-    vertices, saturate inside F({H}), and verify the result is edge-maximal,
-    H-free, and not k-tight, the first clique's vertex block witnessing the
-    failure.
+    vertices, saturate inside F({H}) in lex order, and verify the result is
+    edge-maximal, H-free, and not k-tight, the first clique's vertex block
+    witnessing the failure.
     """
     if ell < 2:
         raise HypothesisFailed("need at least two cliques (ell >= 2)")
@@ -340,14 +339,14 @@ def run_plateau_construction(
     g0 = ell_cliques(ell, t - 1, h.r)
     fam = ForbiddenFamily((h,))
     member = is_member(fam, g0)
-    g = saturate(fam, g0, order=order)
+    g = saturate(fam, g0)
     maximal, augmenting = is_edge_maximal(fam, g)
     cert = is_k_tight(g, k)
     j1 = tuple(range(t - 1))
     witness_ok = tightness_violation_holds(g, k, j1)
     report = ExperimentReport(
         "plateau-construct",
-        {"k": k, "ell": ell, "t": t, "r": h.r, "order": order},
+        {"k": k, "ell": ell, "t": t, "r": h.r, "order": "lex"},
         seed=0,
     )
     report.rows.append(

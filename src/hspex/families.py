@@ -12,15 +12,17 @@ are sorted into DFS preorder by a closed-form key
 (`_preorder_key`).  Each such mask set (all members, the edge-maximal ones)
 is closed under relabeling, so its isomorphism classes are its S_n-orbits,
 which `_orbit_classes` labels in numpy with no isomorphism test.  One
-immutable record per (family, n), `_SweepData`, holds the member count
-and one graph per class of the edge-maximal members; `extremal_pi` and
-`extremal_lambda_p` both read it.  The lex-ordered candidate edges that
-give mask bits their meaning are built in this module alone.  Everything
-is deterministic.
+immutable record per (family value, n), `_SweepData`, holds the member
+count and one graph per class of the edge-maximal members; `extremal_pi`
+and `extremal_lambda_p` both read it (a relabeled or reordered family is
+another value, swept again with equal results).  The lex-ordered candidate
+edges that give mask bits their meaning are built in this module alone.
+Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+# canonical_key is unused here, but perfbench/spans.py wraps it in this module
 from .canonical import canonical_key, refinement_signature
 from .embedding import (
     contains_induced_subgraph,
@@ -38,7 +41,7 @@ from .embedding import (
     labeled_copy_edge_sets,
     _search,
 )
-from .errors import NotMember, OutOfRange, TooLarge, UniformityMismatch
+from .errors import BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from .hypergraph import Hypergraph, serialize
 from .spectral import SolverConfig, SpectralSolution, solve_rho_p
 
@@ -61,8 +64,9 @@ class ForbiddenFamily:
     induced: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "forbidden", tuple(self.forbidden))  # hashable
         if not self.forbidden:
-            raise ValueError("need at least one forbidden graph")
+            raise BadFamily("need at least one forbidden graph")
         rs = {h.r for h in self.forbidden}
         if len(rs) != 1:
             raise UniformityMismatch(f"mixed uniformities {sorted(rs)}")
@@ -78,7 +82,6 @@ class PredicateFamily:
 
     r: int
     predicate: Callable[[Hypergraph], bool]
-    name: str = "predicate"
 
 
 Family = Union[ForbiddenFamily, PredicateFamily]
@@ -133,7 +136,7 @@ def saturate(
     if order == "random":
         random.Random(seed).shuffle(candidates)
     elif order != "lex":
-        raise ValueError(f"unknown order {order!r}")
+        raise BadFamily(f"unknown order {order!r}")
     monotone = isinstance(fam, ForbiddenFamily) and not fam.induced
     g = g0
     while True:
@@ -185,18 +188,11 @@ class _SweepData:
     maximal: tuple[Hypergraph, ...]
 
 
-_sweep_cache: dict[tuple, _SweepData] = {}
-
-
-def _family_signature(fam: ForbiddenFamily) -> tuple:
-    return tuple(sorted(canonical_key(h) for h in fam.forbidden)) + (fam.induced,)
-
-
 def _check_sweepable(fam: Family, n: int, limit: int) -> None:
     """Raise unless fam is a plain forbidden family whose C(n, r) candidate
     edges fit the guard `limit`."""
     if not isinstance(fam, ForbiddenFamily) or fam.induced:
-        raise ValueError(
+        raise BadFamily(
             "enumeration requires a plain (non-induced) forbidden-subgraph family"
         )
     if n < 0:
@@ -376,22 +372,17 @@ def _member_masks(fam: ForbiddenFamily, n: int) -> np.ndarray:
     return _in_preorder([batch & 0xFFFFFFFF for batch in _walk(fam, n)], comb(n, fam.r))
 
 
+@functools.cache
 def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
     """Member count and one graph per class of the edge-maximal members
-    (addable set empty), labelled once per (family, n) and cached."""
-    key = _family_signature(fam) + (n,)
-    hit = _sweep_cache.get(key)
-    if hit is not None:
-        return hit
+    (addable set empty), labelled once per (family value, n) and cached."""
     count = 0
     found = []
     for batch in _walk(fam, n):
         count += len(batch)
         found.append(batch[batch < 1 << 32])
     maximal = _in_preorder(found, comb(n, fam.r))
-    data = _SweepData(count, tuple(_mask_classes(maximal, n, fam.r)))
-    _sweep_cache[key] = data
-    return data
+    return _SweepData(count, tuple(_mask_classes(maximal, n, fam.r)))
 
 
 def _mask_to_graph(mask: int, cand: list[tuple[int, ...]], n: int, r: int) -> Hypergraph:

@@ -87,8 +87,8 @@ class Hypergraph:
     iterable-of-iterables input.  Values derived from a valid value (blow-ups
     and the other transformations below) skip the check through
     ``_trusted``.  Derived indexes (``edge_set``, ``degree_list``,
-    ``incidence``, ``edge_masks``, ``links``) are computed on first use and
-    cached on the value; they take no part in ``==``, ``hash`` or ``repr``.
+    ``incidence``, ``links``) are computed on first use and cached on the
+    value; they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     n: int
@@ -134,12 +134,6 @@ class Hypergraph:
             for v in e:
                 inc[v].append(i)
         return tuple(map(tuple, inc))
-
-    @cached_property
-    def edge_masks(self) -> frozenset[int]:
-        """Each edge as the bit mask ``sum(1 << v for v in e)``."""
-        bit = [1 << v for v in range(self.n)].__getitem__
-        return frozenset([sum(map(bit, e)) for e in self.edges])
 
     @cached_property
     def links(self) -> dict[int, int]:

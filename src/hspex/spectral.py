@@ -378,7 +378,6 @@ def _fixed_point_run(
                 xp = np.power(x, p - 1.0)
             res_checkpoint = res
         y = grad + alpha[:, None] * xp
-        stop |= ~y.any(axis=1)  # stuck at an all-dead point (no edges reachable)
         if stop.any():
             rows = live[stop]
             out_x[rows] = np.where(ok[stop, None], x[stop], best_x[stop])
@@ -566,13 +565,12 @@ def solve_rho_p(
 # --- independent oracles ------------------------------------------------------
 
 
-def adjacency_spectral_radius(
-    g: Hypergraph, tol: float = 1e-12, max_iter: int = 500_000, seed: int = 12345
-) -> float:
+def adjacency_spectral_radius(g: Hypergraph) -> float:
     """Classical shifted power iteration on the adjacency matrix of a 2-graph.
 
     Independent of solve_rho_p: dense matrix-vector products with a diagonal
-    shift by the maximum degree, converging to the largest eigenvalue.
+    shift by the maximum degree, from a seeded start to a relative residual
+    of 1e-12; it warns if 500,000 iterations do not get there.
     """
     if g.r != 2:
         raise UniformityMismatch("classical oracle is for 2-graphs")
@@ -582,16 +580,16 @@ def adjacency_spectral_radius(
     for u, v in g.edges:
         a[u, v] = a[v, u] = 1.0
     shift = float(max(g.degrees()))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(12345)
     v = rng.uniform(0.5, 1.0, g.n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(500_000):
         w = a @ v + shift * v
         w /= np.linalg.norm(w)
         av = a @ w
         lam = float(w @ av)
-        if np.max(np.abs(av - lam * w)) <= tol * max(1.0, abs(lam)):
+        if np.max(np.abs(av - lam * w)) <= 1e-12 * max(1.0, abs(lam)):
             return lam
         v = w
     warnings.warn("adjacency power iteration hit max_iter")

@@ -165,7 +165,8 @@ def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
     u = set(int(v) for v in subset)
     if not u or len(u) >= g.n:
         return False
-    return _uncut_edge_set(g.edge_masks, sum(1 << v for v in u), k, g.r)
+    masks = [sum(1 << v for v in e) for e in g.edges]
+    return _uncut_edge_set(masks, sum(1 << v for v in u), k, g.r)
 
 
 def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:

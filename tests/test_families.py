@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hspex.canonical import canonical_key, refinement_signature
-from hspex.errors import NotMember, OutOfRange, TooLarge, UniformityMismatch
+from hspex.errors import HspexError, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from hspex.families import (
     ForbiddenFamily,
     PredicateFamily,
@@ -283,9 +283,9 @@ def maximal_masks(fam: ForbiddenFamily, n: int) -> tuple[int, ...]:
 
 
 def fresh_sweep(fam: ForbiddenFamily, n: int):
-    from hspex.families import _family_signature, _sweep, _sweep_cache
+    from hspex.families import _sweep
 
-    _sweep_cache.pop(_family_signature(fam) + (n,), None)
+    _sweep.cache_clear()
     return _sweep(fam, n)
 
 
@@ -617,7 +617,7 @@ class TestExtremal:
         import hspex.families as families
 
         fam = k3_family()
-        families._sweep_cache.pop(families._family_signature(fam) + (5,), None)  # cold
+        families._sweep.cache_clear()  # cold
         calls = []
         walk = families._walk
         monkeypatch.setattr(families, "_walk", lambda f, n: calls.append(n) or walk(f, n))
@@ -631,7 +631,7 @@ class TestExtremal:
         import hspex.families as families
 
         fam = k3_family()
-        families._sweep_cache.pop(families._family_signature(fam) + (6,), None)  # cold
+        families._sweep.cache_clear()  # cold
         calls = []
         orbit = families._orbit_classes
         monkeypatch.setattr(families, "_orbit_classes",
@@ -669,3 +669,61 @@ class TestExtremal:
     def test_negative_n_raises(self, call):
         with pytest.raises(OutOfRange, match=r"vertex count -1 < 0"):
             call(k3_family())
+
+
+class TestSweepCache:
+    """`_sweep` is cached per (family value, n): equal values walk once, and a
+    reordered or relabeled family is walked again with equal results."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        import hspex.families as families
+
+        families._sweep.cache_clear()
+        calls = []
+        walk = families._walk
+        monkeypatch.setattr(families, "_walk", lambda f, n: calls.append((f, n)) or walk(f, n))
+        yield calls
+        families._sweep.cache_clear()
+
+    @staticmethod
+    def results(fam: ForbiddenFamily, n: int) -> list[dict]:
+        cfg = SolverConfig(starts=2, seed=1)
+        return [extremal_pi(fam, n).to_json_dict()] + [
+            extremal_lambda_p(fam, n, p, cfg).to_json_dict(stats=True) for p in (2.0, 3.0)]
+
+    def test_equal_family_value_walks_once(self, walks):
+        first = self.results(k3_family(), 6)
+        # an equal value built anew, and one from K3's edges relabeled by (0 2)
+        relabeled = ForbiddenFamily((Hypergraph(3, 2, ((2, 1), (2, 0), (1, 0))),))
+        assert relabeled == k3_family()
+        assert self.results(k3_family(), 6) == self.results(relabeled, 6) == first
+        assert len(walks) == 1
+
+    def test_reordered_and_relabeled_families_match(self, walks):
+        k3, c4 = complete_r_graph(3, 2), cycle(4)
+        c4_relabeled = relabel(c4, [2, 0, 3, 1])
+        assert c4_relabeled != c4 and isomorphic(c4_relabeled, c4)
+        families = [ForbiddenFamily((k3, c4)), ForbiddenFamily((c4, k3)),
+                    ForbiddenFamily((k3, c4_relabeled))]
+        first, *others = (self.results(fam, 6) for fam in families)
+        assert all(other == first for other in others)
+        assert [f for f, _ in walks] == families  # each value walked once
+
+    def test_family_from_a_list_is_a_hashable_equal_value(self):
+        listed = ForbiddenFamily([complete_r_graph(3, 2), cycle(4)])
+        tupled = ForbiddenFamily((complete_r_graph(3, 2), cycle(4)))
+        assert isinstance(listed.forbidden, tuple)
+        assert listed == tupled and hash(listed) == hash(tupled)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ForbiddenFamily(()),
+    lambda: saturate(k3_family(), Hypergraph(4, 2, ()), "spiral"),
+    lambda: extremal_pi(ForbiddenFamily((complete_r_graph(3, 2),), induced=True), 4),
+    lambda: extremal_pi(PredicateFamily(2, lambda g: True), 4),
+], ids=["no-graph", "unknown-order", "induced", "predicate"])
+def test_family_errors_are_hspex_value_errors(call):
+    with pytest.raises(HspexError) as info:
+        call()
+    assert isinstance(info.value, ValueError)

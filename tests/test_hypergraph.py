@@ -321,7 +321,6 @@ def fresh_indexes(g: Hypergraph) -> dict:
         "edge_set": frozenset(g.edges),
         "degree_list": tuple(len(ids) for ids in inc),
         "incidence": tuple(tuple(ids) for ids in inc),
-        "edge_masks": frozenset(sum(1 << v for v in e) for e in g.edges),
         "links": links_by_subsets(g),
     }
 
