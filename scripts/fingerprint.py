@@ -37,9 +37,10 @@ bytes of what comes back, layer by layer:
   construction  every graph constructor's value (repr, which holds n, r and
              the edges): blow-ups, complete r-graphs, disjoint unions, clique
              families and gadgets, canonical relabelings, random connected
-             graphs and parse_hypergraph of a serialized blow-up; and the
-             exception type and message of constructor calls on invalid
-             arguments
+             graphs and parse_hypergraph of a serialized blow-up; the
+             canonical key strings of the symmetric graphs K_{4,4}, K_{4,5},
+             K_6^(3), K_7^(3), K_7 and K3(3,3,3); and the exception type and
+             message of constructor calls on invalid arguments
   cli        exit code, stdout and report files (not stderr, which names
              paths) of hspex.cli.main on a fixed set of invocations in a
              temporary directory: rho --json --stats, check tight, bridge
@@ -267,6 +268,7 @@ def _outcome(call) -> tuple:
 
 
 def construction_layer(hspex, emit) -> None:
+    from hspex.canonical import canonical_key_string
     from hspex.experiments import random_connected_hypergraph
 
     rng = random.Random(624)
@@ -288,9 +290,13 @@ def construction_layer(hspex, emit) -> None:
     for n, r, m in [(6, 2, 5), (8, 2, 12), (6, 3, 4), (7, 3, 12), (6, 4, 6)]:
         for seed in range(4):
             emit(("connected", n, r, m, seed), repr(random_connected_hypergraph(n, r, m, seed)))
+    edge, k3 = hspex.complete_r_graph(2, 2), hspex.complete_r_graph(3, 2)
+    symmetric = [edge.blow_up((4, 4)), edge.blow_up((4, 5)), hspex.complete_r_graph(6, 3),
+                 hspex.complete_r_graph(7, 3), hspex.complete_r_graph(7, 2), k3.blow_up((3, 3, 3))]
+    for g in symmetric:
+        emit(("canonical key", g.n, g.r, g.edges), canonical_key_string(g))
     big = hspex.complete_r_graph(6, 3).blow_up((3, 1, 4, 1, 5, 2))
     emit(("parse", "blow-up"), repr(hspex.parse_hypergraph(hspex.serialize(big))))
-    k3 = hspex.complete_r_graph(3, 2)
     bad_args = [
         lambda: hspex.complete_r_graph(-1, 2),
         lambda: hspex.complete_r_graph(4, 1),

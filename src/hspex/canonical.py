@@ -1,4 +1,4 @@
-"""Exact canonical forms for small hypergraphs.
+"""Exact canonical forms and automorphisms of small hypergraphs.
 
 The canonical form is the lexicographically least relabeled edge list over
 all permutations compatible with an iteratively refined vertex coloring
@@ -6,19 +6,24 @@ all permutations compatible with an iteratively refined vertex coloring
 invariants, so restricting the search to color-preserving permutations is
 exact: equal keys iff isomorphic.  Intended for desk scale (n up to ~10).
 
-There is no automorphism pruning, so a form visits about |Aut(G)| leaves
-(2 * 4! * 4! = 1152 for K_{4,4}).  Keys are therefore used only where their
-bytes are the result: the `argmax_key(s)` strings of reports and the CLI,
-and the public API; the sweep cache is keyed on the family value.  The sweeps
-group masks into isomorphism classes with `families._orbit_classes`, which
-labels S_n-orbits and makes no isomorphism test; `families.isomorphic`
-compares `refinement_signature`s and settles equal ones by one embedding
-search.
+A leaf whose edge list ties the best one gives an automorphism, and a node
+skips each child that the automorphisms fixing its individualized vertices
+map onto a child already tried, whose subtree is the skipped one's image
+(McKay & Piperno, *Practical graph isomorphism II*, 2014).  The found
+automorphisms generate Aut(G); K8 visits 29 leaves, not 8!, and `embedding`
+reads edge orbits from them.  The sweeps group masks into isomorphism
+classes with `families._orbit_classes`, which labels S_n-orbits with no
+isomorphism test; `families.isomorphic` compares `refinement_signature`s
+and settles equal ones by one embedding search.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Sequence
+
 from .hypergraph import Hypergraph
+
+Form = tuple[tuple[int, ...], ...]
 
 
 def _refine(g: Hypergraph, colors: list[int]) -> list[int]:
@@ -45,49 +50,55 @@ def _refine(g: Hypergraph, colors: list[int]) -> list[int]:
         colors = new
 
 
-def _relabeled_edges(g: Hypergraph, perm: list[int]) -> tuple[tuple[int, ...], ...]:
+def _relabeled_edges(g: Hypergraph, perm: list[int]) -> Form:
     """Edge list under vertex relabeling v -> perm[v], renormalized sorted."""
     return tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in g.edges))
 
 
-def canonical_form(g: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabeled edge list over admissible labelings."""
-    n = g.n
-    if n == 0 or not g.edges:
-        return ()
-    best: list[tuple[tuple[int, ...], ...]] = []
+def close_orbits(seen: set, starts: Iterable, perms: Sequence, act: Callable) -> None:
+    """Add to ``seen`` the orbits of ``starts`` under ``perms``; act(p, x) is x's image."""
+    work = list(starts)
+    seen.update(work)
+    while work:
+        x = work.pop()
+        for p in perms:
+            y = act(p, x)
+            if y not in seen:
+                seen.add(y)
+                work.append(y)
 
-    def descend(colors: list[int]) -> None:
+
+def canonical_form(g: Hypergraph) -> tuple[Form, tuple[tuple[int, ...], ...]]:
+    """The lexicographically least relabeled edge list over admissible
+    labelings, and automorphisms (v -> aut[v]) that generate Aut(g)."""
+    best: list = []  # [form, vertex of each label]
+    auts: list[tuple[int, ...]] = []
+
+    def descend(colors: list[int], prefix: tuple[int, ...]) -> None:
         classes: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             classes.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
+        target = next((vs for _, vs in sorted(classes.items()) if len(vs) > 1), None)
         if target is None:
-            # discrete coloring: vertex with color rank i gets label i
-            perm = [0] * n
-            for v in range(n):
-                perm[v] = colors[v]
-            cand = _relabeled_edges(g, perm)
+            # discrete coloring: vertex v gets label colors[v]
+            cand = _relabeled_edges(g, colors)
             if not best or cand < best[0]:
-                best[:] = [cand]
+                best[:] = [cand, sorted(range(g.n), key=colors.__getitem__)]
+            elif cand == best[0]:
+                auts.append(tuple(best[1][c] for c in colors))
             return
+        seen: set[int] = set()
         for v in target:
-            branched = list(colors)
-            branched[v] = -1  # individualize: strictly smallest color
-            sub = _refine(g, _rerank(branched))
-            descend(sub)
+            if v in seen:
+                continue
+            branched = [c + 1 for c in colors]
+            branched[v] = 0  # individualize: strictly smallest color
+            descend(_refine(g, branched), prefix + (v,))
+            fixing = [a for a in auts if all(a[u] == u for u in prefix)]
+            close_orbits(seen, [*seen, v], fixing, tuple.__getitem__)
 
-    descend(_refine(g, [0] * n))
-    return best[0]
-
-
-def _rerank(colors: list[int]) -> list[int]:
-    order = {c: i for i, c in enumerate(sorted(set(colors)))}
-    return [order[c] for c in colors]
+    descend(_refine(g, [0] * g.n), ())
+    return best[0], tuple(auts)
 
 
 def refinement_signature(g: Hypergraph) -> tuple:
@@ -108,7 +119,7 @@ def refinement_signature(g: Hypergraph) -> tuple:
 
 def canonical_key(g: Hypergraph) -> bytes:
     """Isomorphism-invariant byte key; equal keys iff isomorphic graphs."""
-    form = canonical_form(g)
+    form = canonical_form(g)[0]
     parts = [g.n, g.r, len(form)]
     for e in form:
         parts.extend(e)
@@ -122,5 +133,5 @@ def canonical_key_string(g: Hypergraph) -> str:
 
 def canonical_relabeling(g: Hypergraph) -> Hypergraph:
     """The canonical representative itself (same n, r; relabeled edges)."""
-    return Hypergraph(g.n, g.r, canonical_form(g))
+    return Hypergraph(g.n, g.r, canonical_form(g)[0])
 

@@ -7,13 +7,13 @@ allowed host vertices, degree-pruned, minus those already used, ANDed with
 the host's link mask (``Hypergraph.links``) of the placed images of every
 pattern edge completed at that depth.  Candidates are tried in ascending id
 order, so the first witness found is deterministic ("lexicographically
-first" under this fixed order).  Two optional constraints serve every
-caller: ``fixed`` pins pattern vertices to sets of allowed host vertices
-(placed first), and ``avoid`` lists pattern r-sets that must map to host
-non-edges (their link masks are masked out).  Plain containment and
-isomorphism use neither, induced containment avoids the pattern's
-non-edges, and the incremental copy check runs a cached plan of the rest of
-the pattern after pinning one edge per orbit onto the new host edge.
+first" under this fixed order).  A plan may list pattern r-sets that must
+map to host non-edges (their link masks are masked out): induced
+containment avoids the pattern's non-edges.  A plan may also place pinned
+pattern vertices first, each run taking their allowed host vertices: the
+incremental copy check runs a cached plan of the rest of the pattern after
+pinning one edge per orbit onto the new host edge, with the edge orbits
+closed under the automorphisms `canonical.canonical_form` finds.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
+from .canonical import canonical_form, close_orbits
 from .errors import UniformityMismatch
 from .hypergraph import Hypergraph, _normalize_edge
 
@@ -100,20 +101,11 @@ def _run(plan: _Plan, host: Hypergraph, pins: Sequence[Iterable[int]]) -> Option
 
 
 def _search(
-    host: Hypergraph,
-    pattern: Hypergraph,
-    fixed: Optional[dict[int, Sequence[int]]] = None,
-    avoid: Sequence[tuple[int, ...]] = (),
+    host: Hypergraph, pattern: Hypergraph, avoid: Sequence[tuple[int, ...]] = ()
 ) -> Optional[Embedding]:
-    """Injective edge-preserving map of pattern into host, or None.
-
-    ``fixed`` maps a pinned pattern vertex to the set of host vertices it
-    may take, tried in ascending id order; every r-set in ``avoid`` must
-    map to a host non-edge.
-    """
-    fixed = fixed or {}
-    plan = _compile(pattern, fixed, avoid)
-    return _run(plan, host, [set(fixed[v]) for v in plan.order[:len(fixed)]])
+    """Injective edge-preserving map of pattern into host, or None; every
+    r-set in ``avoid`` must map to a host non-edge."""
+    return _run(_compile(pattern, (), avoid), host, ())
 
 
 def contains_subgraph(
@@ -127,16 +119,12 @@ def contains_subgraph(
 
 
 def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges`` order.
-
-    An injective edge-preserving self-map is an automorphism (both sides
-    have m edges), so f and g share an orbit iff pinning f onto g as a
-    vertex set finds a self-map.
-    """
-    reps: list[tuple[int, ...]] = []
-    for g in pattern.edges:
-        if not any(_search(pattern, pattern, dict.fromkeys(f, g)) is not None for f in reps):
-            reps.append(g)
+    """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges`` order."""
+    auts, seen, reps = canonical_form(pattern)[1], set(), []
+    for e in pattern.edges:
+        if e not in seen:
+            reps.append(e)
+            close_orbits(seen, [e], auts, lambda p, f: tuple(sorted(p[v] for v in f)))
     return tuple(reps)
 
 

@@ -64,7 +64,8 @@ class BadP(HspexError):
 
 
 class BadConfig(HspexError, ValueError):
-    """Solver settings out of range: tol <= 0, starts < 1 or max_iter < 0."""
+    """Solver settings out of range: tol <= 0, starts < 1, max_iter < 0 or
+    a strategy other than "fixed-point-shifted" and "projected-gradient"."""
 
 
 class AllZero(HspexError):

