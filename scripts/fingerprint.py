@@ -16,7 +16,11 @@ bytes of what comes back, layer by layer:
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
              weight vectors that hold exact zeros, and the classical oracle
              adjacency_spectral_radius (value and any warning) on the
-             random 2-graphs among them
+             random 2-graphs among them; value, gradient and residuals of
+             vertexless and edgeless r-graphs for r = 2..5; cloning with u
+             isolated, with z isolated and with u meeting every edge, and
+             the error type and message for u == z and for a vertex out of
+             range
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
   extremal   extremal_pi and extremal_lambda_p results with solution bytes
              (K3 and K4^(3) free, K3 free at n = 8 as in the sweep benchmark,
@@ -90,6 +94,13 @@ def _solution(sol) -> tuple:
     )
 
 
+def _outcome(call) -> tuple:
+    try:
+        return ("ok", repr(call()))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
 def _extremal(res) -> tuple:
     return (res.to_json_dict(), res.non_converged, res.classes_solved,
             [_solution(s) for s in res.solutions])
@@ -150,6 +161,23 @@ def kernel_layer(hspex, emit) -> None:
                 warnings.simplefilter("always")
                 lam = hspex.adjacency_spectral_radius(g)
             emit(("adjacency", g.n, g.edges), (lam.hex(), [str(w.message) for w in caught]))
+    for r in range(2, 6):
+        for g in (hspex.Hypergraph(0, r, ()), hspex.Hypergraph(r + 2, r, ())):
+            x = _weights(rng, g.n, zeros=True)
+            val = hspex.lagrangian(g, x)
+            grad = hspex.lagrangian_gradient(g, x)
+            res = [hspex.eigen_residual(g, x, p, rho).hex()
+                   for p in P_VALUES for rho in (0.0, 1.5)]
+            emit(("no-edges", g.n, r), (val.hex(), grad.tobytes(), res))
+    # vertex 0 meets every edge of `star`; vertex 5 is isolated in both graphs
+    g = hspex.Hypergraph(6, 3, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 4), (1, 3, 4)))
+    star = hspex.Hypergraph(6, 3, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4)))
+    for h, u, z in ((g, 5, 1), (g, 5, 0), (g, 1, 5), (g, 0, 5), (star, 0, 1), (star, 0, 5),
+                    (star, 3, 0), (g, 2, 2), (g, 6, 1), (g, 1, -1), (g, 6, 6), (star, 0, 0)):
+        for zeros in (False, True):
+            x = _weights(rng, 6, zeros)
+            emit(("clone-fixed", h.edges, u, z),
+                 _outcome(lambda: hspex.cloning_lagrangian_delta(h, u, z, x).hex()))
 
 
 def structure_layer(hspex, emit) -> None:
@@ -258,13 +286,6 @@ def membership_layer(hspex, emit) -> None:
                 g = hspex.saturate(hspex.ForbiddenFamily((h,)), hspex.Hypergraph(n, h.r),
                                    order="random", seed=s)
                 emit(("certify", seed, cycle, h.edges, n), g.edges)
-
-
-def _outcome(call) -> tuple:
-    try:
-        return ("ok", repr(call()))
-    except Exception as exc:
-        return (type(exc).__name__, str(exc))
 
 
 def construction_layer(hspex, emit) -> None:

@@ -149,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     rho.set_defaults(run=_cmd_rho)
     rho.add_argument("--input", required=True)
     rho.add_argument("--p", type=float, required=True)
-    rho.add_argument("--tol", type=float, default=1e-10)
-    rho.add_argument("--starts", type=int, default=16)
-    rho.add_argument("--seed", type=int, default=0)
-    rho.add_argument("--max-iter", type=int, default=100_000)
+    rho.add_argument("--tol", type=float, default=SolverConfig.tol)
+    rho.add_argument("--starts", type=int, default=SolverConfig.starts)
+    rho.add_argument("--seed", type=int, default=SolverConfig.seed)
+    rho.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     rho.add_argument("--json", action="store_true")
     rho.add_argument("--stats", action="store_true",
                      help="add each start's value, iterations, converged and strategy")

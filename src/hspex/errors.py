@@ -64,8 +64,8 @@ class BadP(HspexError):
 
 
 class BadConfig(HspexError, ValueError):
-    """Solver settings out of range: tol <= 0, starts < 1, max_iter < 0 or
-    a strategy other than "fixed-point-shifted" and "projected-gradient"."""
+    """Solver settings out of range: tol not finite and positive, starts < 1,
+    max_iter < 0, seed < 0 or an unknown strategy."""
 
 
 class AllZero(HspexError):

@@ -12,8 +12,8 @@ A maximizer satisfies the stationarity (eigenequation) condition
 for every vertex v, which is what the residual here measures.
 
 Summation order is pinned everywhere: edges in stored sorted order,
-vertices ascending within an edge.  `cloning_lagrangian_delta` reuses the
-exact same term ordering so the cloning identity is bit-stable.
+vertices ascending within an edge.  `cloning_lagrangian_delta` is the
+Lagrangian of the cloned graph, so the cloning identity holds bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     BadP,
     DimensionMismatch,
     IsolatedVertex,
-    OutOfRange,
     SameVertex,
     UniformityMismatch,
 )
@@ -57,37 +56,36 @@ def _as_weights(g: Hypergraph, x) -> np.ndarray:
 
 
 class _Lagrangian:
-    """L and its gradient over one edge list, for a batch of iterates; the
-    one evaluation path.
+    """L and its gradient over one graph, for a batch of iterates; the one
+    evaluation path.
 
-    Built from (edges, n, r, rows); caches r!, (r-1)! and an (r, rows, m)
-    index whose [j, b] row holds each edge's j-th vertex offset by b*n, its
-    place in row b of a flattened (b, n) batch.  The kernel owns its scratch,
-    sized once from (r, rows, m): the gather buffer, the prefix products
-    P_k = X_0 * ... * X_k for k = 1..r-1 and one leave-one-out buffer.
-    Contiguous views of them and the index for the current batch size b are
-    rebuilt only when b changes.
+    Built from a graph g and a row count; caches r!, (r-1)! and an
+    (r, rows, m) index whose [j, b] row holds the j-th vertex of each edge
+    of g offset by b*n, its place in row b of a flattened (b, n) batch.  The
+    kernel owns its scratch, sized once from (r, rows, m): the gather
+    buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1 and
+    one leave-one-out buffer.  Contiguous views of them and the index for
+    the current batch size b are rebuilt only when b changes.
 
     A batch x of up to `rows` iterates is gathered once, ``X = gather(x)``,
     for both `value` and `grad`; X stays valid until the next gather.
-    `value` keeps its prefixes and `grad` of the same X reuses them,
-    loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}; a gather invalidates them, and
-    `grad` of any other X computes its own.  Every product multiplies
+    `value` builds the prefixes of X and `grad` of the same X reuses them,
+    loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}; `grad` of any other X builds
+    its own, and a gather invalidates them.  Every product multiplies
     positions left to right: the factor order of np.prod over an (m, r)
     index, so the bits match it for every r (prefix times suffix would
-    regroup them for r >= 4).  Edges are summed in the order given, which
-    callers keep sorted.  Every row gets the bits it would get alone:
-    `np.add.reduce` along a contiguous row and `bincount` on offset indices
-    add in the one-row order, and a stacked matmul makes one dot product per
-    row.
+    regroup them for r >= 4).  Edges are summed in g's sorted order.
+    Every row gets the bits it would get alone: `np.add.reduce` along a
+    contiguous row and `bincount` on offset indices add in the one-row
+    order, and a stacked matmul makes one dot product per row.
     """
 
-    def __init__(self, edges: Sequence[tuple[int, ...]], n: int, r: int, rows: int = 1):
-        self.n = n
+    def __init__(self, g: Hypergraph, rows: int = 1):
+        self.n, r = g.n, g.r
         self.rfact = math.factorial(r)
         self.rm1fact = math.factorial(r - 1)
-        position = np.array(edges, dtype=np.intp).reshape(-1, r).T.copy()
-        self.index = position[:, None, :] + n * np.arange(rows, dtype=np.intp)[:, None]
+        position = np.array(g.edges, dtype=np.intp).reshape(-1, r).T.copy()
+        self.index = position[:, None, :] + g.n * np.arange(rows, dtype=np.intp)[:, None]
         m = position.shape[1]
         del position  # not held while the scratch below is allocated
         self._gathered = np.empty(r * rows * m)
@@ -115,25 +113,23 @@ class _Lagrangian:
         # the indices are in range by construction; mode="raise" would copy out
         return x.reshape(-1).take(self._index, out=self._X, mode="clip")
 
-    def _prefixes(self, X: np.ndarray, k: int) -> np.ndarray:
-        """P_1 .. P_k of a gather X into the prefix buffer, left to right."""
+    def _prefixes(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
+        """P_1 .. P_{r-1} of a gather X into the prefix buffer, left to right."""
         self._batch(X.shape[1])
-        self._valid = None
         prev = X[0]
-        for j in range(1, k + 1):
+        for j in range(1, len(X)):
             prev = np.multiply(prev, X[j], out=self._P[j - 1])
+        self._valid = X
         return self._P
 
     def value(self, X: np.ndarray) -> np.ndarray:
         """Per row, r! * sum of per-edge products, from a gather X."""
-        P = self._prefixes(X, len(X) - 1)
-        self._valid = X
-        return self.rfact * np.add.reduce(P[-1], axis=1)
+        return self.rfact * np.add.reduce(self._prefixes(X)[-1], axis=1)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
         r, b = X.shape[:2]
-        P = self._P if X is self._valid else self._prefixes(X, r - 2)
+        P = self._P if X is self._valid else self._prefixes(X)
         prefix = (X[0], *P)  # prefix[k] = P_k
         out = None
         for j in range(r):
@@ -152,9 +148,7 @@ class _Lagrangian:
 
     def residual(self, xp: np.ndarray, grad: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Per row, max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
-        if not self.n:
-            return np.zeros(len(xp))
-        return np.maximum.reduce(np.abs(rho[:, None] * xp - grad), axis=1)
+        return np.maximum.reduce(np.abs(rho[:, None] * xp - grad), axis=1, initial=0.0)
 
     def euler_residual(
         self, x: np.ndarray, xp: np.ndarray, grad: np.ndarray
@@ -167,20 +161,20 @@ class _Lagrangian:
 
 def lagrangian(g: Hypergraph, x) -> float:
     """L_G(x) = r! * sum over edges of the product of the edge's weights."""
-    ev = _Lagrangian(g.edges, g.n, g.r)
+    ev = _Lagrangian(g)
     return float(ev.value(ev.gather(_as_weights(g, x)[None]))[0])
 
 
 def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
     """Per-vertex (1/r) dL/dx_v = (r-1)! * sum_{e : v in e} prod_{w in e - v} x_w."""
-    ev = _Lagrangian(g.edges, g.n, g.r)
+    ev = _Lagrangian(g)
     return ev.grad(ev.gather(_as_weights(g, x)[None]))[0]
 
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     """max over vertices of |rho * x_v^(p-1) - gradient_v|."""
     arr = _as_weights(g, x)[None]
-    ev = _Lagrangian(g.edges, g.n, g.r)
+    ev = _Lagrangian(g)
     grad = ev.grad(ev.gather(arr))
     return float(ev.residual(np.power(arr, p - 1.0), grad, np.array([rho], dtype=float))[0])
 
@@ -215,26 +209,14 @@ def rho_infinity(g: Hypergraph) -> float:
 
 
 def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
-    """Lagrangian after cloning z onto u, via term bookkeeping on E(G).
+    """Lagrangian after cloning z onto u: lagrangian(g.clone_vertex(u, z), x).
 
-    Edges avoiding u survive with their own product; each edge through z
-    avoiding u contributes the product with x_z swapped for x_u.  Terms are
-    sorted and summed exactly like `lagrangian` on the cloned graph, so the
-    identity with lagrangian(clone_vertex(g, u, z), x) holds bit-for-bit.
+    A vertex outside g raises OutOfRange before u == z raises SameVertex.
     """
-    for w in (u, z):
-        if not 0 <= w < g.n:
-            raise OutOfRange(f"vertex {w} outside [0, {g.n})")
+    clone = g.clone_vertex(u, z)
     if u == z:
         raise SameVertex(f"u == z == {u}")
-    arr = _as_weights(g, x)
-    terms = {e for e in g.edges if u not in e}
-    for e in g.edges:
-        if z in e and u not in e:
-            terms.add(tuple(sorted(w for w in e if w != z)) + (u,))
-    ordered = sorted(tuple(sorted(t)) for t in terms)
-    ev = _Lagrangian(ordered, g.n, g.r)
-    return float(ev.value(ev.gather(arr[None]))[0])
+    return lagrangian(clone, x)
 
 
 # --- solver ------------------------------------------------------------------
@@ -259,10 +241,14 @@ class SolverConfig:
     warm_start: Optional[Sequence[float]] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):
+            raise BadConfig(f"tol must be finite, got {self.tol}")
         if self.tol <= 0 or self.starts < 1:
             raise BadConfig("tol must be positive and starts >= 1")
         if self.max_iter < 0:
             raise BadConfig("max_iter must be >= 0")
+        if self.seed < 0:
+            raise BadConfig("seed must be >= 0")
         if self.strategy not in (None, "fixed-point-shifted", "projected-gradient"):
             raise BadConfig(f"unknown strategy {self.strategy!r}")
 
@@ -458,12 +444,8 @@ def _projected_gradient_run(
     from each unconverged start's incumbent to push the eigenequation
     residual to tolerance.  Returns what `_fixed_point_run` returns.
     """
-    best_x = np.empty_like(x)
-    best_val = np.empty(len(x))
-    its = np.empty(len(x), dtype=np.int64)
-    ok = np.zeros(len(x), dtype=bool)
-    for i in range(len(x)):
-        best_x[i], best_val[i], its[i], ok[i] = _ascent(kernel, x[i : i + 1], p, tol, budget)
+    ascents = (_ascent(kernel, x[i : i + 1], p, tol, budget) for i in range(len(x)))
+    best_x, best_val, its, ok = map(np.array, zip(*ascents))
     todo = ~ok
     # polish with a small adaptive shift: the monotonicity guard inside the
     # fixed-point run enlarges it if this regime turns out to need more
@@ -524,17 +506,15 @@ def solve_rho_p(
     initials = np.concatenate((uniform[None], _normalize_p(np.array(extra).reshape(-1, n), p)))
 
     chunk = max(1, BATCH_ENTRIES // (g.r * g.m))
-    kernel = _Lagrangian(g.edges, n, g.r, rows=min(chunk, len(initials)))
+    kernel = _Lagrangian(g, rows=min(chunk, len(initials)))
     parts = [
         run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter, alpha)
         for lo in range(0, len(initials), chunk)
     ]
     xs, vals, iters, oks = (np.concatenate(column) for column in zip(*parts))
 
-    best_val, best_x = vals[0], xs[0]
-    for val, x in zip(vals[1:], xs[1:]):
-        if val > best_val or (val == best_val and tuple(x) > tuple(best_x)):
-            best_val, best_x = val, x
+    best = max(range(len(vals)), key=lambda i: (vals[i], tuple(xs[i])))
+    best_val, best_x = vals[best], xs[best]
     converged_vals = vals[oks]
     gap = float(best_val - converged_vals.min()) if len(converged_vals) else 0.0
 

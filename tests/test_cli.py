@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from hspex import cli, families, spectral
-from hspex.cli import main
+from hspex.cli import build_parser, main
 from hspex.experiments import ExperimentReport
 from hspex.hypergraph import serialize, complete_r_graph
 from conftest import bowtie3, cycle, path3
@@ -117,11 +117,24 @@ class TestRho:
         assert code == 2
         assert "NoConvergence" in json.loads(out)["flags"]
 
-    @pytest.mark.parametrize("flag", [["--starts", "0"], ["--tol", "0"]])
+    @pytest.mark.parametrize("flag", [["--starts", "0"], ["--tol", "0"], ["--tol", "inf"],
+                                      ["--tol", "nan"], ["--seed", "-1"]])
     def test_bad_solver_setting_exit_1(self, capsys, files, flag):
+        """An infinite tol would accept the first iterate, a NaN one would
+        never be met and still exit 0, and a negative seed would end in
+        numpy's traceback."""
         code, out, err = run(capsys, ["rho", "--input", files["p3"], "--p", "2"] + flag)
         assert code == 1 and out == ""
-        assert err == "error: tol must be positive and starts >= 1\n"
+        message = {"inf": "tol must be finite, got inf", "nan": "tol must be finite, got nan",
+                   "-1": "seed must be >= 0"}.get(flag[1], "tol must be positive and starts >= 1")
+        assert err == f"error: {message}\n"
+
+    def test_solver_flag_defaults_are_solver_config_defaults(self):
+        rho = build_parser().parse_args(["rho", "--input", "g.hg", "--p", "2"])
+        cfg = spectral.SolverConfig()
+        assert (rho.tol, rho.starts, rho.seed, rho.max_iter) == (
+            cfg.tol, cfg.starts, cfg.seed, cfg.max_iter
+        )
 
     def test_missing_p_exit_1(self, capsys, files):
         """A usage error is an input error: exit 1, not 2 (which means the
@@ -244,6 +257,11 @@ class TestExtremalSaturate:
         code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "5"] + flag)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {flag[0]} requires --p"]
+
+    def test_extremal_negative_seed_exit_1(self, capsys, files):
+        argv = ["extremal", "--forbid", files["k3"], "--n", "5", "--p", "2", "--seed", "-1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
 
     def test_extremal_solver_flag_defaults(self, capsys, files):
         """With --p, --starts 8 --seed 0 is the default."""
@@ -449,6 +467,15 @@ class TestExperiment:
                                     flag, "-1", "--out", str(out_dir)])
         assert code == 1
         assert err.splitlines() == [f"error: argument {flag}: must be >= 0, got -1"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["ratio-scaling", "coarseness-probe"])
+    def test_negative_solver_seed_exit_1(self, capsys, files, tmp_path, name):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, ["experiment", name, "--forbid", files["k3"], "--n", "4",
+                                    "--seed", "-1", "--out", str(out_dir)])
+        assert code == 1
+        assert err.splitlines() == ["error: seed must be >= 0"]
         assert not out_dir.exists()
 
     def test_bridgeless_tight_n_range_exit_1(self, capsys, files, tmp_path):

@@ -145,12 +145,12 @@ class TestKernelOracle:
             g = random_graph(rng.randint(r, 9), r, rng.uniform(0.1, 0.9), rng)
             rows = rng.randint(1, 16)
             x = np.array([_weights_with_zeros(g.n, rng) for _ in range(rows)]).reshape(rows, g.n)
-            kernel = _Lagrangian(g.edges, g.n, g.r, rows=16)
+            kernel = _Lagrangian(g, rows=16)
             X = kernel.gather(x)
             val, grad = kernel.value(X), kernel.grad(X)
             rho, res = kernel.euler_residual(x, np.power(x, 1.5), grad)
             for b in range(rows):
-                one = _Lagrangian(g.edges, g.n, g.r)
+                one = _Lagrangian(g)
                 Xb = one.gather(x[b : b + 1])
                 assert val[b].tobytes() == one.value(Xb).tobytes()
                 assert grad[b].tobytes() == one.grad(Xb).tobytes()
@@ -186,7 +186,7 @@ class TestKernelScratch:
         for _ in range(12):
             g = random_graph(rng.randint(r, 8), r, rng.uniform(0.2, 0.9), rng)
             rows = rng.randint(1, 6)
-            kernel = _Lagrangian(g.edges, g.n, g.r, rows=rows)
+            kernel = _Lagrangian(g, rows=rows)
             for b in [*range(rows, 0, -1), rows]:
                 x = self.batch(g, b, rng)
                 X = kernel.gather(x)
@@ -409,6 +409,13 @@ class TestSolver:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(starts=0)
+        # an infinite tol would accept the first iterate as converged, and a
+        # NaN one would never be met yet set no NoConvergence flag
+        for tol in (math.inf, math.nan, -math.inf):
+            with pytest.raises(BadConfig, match="finite"):
+                SolverConfig(tol=tol)
+        with pytest.raises(BadConfig, match="seed"):
+            SolverConfig(seed=-1)
 
     def test_negative_max_iter_rejected(self):
         with pytest.raises(BadConfig, match="max_iter"):
@@ -519,7 +526,7 @@ class TestBatchedSolverOracle:
                 continue
             p = (1.5, 2.0, 2.5)[t % 3]
             x0 = _normalize_p(np.random.default_rng(t).uniform(0.1, 1.0, (6, g.n)), p)
-            kernel = _Lagrangian(g.edges, g.n, g.r, rows=6)
+            kernel = _Lagrangian(g, rows=6)
             xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, budgets, alphas)
             for b in range(6):
                 want = _fixed_point_start(
@@ -544,7 +551,7 @@ class TestBatchedSolverOracle:
 
         g = complete_r_graph(4, 3)
         x0 = _normalize_p(np.random.default_rng(3).uniform(0.1, 1.0, (3, 4)), 3.0)
-        kernel = Falling(g.edges, g.n, g.r, rows=3)
+        kernel = Falling(g, rows=3)
         alphas = 1e9 / np.array([4.0, 4.0**3, 4.0**5]) + 1
         xs, vals, its, oks = _fixed_point_run(kernel, x0, 3.0, 1e-10, 100, alphas)
         assert its.tolist() == [1, 3, 5] and not oks.any()
@@ -629,15 +636,27 @@ class TestCloningIdentity:
         with pytest.raises(SameVertex):
             cloning_lagrangian_delta(k3, 1, 1, [1, 1, 1])
 
-    @pytest.mark.parametrize("u, z", [(1, 5), (-1, 2), (5, 1)])
+    @pytest.mark.parametrize("u, z", [(1, 5), (-1, 2), (5, 1), (5, 5)])
     def test_vertex_out_of_range_rejected(self, u, z):
         """As `clone_vertex` does: no value read through a negative index,
-        no bare IndexError."""
+        no bare IndexError, and a range error before u == z is looked at."""
         g = complete_r_graph(4, 3)
         with pytest.raises(OutOfRange):
             g.clone_vertex(u, z)
         with pytest.raises(OutOfRange):
             cloning_lagrangian_delta(g, u, z, [0.5] * 4)
+
+    def test_wrong_length_weights_rejected(self):
+        g = complete_r_graph(4, 3)
+        for x in ([0.5] * 3, [0.5] * 5, [[0.5] * 4]):
+            with pytest.raises(DimensionMismatch):
+                cloning_lagrangian_delta(g, 0, 1, x)
+
+    def test_clone_without_edges_is_zero(self):
+        """u meets every edge and z meets none: every edge is deleted and
+        none is cloned."""
+        star = Hypergraph(5, 3, ((0, 1, 2), (0, 1, 3), (0, 2, 3)))
+        assert cloning_lagrangian_delta(star, 0, 4, [0.4, 0.3, 0.2, 0.5, 0.6]) == 0.0
 
     def test_bitwise_identity_with_cloned_graph(self, rng):
         for _ in range(120):
