@@ -21,7 +21,11 @@ bytes of what comes back, layer by layer:
              isolated, with z isolated and with u meeting every edge, and
              the error type and message for u == z and for a vertex out of
              range
-  structure  is_k_tight, find_k_bridges and is_k_plateaued certificates
+  structure  is_k_tight, find_k_bridges and is_k_plateaued certificates,
+             components, is_connected and find_plateaus for one lambda per
+             graph on random 2-, 3- and 4-graphs, and components,
+             is_connected and the decider outcomes of graphs with isolated
+             vertices and of edgeless graphs
   extremal   extremal_pi and extremal_lambda_p results with solution bytes
              (K3 and K4^(3) free, K3 free at n = 8 as in the sweep benchmark,
              C4, C5 and {K3, C4} free at n = 6, 7, whose maximal members
@@ -186,12 +190,26 @@ def structure_layer(hspex, emit) -> None:
         r = (2, 3, 4)[i % 3]
         n = rng.randint(r + 1, 8)
         g = _random_graph(hspex, rng, n, r, rng.uniform(0.2, 0.8))
+        emit(("components", g.edges), (g.components(), g.is_connected()))
         if g.m == 0:
             continue
         for k in range(1, r):
             emit(("tight", g.edges, k), hspex.is_k_tight(g, k).to_json_dict())
             emit(("bridges", k), [c.to_json_dict() for c in hspex.find_k_bridges(g, k)])
             emit(("plateaued", k), hspex.is_k_plateaued(g, k))
+        lams = hspex.partitions_of(r, 1, r - 1)
+        lam = lams[i % len(lams)]
+        emit(("plateaus", lam), hspex.find_plateaus(g, lam))
+    sparse = [hspex.Hypergraph(0, 2), hspex.Hypergraph(1, 3), hspex.Hypergraph(5, 2),
+              hspex.Hypergraph(6, 2, ((1, 4),)),
+              hspex.Hypergraph(9, 3, ((0, 2, 3), (3, 4, 6), (7, 8, 5)))]
+    for g in sparse:
+        emit(("sparse", g.n, g.r, g.edges), (g.components(), g.is_connected()))
+        lam = hspex.partitions_of(g.r, 1, g.r - 1)[0]
+        emit(("sparse plateaus", lam), _outcome(lambda: hspex.find_plateaus(g, lam)))
+        for k in range(1, g.r):
+            emit(("sparse tight", k), _outcome(lambda: hspex.is_k_tight(g, k)))
+            emit(("sparse bridges", k), _outcome(lambda: hspex.find_k_bridges(g, k)))
 
 
 def extremal_layer(hspex, emit) -> None:

@@ -64,8 +64,8 @@ class BadP(HspexError):
 
 
 class BadConfig(HspexError, ValueError):
-    """Solver settings out of range: tol not finite and positive, starts < 1,
-    max_iter < 0, seed < 0 or an unknown strategy."""
+    """Settings out of range: a solver tol not finite and positive, starts < 1,
+    max_iter < 0 or an unknown strategy, or a negative seed anywhere."""
 
 
 class AllZero(HspexError):

@@ -21,6 +21,7 @@ from .canonical import canonical_key_string
 from .errors import HypothesisFailed, Infeasible
 from .families import (
     ForbiddenFamily,
+    _check_seed,
     _mask_classes,
     extremal_lambda_p,
     extremal_pi,
@@ -94,8 +95,10 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     """Uniform-ish random connected r-graph with m edges, deterministic per seed.
 
     Samples m distinct edges and resamples until one component covers all n
-    vertices; raises Infeasible when m cannot support connectivity.
+    vertices; raises Infeasible when m cannot support connectivity and
+    BadConfig for a negative seed.
     """
+    _check_seed(seed)
     total = math.comb(n, r)
     if m < math.ceil((n - 1) / (r - 1)) or m > total:
         raise Infeasible(f"m={m} cannot connect n={n} vertices with r={r}")
@@ -165,6 +168,7 @@ def run_degree_bound_suite(
     """
     from .spectral import solve_rho_p
 
+    _check_seed(seed)
     rng = random.Random(seed)
     report = ExperimentReport(
         "degree-bound",
@@ -279,6 +283,7 @@ def run_bridgeless_tight_suite(
     """Random-order saturations of the empty graph must be k-tight when the
     forbidden graph has no k-bridge; bridged or disconnected graphs are
     skipped and listed."""
+    _check_seed(seed)
     rng = random.Random(seed)
     report = ExperimentReport(
         "bridgeless-tight",

@@ -41,7 +41,7 @@ from .embedding import (
     labeled_copy_edge_sets,
     _search,
 )
-from .errors import BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
+from .errors import BadConfig, BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from .hypergraph import Hypergraph, serialize
 from .spectral import SolverConfig, SpectralSolution, solve_rho_p
 
@@ -121,15 +121,25 @@ def is_edge_maximal(fam: Family, g: Hypergraph) -> tuple[bool, Optional[tuple[in
     return (True, None)
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random(-s) seeds like random.Random(s), so a negative seed would
+    # silently run as its absolute value
+    if seed < 0:
+        raise BadConfig("seed must be >= 0")
+
+
 def saturate(
     fam: Family, g0: Hypergraph, order: str = "lex", seed: Optional[int] = None
 ) -> Hypergraph:
     """Greedily add candidate edges that keep membership; result is edge-maximal.
 
     order="lex" walks candidates lexicographically; order="random" walks a
-    seeded shuffle of the same list.  Membership is monotone under edge
-    addition for plain forbidden families, so one pass suffices.
+    seeded shuffle of the same list; a negative seed raises BadConfig.
+    Membership is monotone under edge addition for plain forbidden
+    families, so one pass suffices.
     """
+    if seed is not None:
+        _check_seed(seed)
     _require_member(fam, g0)
     present = g0.edge_set
     candidates = [e for e in combinations(range(g0.n), g0.r) if e not in present]

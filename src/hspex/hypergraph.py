@@ -43,31 +43,48 @@ def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
 
 
 def _k_closure(
-    edges, inc, start, k: int, skip: int | None = None, goal: Iterable[int] | None = None
+    masks, inc, start, k: int, skip: int | None = None, goal: Iterable[int] | None = None
 ) -> tuple[int, ...] | None:
     """Sorted smallest vertex set holding `start` and every edge it meets in
-    >= k vertices, `edges[skip]` left out; `inc` is the graph's `incidence`.
-    Given a `goal`, returns None as soon as every goal vertex is inside.
-    Each edge counts its scanned vertices, so this costs O(sum of |e|).
+    >= k vertices, edge `skip` left out; `masks` and `inc` are the graph's
+    `edge_masks` and `incidence`.  Given a `goal`, returns None as soon as
+    every goal vertex is inside.
+
+    Vertex sets are bit masks.  Each vertex inside is scanned once, the
+    lowest waiting one first, and an edge joins when the vertices scanned so
+    far meet it in exactly k, at the scan of its k-th vertex.  So every edge
+    joins at most once, a closure costs O(sum of |e|) mask operations and
+    keeps no per-edge state, and the fixpoint is the one of any scan order.
     """
-    inside = set(start)
-    missing = set(() if goal is None else goal).difference(inside)
-    if goal is not None and not missing:
-        return None
-    work = list(inside)
-    hits: dict[int, int] = {}
+    inside = want = 0
+    for v in start:
+        inside |= 1 << v
+    if goal is None:
+        want = -1  # every bit set, so never inside
+    else:
+        for v in goal:
+            want |= 1 << v
+        if want & inside == want:
+            return None
+    work, scanned = inside, 0
     while work:
-        for i in inc[work.pop()]:
-            hits[i] = c = hits.get(i, 0) + 1
-            if c == k and i != skip:
-                new = [w for w in edges[i] if w not in inside]
-                inside.update(new)
-                work.extend(new)
-                if missing:
-                    missing.difference_update(new)
-                    if not missing:
-                        return None
-    return tuple(sorted(inside))
+        low = work & -work
+        work ^= low
+        scanned |= low
+        for i in inc[low.bit_length() - 1]:
+            em = masks[i]
+            if (em & scanned).bit_count() == k and i != skip:
+                new = em & ~inside
+                inside |= new
+                work |= new
+                if want & inside == want:
+                    return None
+    out = []
+    while inside:
+        low = inside & -inside
+        out.append(low.bit_length() - 1)
+        inside ^= low
+    return tuple(out)
 
 
 def _link_edge(links: dict[int, int], e: Edge) -> None:
@@ -86,9 +103,9 @@ class Hypergraph:
     increasing r-tuples; construction validates and normalizes any
     iterable-of-iterables input.  Values derived from a valid value (blow-ups
     and the other transformations below) skip the check through
-    ``_trusted``.  Derived indexes (``edge_set``, ``degree_list``,
-    ``incidence``, ``links``) are computed on first use and cached on the
-    value; they take no part in ``==``, ``hash`` or ``repr``.
+    ``_trusted``.  Derived indexes (``edge_set``, ``edge_masks``,
+    ``degree_list``, ``incidence``, ``links``) are computed on first use and
+    cached on the value; they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     n: int
@@ -116,6 +133,11 @@ class Hypergraph:
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        """Each edge as a bit mask over its vertices, in edge order."""
+        return tuple(sum(1 << v for v in e) for e in self.edges)
 
     @cached_property
     def degree_list(self) -> tuple[int, ...]:
@@ -176,7 +198,7 @@ class Hypergraph:
         comps = []
         for s in range(self.n):
             if s not in seen:
-                comps.append(_k_closure(self.edges, self.incidence, (s,), 1))
+                comps.append(_k_closure(self.edge_masks, self.incidence, (s,), 1))
                 seen.update(comps[-1])
         return comps
 

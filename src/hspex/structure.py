@@ -154,7 +154,7 @@ def _uncut_edge_set(masks: Iterable[int], umask: int, k: int, r: int) -> bool:
     else:
         return False  # does not induce an edge
     for em in masks:
-        if k <= bin(em & umask).count("1") <= r - 1:
+        if k <= (em & umask).bit_count() <= r - 1:
             return False
     return True
 
@@ -165,8 +165,7 @@ def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
     u = set(int(v) for v in subset)
     if not u or len(u) >= g.n:
         return False
-    masks = [sum(1 << v for v in e) for e in g.edges]
-    return _uncut_edge_set(masks, sum(1 << v for v in u), k, g.r)
+    return _uncut_edge_set(g.edge_masks, sum(1 << v for v in u), k, g.r)
 
 
 def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
@@ -186,7 +185,7 @@ def is_k_tight(g: Hypergraph, k: int) -> TightnessCertificate:
     proper = []
     goal = range(g.n)
     for e in g.edges:
-        u = _k_closure(g.edges, g.incidence, e, k, goal=goal)
+        u = _k_closure(g.edge_masks, g.incidence, e, k, goal=goal)
         if u is None:
             goal = e
         else:
@@ -206,7 +205,8 @@ def is_k_bridge(g: Hypergraph, e, k: int) -> BridgeCertificate:
         raise NoSuchEdge(f"{key} not an edge")
     _check_k(g, k)
     skip = bisect_left(g.edges, key)
-    closures = (_k_closure(g.edges, g.incidence, s, k, skip, key) for s in combinations(key, k))
+    masks, inc = g.edge_masks, g.incidence
+    closures = (_k_closure(masks, inc, s, k, skip, key) for s in combinations(key, k))
     a = min((u for u in closures if u is not None), key=_size_lex, default=None)
     b = None if a is None else tuple(sorted(set(range(g.n)).difference(a)))
     return BridgeCertificate(a is not None, k, key, a, b)

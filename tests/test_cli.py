@@ -350,6 +350,12 @@ class TestExtremalSaturate:
         assert (code, out) == (1, "")
         assert err.splitlines() == ["error: --seed requires --order random"]
 
+    def test_saturate_negative_seed_exit_1(self, capsys, files):
+        argv = ["saturate", "--forbid", files["k3"], "--n", "5", "--order", "random"]
+        code, out, err = run(capsys, argv + ["--seed", "-3"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: seed must be >= 0"]
+
     def test_saturate_random_default_seed_0(self, capsys, files):
         argv = ["saturate", "--forbid", files["k3"], "--n", "6", "--order", "random"]
         _, plain, _ = run(capsys, argv)
@@ -475,6 +481,17 @@ class TestExperiment:
         code, _, err = run(capsys, ["experiment", name, "--forbid", files["k3"], "--n", "4",
                                     "--seed", "-1", "--out", str(out_dir)])
         assert code == 1
+        assert err.splitlines() == ["error: seed must be >= 0"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, seed", [("degree-bound", "-5"), ("bridgeless-tight", "-1")])
+    def test_negative_suite_seed_exit_1(self, capsys, files, tmp_path, name, seed):
+        out_dir = tmp_path / "reports"
+        required = ["--count", "1"] if name == "degree-bound" else [
+            "--forbid", files["c4"], "--n", "5", "--trials", "1"]
+        code, out, err = run(capsys, ["experiment", name, *required,
+                                      "--seed", seed, "--out", str(out_dir)])
+        assert (code, out) == (1, "")
         assert err.splitlines() == ["error: seed must be >= 0"]
         assert not out_dir.exists()
 

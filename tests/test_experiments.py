@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from hspex import families
-from hspex.errors import HypothesisFailed, Infeasible
+from hspex.errors import BadConfig, HypothesisFailed, Infeasible
 from hspex.families import ForbiddenFamily
 from hspex.hypergraph import Hypergraph, complete_r_graph, new_hypergraph
 from hspex.spectral import SolverConfig
@@ -39,6 +39,10 @@ class TestGenerators:
         a = random_connected_hypergraph(6, 2, 7, seed=42)
         b = random_connected_hypergraph(6, 2, 7, seed=42)
         assert a == b
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadConfig, match="^seed must be >= 0$"):
+            random_connected_hypergraph(5, 2, 4, seed=-1)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
@@ -73,6 +77,11 @@ class TestDegreeBoundSuite:
         assert rep.verdict in ("pass", "pass-with-exclusions")
         assert len(rep.rows) == 40
         assert not any(r["violated"] for r in rep.rows)
+
+    def test_negative_seed_rejected(self):
+        """random.Random(-5) draws seed 5's instances, so -5 is refused."""
+        with pytest.raises(BadConfig, match="^seed must be >= 0$"):
+            run_degree_bound_suite(1, seed=-5)
 
     def test_determinism(self):
         a = run_degree_bound_suite(5, seed=9)
@@ -138,6 +147,10 @@ class TestBridgelessTight:
         rep = run_bridgeless_tight_suite([path3()], 1, 6, trials=3, seed=1)
         assert rep.rows == []
         assert any("bridge" in note for note in rep.notes)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadConfig, match="^seed must be >= 0$"):
+            run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=1, seed=-1)
 
     def test_disconnected_pattern_skipped(self):
         two = new_hypergraph(4, 2, [(0, 1), (2, 3)])

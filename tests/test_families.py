@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hspex.canonical import canonical_key, refinement_signature
-from hspex.errors import HspexError, NotMember, OutOfRange, TooLarge, UniformityMismatch
+from hspex.errors import BadConfig, HspexError, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from hspex.families import (
     ForbiddenFamily,
     PredicateFamily,
@@ -127,6 +127,12 @@ class TestSaturation:
         a = saturate(fam, Hypergraph(6, 2, ()), "random", seed=11)
         b = saturate(fam, Hypergraph(6, 2, ()), "random", seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("order", ["random", "lex"])
+    def test_negative_seed_rejected(self, order):
+        """random.Random(-3) shuffles like random.Random(3), so -3 is refused."""
+        with pytest.raises(BadConfig, match="^seed must be >= 0$"):
+            saturate(k3_family(), Hypergraph(6, 2, ()), order, seed=-3)
 
 
 class TestClosureChecks:

@@ -319,6 +319,7 @@ def fresh_indexes(g: Hypergraph) -> dict:
     inc = [[i for i, e in enumerate(g.edges) if v in e] for v in range(g.n)]
     return {
         "edge_set": frozenset(g.edges),
+        "edge_masks": tuple(sum(1 << v for v in e) for e in g.edges),
         "degree_list": tuple(len(ids) for ids in inc),
         "incidence": tuple(tuple(ids) for ids in inc),
         "links": links_by_subsets(g),

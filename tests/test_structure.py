@@ -206,9 +206,9 @@ class TestFullClosureOracles:
         """After an edge whose closure is V, closures stop once they hold that edge."""
         goals = []
 
-        def recording(edges, inc, start, k, skip=None, goal=None):
+        def recording(masks, inc, start, k, skip=None, goal=None):
             goals.append(goal)
-            return _k_closure(edges, inc, start, k, skip, goal)
+            return _k_closure(masks, inc, start, k, skip, goal)
 
         monkeypatch.setattr(structure, "_k_closure", recording)
         g = new_hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
@@ -219,11 +219,58 @@ class TestFullClosureOracles:
         g = new_hypergraph(6, 2, [(0, 1), (1, 2), (2, 3), (4, 5)])
         closure = k_closure_full(g.edges, g.incidence, (0,), 1)
         assert closure == (0, 1, 2, 3)
-        assert _k_closure(g.edges, g.incidence, (0,), 1) == closure
-        assert _k_closure(g.edges, g.incidence, (0,), 1, goal=(3,)) is None
-        assert _k_closure(g.edges, g.incidence, (0,), 1, goal=(0,)) is None
-        assert _k_closure(g.edges, g.incidence, (0,), 1, goal=(2, 4)) == closure
-        assert _k_closure(g.edges, g.incidence, (0,), 1, skip=1, goal=(2,)) == (0, 1)
+        assert _k_closure(g.edge_masks, g.incidence, (0,), 1) == closure
+        assert _k_closure(g.edge_masks, g.incidence, (0,), 1, goal=(3,)) is None
+        assert _k_closure(g.edge_masks, g.incidence, (0,), 1, goal=(0,)) is None
+        assert _k_closure(g.edge_masks, g.incidence, (0,), 1, goal=(2, 4)) == closure
+        assert _k_closure(g.edge_masks, g.incidence, (0,), 1, skip=1, goal=(2,)) == (0, 1)
+
+
+def assert_closure_matches_oracle(g: Hypergraph) -> int:
+    """`_k_closure` against `k_closure_full` for every k in 1..r-1, start
+    (each vertex, edge and k-subset of an edge), skip (None and each edge)
+    and goal (None, range(n), the skipped edge and the edge the start came
+    from); returns the number of goal-stopped calls."""
+    stopped = 0
+    for k in range(1, g.r):
+        starts = {(v,): None for v in range(g.n)}
+        for e in g.edges:
+            starts[e] = e
+            starts.update((s, e) for s in combinations(e, k) if s not in starts)
+        for skip in [None, *range(g.m)]:
+            for start, origin in starts.items():
+                full = k_closure_full(g.edges, g.incidence, start, k, skip)
+                goals = {None, range(g.n), origin, None if skip is None else g.edges[skip]}
+                for goal in goals:
+                    got = _k_closure(g.edge_masks, g.incidence, start, k, skip, goal)
+                    where = (g, k, start, skip, goal)
+                    if got is None:
+                        assert goal is not None and set(goal) <= set(full), where
+                        stopped += 1
+                    else:
+                        assert got == full, where
+                        assert goal is None or not set(goal) <= set(got), where
+    return stopped
+
+
+class TestClosureOracle:
+    """The mask closure against the plain set closure of `tests/oracles.py`."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_labeled_graph_up_to_n5(self, r):
+        stopped = sum(
+            assert_closure_matches_oracle(g)
+            for n in range(1, 6) for g in all_graphs(n, r)
+        )
+        assert stopped
+
+    def test_seeded_4graphs(self):
+        rng = random.Random(25)
+        stopped = 0
+        for _ in range(60):
+            g = random_graph(rng.randint(4, 7), 4, rng.uniform(0.05, 0.4), rng)
+            stopped += assert_closure_matches_oracle(g)
+        assert stopped
 
 
 def classical_bridges(g: Hypergraph) -> set:
