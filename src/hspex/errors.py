@@ -64,8 +64,8 @@ class BadP(HspexError):
 
 
 class BadConfig(HspexError, ValueError):
-    """Settings out of range: a solver tol not finite and positive, starts < 1,
-    max_iter < 0 or an unknown strategy, or a negative seed anywhere."""
+    """Settings out of range: a solver tol not finite and positive, starts < 1
+    or max_iter < 0, or a negative seed anywhere."""
 
 
 class AllZero(HspexError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -224,21 +224,15 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
 
 @dataclass
 class SolverConfig:
-    """Knobs for solve_rho_p; defaults favor accuracy over speed.
-
-    A warm start, when given, is run as one extra start after the uniform
-    vector (useful for re-solving after an edge addition).  Its negative
-    entries are clipped to zero; solve_rho_p raises DimensionMismatch if its
-    length is not the vertex count, BadConfig if an entry is NaN or
-    infinite, and AllZero if no entry is positive.
-    """
+    """Knobs for solve_rho_p; defaults favor accuracy over speed."""
 
     tol: float = 1e-10
     max_iter: int = 100_000
     starts: int = 16
     seed: int = 0
-    strategy: Optional[str] = None  # "fixed-point-shifted" | "projected-gradient"
-    warm_start: Optional[Sequence[float]] = None
+    # not a setting: perfbench/spans.py reads cfg.strategy; it goes with the
+    # next benchmark revision (ROADMAP item 1)
+    strategy = None
 
     def __post_init__(self):
         if not math.isfinite(self.tol):
@@ -249,8 +243,6 @@ class SolverConfig:
             raise BadConfig("max_iter must be >= 0")
         if self.seed < 0:
             raise BadConfig("seed must be >= 0")
-        if self.strategy not in (None, "fixed-point-shifted", "projected-gradient"):
-            raise BadConfig(f"unknown strategy {self.strategy!r}")
 
 
 class StartRecord(NamedTuple):
@@ -268,7 +260,7 @@ class SpectralSolution:
     """Best maximizer found: value, vector, eigenequation defect, diagnostics.
 
     `per_start` holds one StartRecord per start, in start order (uniform
-    vector, warm start, random starts).
+    vector, random starts).
     """
 
     rho: float
@@ -486,23 +478,13 @@ def solve_rho_p(
     if g.m == 0:
         return SpectralSolution(0.0, uniform, p, 0.0, 0, 1, 0.0, ())
 
-    strategy = cfg.strategy or (
-        "fixed-point-shifted" if p >= g.r else "projected-gradient"
-    )
+    strategy = "fixed-point-shifted" if p >= g.r else "projected-gradient"
     dmax, _ = g.degree_extremes()
     alpha = float(math.factorial(g.r) * dmax)
     rng = np.random.default_rng(cfg.seed)
     run = _fixed_point_run if strategy == "fixed-point-shifted" else _projected_gradient_run
 
-    extra = []
-    if cfg.warm_start is not None:
-        warm = np.maximum(_as_weights(g, cfg.warm_start), 0.0)
-        if not np.isfinite(warm).all():
-            raise BadConfig("warm start has a non-finite entry")
-        if not (warm > 0.0).any():
-            raise AllZero("warm start has no positive entry")
-        extra.append(warm)
-    extra += [rng.uniform(0.1, 1.0, n) for _ in range(cfg.starts - 1)]
+    extra = [rng.uniform(0.1, 1.0, n) for _ in range(cfg.starts - 1)]
     initials = np.concatenate((uniform[None], _normalize_p(np.array(extra).reshape(-1, n), p)))
 
     chunk = max(1, BATCH_ENTRIES // (g.r * g.m))

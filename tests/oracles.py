@@ -12,7 +12,7 @@ import numpy as np
 
 from hspex.canonical import _refine, _relabeled_edges, canonical_key, refinement_signature
 from hspex.embedding import _compile, _run, _search
-from hspex.errors import AllZero, BadP, DimensionMismatch
+from hspex.errors import BadP
 from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
 from hspex.spectral import (
@@ -888,20 +888,13 @@ def solve_rho_p_perstart(
     if g.m == 0:
         return SpectralSolution(0.0, uniform, p, 0.0, 0, 1, 0.0, ())
     kernel = _Lagrangian1D(g)
-    strategy = cfg.strategy or ("fixed-point-shifted" if p >= g.r else "projected-gradient")
+    strategy = "fixed-point-shifted" if p >= g.r else "projected-gradient"
     dmax, _ = g.degree_extremes()
     alpha = float(math.factorial(g.r) * dmax)
     rng = np.random.default_rng(cfg.seed)
     run = _fixed_point_start if strategy == "fixed-point-shifted" else _projected_gradient_start
     initials = [uniform.copy()]
-    if cfg.warm_start is not None:
-        warm = np.maximum(np.asarray(cfg.warm_start, dtype=float), 0.0)
-        if warm.shape != (n,):
-            raise DimensionMismatch(f"expected {n} weights, got shape {warm.shape}")
-        if not (warm > 0.0).any():
-            raise AllZero("warm start has no positive entry")
-        initials.append(_normalize_p_1d(warm, p))
-    while len(initials) < cfg.starts + (cfg.warm_start is not None):
+    while len(initials) < cfg.starts:
         initials.append(_normalize_p_1d(rng.uniform(0.1, 1.0, n), p))
 
     results = []  # (value, x, iters, converged)

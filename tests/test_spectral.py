@@ -1,6 +1,7 @@
 """Lagrangian values, gradients, the solver, its oracles, and identities."""
 
 import math
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -321,9 +322,7 @@ class TestSolver:
             if sol.converged:
                 assert sol.residual <= 1e-10 * max(1.0, sol.rho)
 
-    def test_edge_monotonicity_with_warm_start(self, rng):
-        from itertools import combinations
-
+    def test_edge_monotonicity(self, rng):
         for _ in range(15):
             g = random_graph(6, 2, 0.4, rng)
             non_edges = [
@@ -334,10 +333,10 @@ class TestSolver:
             bigger = g.add_edge(non_edges[0])
             p = rng.choice([1.5, 2.0, 3.0])
             lo = solve_rho_p(g, p, SolverConfig(starts=2, seed=5))
-            hi = solve_rho_p(
-                bigger, p, SolverConfig(starts=2, seed=5, warm_start=lo.x)
-            )
+            hi = solve_rho_p(bigger, p, SolverConfig(starts=2, seed=5))
             assert hi.rho >= lo.rho - 1e-9
+            # the added edge only adds a nonnegative term to the Lagrangian
+            assert lagrangian(bigger, lo.x) >= lo.rho * (1 - 1e-12)
 
     def test_disconnected_low_p_flags(self):
         sol = solve_rho_p(ell_cliques(2, 3, 2), 1.5)
@@ -396,14 +395,6 @@ class TestSolver:
         d = sol.to_json_dict()
         assert set(d) == {"rho", "x", "p", "residual", "iterations", "starts", "flags"}
 
-    def test_strategy_override(self, k3):
-        pg = solve_rho_p(k3, 2.0, SolverConfig(starts=2, strategy="projected-gradient"))
-        assert pg.rho == pytest.approx(2.0, abs=1e-8)
-        fp = solve_rho_p(
-            triple_edge(), 2.0, SolverConfig(starts=2, strategy="fixed-point-shifted")
-        )
-        assert fp.rho == pytest.approx(6 * 3**-1.5, abs=1e-8)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
@@ -422,31 +413,12 @@ class TestSolver:
             SolverConfig(max_iter=-1)
         assert SolverConfig(max_iter=0).max_iter == 0
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(BadConfig, match="fixed-piont-shifted"):
-            SolverConfig(strategy="fixed-piont-shifted")
-        for strategy in STRATEGIES:
-            assert SolverConfig(strategy=strategy).strategy == strategy
-
-    def test_warm_start_of_wrong_length_is_rejected(self, k3):
-        for warm in ([1.0, 1.0], [1.0] * 4, [[1.0] * 3]):
-            with pytest.raises(DimensionMismatch):
-                solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=warm))
-
-    def test_warm_start_without_positive_entry_is_rejected(self, k3):
-        for warm in ([0.0, 0.0, 0.0], [-1.0, 0.0, -0.5]):
-            with pytest.raises(AllZero):
-                solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=warm))
-
-    def test_warm_start_with_non_finite_entry_is_rejected(self, k3):
-        for warm in ([math.nan, 1.0, 1.0], [1.0, math.inf, 1.0]):
-            with pytest.raises(BadConfig, match="non-finite"):
-                solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=warm))
-
-    def test_warm_start_runs_as_one_extra_start(self, k3):
-        sol = solve_rho_p(k3, 2.0, SolverConfig(starts=2, warm_start=[-1.0, 0.5, 2.0]))
-        assert sol.starts_used == len(sol.per_start) == 3
-        assert sol.rho == pytest.approx(2.0, abs=1e-8)
+    def test_settings(self):
+        """p and r pick the strategy; the config holds only what a caller sets."""
+        assert [f.name for f in fields(SolverConfig)] == ["tol", "max_iter", "starts", "seed"]
+        for name in ("strategy", "warm_start"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{name: None})
 
     def test_per_start_records(self):
         g = complete_r_graph(4, 3)
@@ -472,45 +444,40 @@ def _same_solution(got, want) -> None:
     assert got.per_start == want.per_start
 
 
+# p >= r runs the fixed point and p < r projected gradient, so both
+# strategies run at r = 2, 3 and 4
 P_CYCLE = (1.5, 2.0, 2.5, 3.0, 4.0)
-STRATEGIES = (None, "fixed-point-shifted", "projected-gradient")
 
 
-def _cycled_case(i: int, n: int, rng) -> tuple[float, SolverConfig]:
-    """The i-th (p, config), each part cycling at its own period: p, the
-    strategy, a warm start on every seventh case, and 1-16 starts on every
-    fourth case (2-4 on the others, which keeps the per-start oracle cheap)."""
-    warm = random_positive_weights(n, rng) if i % 7 == 3 else None
+def _cycled_case(i: int) -> tuple[float, SolverConfig]:
+    """The i-th (p, config), each part cycling at its own period: p, and
+    1-16 starts on every fourth case (2-4 on the others, which keeps the
+    per-start oracle cheap)."""
     starts = 1 + (i // 4) % 16 if i % 4 == 0 else 1 + i % 4
-    return P_CYCLE[i % 5], SolverConfig(
-        starts=starts, seed=i, strategy=STRATEGIES[i % 3], warm_start=warm
-    )
+    return P_CYCLE[i % 5], SolverConfig(starts=starts, seed=i)
 
 
 class TestBatchedSolverOracle:
     """The batched multi-start solve equals the per-start loop bit for bit."""
 
-    def test_every_labeled_2graph_n_le_5(self, rng):
+    def test_every_labeled_2graph_n_le_5(self):
         for i, g in enumerate(_every_labeled_graph(2, 5)):
-            p, cfg = _cycled_case(i, g.n, rng)
+            p, cfg = _cycled_case(i)
             _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_seeded_random_graphs(self, r, rng):
         for i in range(60):
             g = random_graph(rng.randint(r, 7), r, rng.uniform(0.2, 0.9), rng)
-            p, cfg = _cycled_case(i, g.n, rng)
+            p, cfg = _cycled_case(i)
             _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
 
     def test_small_budgets(self, rng):
         """Rows that run out of budget leave the batch with their best iterate."""
         for i in range(40):
             g = random_graph(rng.randint(3, 6), 3, 0.6, rng)
-            p, cfg = _cycled_case(i, g.n, rng)
-            cfg = SolverConfig(
-                max_iter=i % 9, starts=cfg.starts, seed=i, strategy=cfg.strategy,
-                warm_start=cfg.warm_start,
-            )
+            p, cfg = _cycled_case(i)
+            cfg = replace(cfg, max_iter=i % 9)
             _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
 
     def test_rows_with_own_budget_and_shift(self, rng):

@@ -325,13 +325,16 @@ class TestBridges:
     def test_matches_classical_bridges_random_n6_n7(self, rng):
         """Sampled connected 2-graphs at n = 6, 7 (exhaustive is too slow)."""
         checked = 0
-        while checked < 120:
+        for _ in range(5000):
+            if checked == 120:
+                break
             g = random_graph(rng.choice([6, 7]), 2, rng.uniform(0.25, 0.5), rng)
             if g.m == 0 or not g.is_connected():
                 continue
             checked += 1
             found = {c.edge for c in find_k_bridges(g, 1)}
             assert found == classical_bridges(g)
+        assert checked == 120, f"only {checked} of 5000 draws were connected"
 
     def test_k4_3_has_no_bridges(self, k4_3):
         assert find_k_bridges(k4_3, 1) == []
@@ -371,7 +374,9 @@ class TestPlateaus:
     def test_component_weights_refine(self, rng):
         """A found grouping's raw weight multiset refines the target parts."""
         seen = 0
-        while seen < 40:
+        for _ in range(5000):
+            if seen == 40:
+                break
             g = random_graph(rng.randint(4, 7), 2, 0.3, rng)
             if g.m == 0 or not g.is_connected():
                 continue
@@ -389,3 +394,4 @@ class TestPlateaus:
                         raw.append(w)
             raw.sort(reverse=True)
             assert refines(tuple(raw), (1, 1))
+        assert seen == 40, f"only {seen} of 5000 draws had a (1, 1) plateau"
