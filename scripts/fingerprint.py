@@ -53,7 +53,11 @@ bytes of what comes back, layer by layer:
              paths) of hspex.cli.main on a fixed set of invocations in a
              temporary directory: rho --json --stats, check tight, bridge
              and plateau, extremal with and without --p, lex and random
-             saturate, and every experiment suite at small sizes
+             saturate, and every experiment suite at small sizes; and the
+             JSON writer's bytes (jsonio.dumps) for a string of every code
+             point below U+0100 plus astral and lone surrogate ones, a dict
+             keyed by the 32 control characters, and an ExperimentReport
+             with every field set and control characters in a note
 
 Equal digests on two trees mean byte-identical results on these inputs.
 Digests depend on the numpy build and the CPU, so compare trees on one
@@ -66,6 +70,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import random
 import sys
 import tempfile
@@ -375,6 +380,8 @@ CLI_RUNS = [
 
 def cli_layer(hspex, emit) -> None:
     from hspex.cli import main
+    from hspex.experiments import ExperimentReport
+    from hspex.jsonio import dumps
 
     graphs = {
         "p3": hspex.new_hypergraph(3, 2, [(0, 1), (1, 2)]),
@@ -394,6 +401,16 @@ def cli_layer(hspex, emit) -> None:
                 code = main(template.format(d=d, out=out).split())
             reports = sorted((f.name, f.read_bytes()) for f in out.glob("*"))
             emit(("cli", template), (code, stdout.getvalue(), reports))
+    report = ExperimentReport(
+        experiment="writer", parameters={"p": 2.0, "n_range": [4, 5]}, seed=3,
+        rows=[{"n": 4, "gamma": 1.25, "flag": None}, {"n": 5, "gamma": math.inf, "flag": True}],
+        verdict="pass-with-exclusions", excluded=1,
+        notes=["tab\there", "bell\x07 nul\x00 esc\x1b"],
+    )
+    code_points = "".join(map(chr, range(0x100))) + "\U0001f600\U0010ffff\ud800\udfff"
+    emit(("dumps", "code points"), dumps(code_points))
+    emit(("dumps", "control keys"), dumps({chr(c): c for c in range(0x20)}))
+    emit(("dumps", "report"), dumps(report.to_json_dict()))
 
 
 LAYERS = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -21,7 +21,6 @@ from .canonical import canonical_key_string
 from .errors import HypothesisFailed, Infeasible
 from .families import (
     ForbiddenFamily,
-    _check_seed,
     _mask_classes,
     extremal_lambda_p,
     extremal_pi,
@@ -33,6 +32,7 @@ from .hypergraph import Hypergraph, ell_cliques
 from .jsonio import dumps, rows_to_csv
 from .spectral import (
     SolverConfig,
+    _check_seed,
     degree_ratio_lower_bound,
     principal_ratio,
 )
@@ -54,21 +54,14 @@ class ExperimentReport:
     experiment: str
     parameters: dict
     seed: int
-    rows: list[dict] = field(default_factory=list)
     verdict: Optional[str] = None
     excluded: int = 0
     notes: list[str] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "excluded": self.excluded,
-            "notes": self.notes,
-            "rows": self.rows,
-        }
+        """The fields in declaration order, sharing their objects (no copy)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return dumps(self.to_json_dict()) + "\n"

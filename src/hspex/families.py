@@ -41,12 +41,12 @@ from .embedding import (
     labeled_copy_edge_sets,
     _search,
 )
-from .errors import BadConfig, BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
+from .errors import BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from .hypergraph import Hypergraph, serialize
-from .spectral import SolverConfig, SpectralSolution, solve_rho_p
+from .spectral import SolverConfig, SpectralSolution, _check_seed, solve_rho_p
 
 ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
-STREAM_GUARD_BITS = 24     # stricter cap for streaming every member
+STREAM_GUARD_BITS = 24     # stricter cap for enumerate_family, which holds every member mask
 FULL_MODE_GUARD_BITS = 20  # cap when materializing all members (--full audits)
 VALUE_COLLAPSE = 1e-9      # spectral argmax graphs within this of the best
 WALK_BATCH = 16384         # member nodes the walk pops and expands per step; leaves
@@ -121,25 +121,16 @@ def is_edge_maximal(fam: Family, g: Hypergraph) -> tuple[bool, Optional[tuple[in
     return (True, None)
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random(-s) seeds like random.Random(s), so a negative seed would
-    # silently run as its absolute value
-    if seed < 0:
-        raise BadConfig("seed must be >= 0")
-
-
-def saturate(
-    fam: Family, g0: Hypergraph, order: str = "lex", seed: Optional[int] = None
-) -> Hypergraph:
+def saturate(fam: Family, g0: Hypergraph, order: str = "lex", seed: int = 0) -> Hypergraph:
     """Greedily add candidate edges that keep membership; result is edge-maximal.
 
     order="lex" walks candidates lexicographically; order="random" walks a
-    seeded shuffle of the same list; a negative seed raises BadConfig.
+    shuffle of the same list seeded by `seed` (default 0, so an unseeded
+    call is reproducible too); a negative seed raises BadConfig.
     Membership is monotone under edge addition for plain forbidden
     families, so one pass suffices.
     """
-    if seed is not None:
-        _check_seed(seed)
+    _check_seed(seed)
     _require_member(fam, g0)
     present = g0.edge_set
     candidates = [e for e in combinations(range(g0.n), g0.r) if e not in present]
@@ -460,7 +451,7 @@ def isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
 
 
 def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
-    """Stream one representative per isomorphism class of members on n vertices.
+    """Yield one representative per isomorphism class of members on n vertices.
 
     Representatives are the first member of each class in DFS preorder (lex
     order of the sorted edge-index lists), yielded in that order: members

@@ -3,6 +3,10 @@
 Floats are printed with 17 significant digits so identical inputs produce
 byte-identical output; the stdlib json module cannot control float
 formatting, hence the small writer here.  Keys keep insertion order.
+String values and keys go through one `str.translate` table, `_ESCAPES`:
+`"`, `\\`, newline, tab and carriage return get their short escapes, the
+other control characters below U+0020 become `\\u00XX`, and every other code
+point, non-ASCII included, is written as is.
 """
 
 from __future__ import annotations
@@ -19,24 +23,8 @@ def format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+_ESCAPES = str.maketrans({chr(c): f"\\u{c:04x}" for c in range(0x20)}
+                        | {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"})
 
 
 def dumps(obj: Any) -> str:
@@ -48,13 +36,13 @@ def dumps(obj: Any) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
+        return f'"{obj.translate(_ESCAPES)}"'
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
-        inner = ", ".join(f'"{_escape(str(k))}": {dumps(v)}' for k, v in obj.items())
+        inner = ", ".join(f'"{str(k).translate(_ESCAPES)}": {dumps(v)}' for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"

@@ -222,6 +222,13 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
 # --- solver ------------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    # the one seed rule of every seeded path: random.Random(-s) seeds like
+    # random.Random(s), so a negative seed would silently run as its absolute value
+    if seed < 0:
+        raise BadConfig("seed must be >= 0")
+
+
 @dataclass
 class SolverConfig:
     """Knobs for solve_rho_p; defaults favor accuracy over speed."""
@@ -241,8 +248,7 @@ class SolverConfig:
             raise BadConfig("tol must be positive and starts >= 1")
         if self.max_iter < 0:
             raise BadConfig("max_iter must be >= 0")
-        if self.seed < 0:
-            raise BadConfig("seed must be >= 0")
+        _check_seed(self.seed)
 
 
 class StartRecord(NamedTuple):

@@ -31,6 +31,27 @@ from hspex.structure import (
 )
 
 
+def escape_loop(s: str) -> str:
+    """Reference JSON string escaping, one character at a time."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def isomorphic_bruteforce(g: Hypergraph, h: Hypergraph) -> bool:
     """Reference check: try all n! vertex bijections."""
     if g.n != h.n or g.r != h.r or g.m != h.m:

@@ -218,6 +218,14 @@ class TestReportEmission:
         assert csv_lines[0] == "n,pi,binom,density"
         assert len(csv_lines) == 3
 
+    def test_json_keys_in_field_order_and_rows_shared(self):
+        fam = ForbiddenFamily((complete_r_graph(3, 2),))
+        rep = run_density_trend(fam, [4, 5])
+        d = rep.to_json_dict()
+        assert list(d) == [
+            "experiment", "parameters", "seed", "verdict", "excluded", "notes", "rows"]
+        assert d["rows"] is rep.rows
+
     def test_json_deterministic(self):
         fam = ForbiddenFamily((complete_r_graph(3, 2),))
         a = run_density_trend(fam, [4, 5]).to_json()

@@ -128,6 +128,12 @@ class TestSaturation:
         b = saturate(fam, Hypergraph(6, 2, ()), "random", seed=11)
         assert a == b
 
+    def test_unseeded_random_order_is_seed_zero(self):
+        """With no seed the shuffle is seed 0's, not one drawn from OS entropy."""
+        fam, empty = k3_family(), Hypergraph(7, 2, ())
+        a = saturate(fam, empty, "random")
+        assert saturate(fam, empty, "random") == a == saturate(fam, empty, "random", seed=0)
+
     @pytest.mark.parametrize("order", ["random", "lex"])
     def test_negative_seed_rejected(self, order):
         """random.Random(-3) shuffles like random.Random(3), so -3 is refused."""

@@ -97,13 +97,16 @@ class TestTightness:
     def test_one_tight_iff_connected(self, rng):
         """Graphs with edges and no isolated vertices: 1-tight == connected."""
         checked = 0
-        while checked < 500:
+        for _ in range(5000):
+            if checked == 500:
+                break
             r = rng.choice([2, 3])
             g = random_graph(rng.randint(3, 7), r, 0.35, rng)
             if g.m == 0 or min(g.degrees()) == 0:
                 continue
             checked += 1
             assert is_k_tight(g, 1).result == g.is_connected()
+        assert checked == 500, f"only {checked} of 5000 draws had edges and no isolated vertex"
 
     def test_failure_witnesses_revalidate(self, rng, k3, k4_3):
         fixtures = [
@@ -118,7 +121,9 @@ class TestTightness:
                 if not cert.result:
                     assert tightness_violation_holds(g, k, cert.witness)
         seen = 0
-        while seen < 60:
+        for _ in range(5000):
+            if seen == 60:
+                break
             r = rng.choice([2, 3])
             g = random_graph(rng.randint(3, 7), r, 0.3, rng)
             if g.m == 0:
@@ -129,6 +134,7 @@ class TestTightness:
                 continue
             seen += 1
             assert tightness_violation_holds(g, k, cert.witness)
+        assert seen == 60, f"only {seen} of 5000 draws were not k-tight"
 
     def test_certificate_json(self):
         d = is_k_tight(ell_cliques(2, 3, 2), 1).to_json_dict()
