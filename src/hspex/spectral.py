@@ -43,9 +43,15 @@ GAP_EPS = 1e-6     # multi-start disagreement threshold
 # few rows, or one row, at a time, so memory stays at the one-start level.
 # The kernel sizes its scratch from it once per solve: with
 # E = max(BATCH_ENTRIES, r * m), the gather, prefix and leave-one-out buffers
-# hold 2E float64 and the index and its b-row copy at most 2E intp, so at
-# most 32E bytes in all.
+# hold 2E float64 and the edge positions and the batch's index at most 2E
+# intp; for r = 2 there is no leave-one-out buffer (1.5E float64) and the
+# swapped scatter index adds E intp (2.5E), so at most 32E bytes in all.
 BATCH_ENTRIES = 1 << 15
+# A line search tries its halvings as kernel rows, so a solve's kernel holds
+# at least this many gathered entries' worth of rows (but no more than a
+# chunk): on a small graph one call then tries a whole halving ladder, and
+# the call, not the arithmetic, is the cost.
+LADDER_ENTRIES = 1 << 11
 
 
 def _as_weights(g: Hypergraph, x) -> np.ndarray:
@@ -59,13 +65,14 @@ class _Lagrangian:
     """L and its gradient over one graph, for a batch of iterates; the one
     evaluation path.
 
-    Built from a graph g and a row count; caches r!, (r-1)! and an
-    (r, rows, m) index whose [j, b] row holds the j-th vertex of each edge
-    of g offset by b*n, its place in row b of a flattened (b, n) batch.  The
-    kernel owns its scratch, sized once from (r, rows, m): the gather
-    buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1 and
-    one leave-one-out buffer.  Contiguous views of them and the index for
-    the current batch size b are rebuilt only when b changes.
+    Built from a graph g and a row count `rows`; caches r!, (r-1)! and the
+    (r, m) edge positions, whose [j] row holds the j-th vertex of each edge
+    of g.  The kernel owns its scratch, sized once from (r, rows, m): the
+    gather buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1
+    and, for r >= 3, one leave-one-out buffer.  For the current batch size b
+    it holds an (r, b, m) index, the positions offset by i*n in row i, their
+    place in a flattened (b, n) batch, and contiguous views of the buffers;
+    they are rebuilt only when b changes.
 
     A batch x of up to `rows` iterates is gathered once, ``X = gather(x)``,
     for both `value` and `grad`; X stays valid until the next gather.
@@ -74,7 +81,11 @@ class _Lagrangian:
     its own, and a gather invalidates them.  Every product multiplies
     positions left to right: the factor order of np.prod over an (m, r)
     index, so the bits match it for every r (prefix times suffix would
-    regroup them for r >= 4).  Edges are summed in g's sorted order.
+    regroup them for r >= 4).  For r = 2 the leave-one-out products are X_1
+    and X_0 themselves, so `grad` is one bincount of X on a swapped index,
+    which sends X_0 to the vertices in position 1 and X_1, offset by b*n,
+    to those in position 0; the two parts are then added, the per-position
+    sum in the other order.  Edges are summed in g's sorted order.
     Every row gets the bits it would get alone: `np.add.reduce` along a
     contiguous row and `bincount` on offset indices add in the one-row
     order, and a stacked matmul makes one dot product per row.
@@ -82,28 +93,31 @@ class _Lagrangian:
 
     def __init__(self, g: Hypergraph, rows: int = 1):
         self.n, r = g.n, g.r
+        self.rows = rows
         self.rfact = math.factorial(r)
         self.rm1fact = math.factorial(r - 1)
-        position = np.array(g.edges, dtype=np.intp).reshape(-1, r).T.copy()
-        self.index = position[:, None, :] + g.n * np.arange(rows, dtype=np.intp)[:, None]
-        m = position.shape[1]
-        del position  # not held while the scratch below is allocated
+        self.positions = np.array(g.edges, dtype=np.intp).reshape(-1, r).T.copy()
+        m = self.positions.shape[1]
         self._gathered = np.empty(r * rows * m)
         self._prefix = np.empty((r - 1) * rows * m)
-        self._loo = np.empty(rows * m)
+        self._loo = np.empty(rows * m if r > 2 else 0)
         self._b = None
         self._valid = None  # the gather whose products the prefix buffer holds
 
     def _batch(self, b: int) -> None:
         """Point the views and the row index at a batch of b rows."""
         if b != self._b:
-            r, _, m = self.index.shape
+            r, m = self.positions.shape
             self._b = b
-            self._index = np.ascontiguousarray(self.index[:, :b])
+            self._index = self.positions[:, None, :]  # one row needs no offsets, nor a copy
+            if b != 1:
+                self._index = self._index + self.n * np.arange(b, dtype=np.intp)[:, None]
             self._flat_index = [row.reshape(-1) for row in self._index]
+            self._swapped = None  # r = 2: built by the first grad at this b
             self._X = self._gathered[: r * b * m].reshape(r, b, m)
             self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
-            self._L = self._loo[: b * m].reshape(b, m)
+            if r > 2:
+                self._L = self._loo[: b * m].reshape(b, m)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """The (r, b, m) array of a (b, n) batch x over each edge position,
@@ -129,6 +143,15 @@ class _Lagrangian:
     def grad(self, X: np.ndarray) -> np.ndarray:
         """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
         r, b = X.shape[:2]
+        if r == 2:
+            self._batch(b)
+            if self._swapped is None:
+                first, second = self._flat_index
+                self._swapped = np.empty(2 * len(first), dtype=np.intp)
+                self._swapped[: len(first)] = second
+                np.add(first, b * self.n, out=self._swapped[len(first) :])
+            parts = np.bincount(self._swapped, weights=X.reshape(-1), minlength=2 * b * self.n)
+            return self.rm1fact * np.add.reduce(parts.reshape(2, b, self.n), axis=0)
         P = self._P if X is self._valid else self._prefixes(X)
         prefix = (X[0], *P)  # prefix[k] = P_k
         out = None
@@ -322,14 +345,17 @@ def _fixed_point_run(
 
     Each row keeps its own shift, best iterate and checkpoint state, and
     leaves the batch when it returns, so it ends exactly as it would alone.
-    All rows start at iteration 0 and step together, so one counter serves.
+    All rows start at iteration 0 and step together, so one counter serves;
+    below the smallest budget no row can be out of budget, and a step in
+    which every row improved needs no monotonicity test.
     """
     n_rows = len(x)
     out_x, out_val = np.empty_like(x), np.empty(n_rows)
     out_it, out_ok = np.empty(n_rows, dtype=np.int64), np.zeros(n_rows, dtype=bool)
     live = np.arange(n_rows)  # the input row of each batch row
     budget = np.full(n_rows, budget)
-    alpha = np.full(n_rows, alpha, dtype=float)
+    floor = int(budget.min())  # no row is out of budget while it < floor
+    alpha = np.full(n_rows, alpha, dtype=float)[:, None]
     X = kernel.gather(x)
     val = kernel.value(X)  # L at the current iterate
     best_x, best_val = x.copy(), val.copy()
@@ -341,10 +367,14 @@ def _fixed_point_run(
         grad = kernel.grad(X)
         xp = np.power(x, p - 1.0)
         rho_est, res = kernel.euler_residual(x, xp, grad)
-        # a row out of budget returns its best iterate unchecked
-        spent = it >= budget
-        ok = ~spent & (res <= tol * np.fmax(1.0, rho_est))
-        stop = spent | ok
+        ok = res <= tol * np.fmax(1.0, rho_est)
+        if it < floor:
+            stop = ok
+        else:
+            # a row out of budget returns its best iterate unchecked
+            spent = it >= budget
+            ok &= ~spent
+            stop = spent | ok
         if it and it % 512 == 0:
             # Stagnating residual means a flat maximizer direction (possible
             # for p < r): near-dead entries then decay only algebraically.
@@ -363,7 +393,7 @@ def _fixed_point_run(
                 grad = kernel.grad(X)
                 xp = np.power(x, p - 1.0)
             res_checkpoint = res
-        y = grad + alpha[:, None] * xp
+        y = grad + alpha * xp
         if stop.any():
             rows = live[stop]
             out_x[rows] = np.where(ok[stop, None], x[stop], best_x[stop])
@@ -382,6 +412,10 @@ def _fixed_point_run(
         it += 1
         val = kernel.value(X)
         up = val > best_val
+        if up.all():
+            np.copyto(best_x, x)
+            np.copyto(best_val, val)
+            continue
         np.copyto(best_x, x, where=up[:, None])
         np.copyto(best_val, val, where=up)
         down = val < best_val - 1e-12 * np.fmax(1.0, best_val)
@@ -391,60 +425,140 @@ def _fixed_point_run(
             x[down] = best_x[down]
             val[down] = best_val[down]
             X = kernel.gather(x)
-            budget[alpha > 1e9] = it  # hopeless: return the best iterate now
+            hopeless = alpha[:, 0] > 1e9
+            if hopeless.any():
+                budget[hopeless] = it  # return the best iterate now
+                floor = it
     return out_x, out_val, out_it, out_ok
+
+
+# a failed trial step eta is followed by eta/2, eta/4, ... while above 1e-18;
+# eta <= 1e6, so 80 halvings cover every line search
+_HALVINGS = np.array([math.ldexp(1.0, -k) for k in range(1, 81)])
+
+
+def _halving_ladder(
+    kernel: _Lagrangian, x: np.ndarray, direction: np.ndarray, val: float, eta: float,
+    p: float,
+) -> tuple[int, Optional[float], np.ndarray, float]:
+    """The rest of one start's line search after its trial step eta failed.
+
+    Its halvings eta/2, eta/4, ... above 1e-18, projected and normalized,
+    are evaluated as kernel rows, as many per call as the kernel holds.
+    Returns (trials, step, x, L) of the first that improves on val, or of
+    x itself with step None when none does; trials counts the halvings the
+    one-by-one search tries, and each candidate has the bits of its trial
+    there.
+    """
+    ladder = eta * _HALVINGS
+    ladder = ladder[ladder > 1e-18]
+    for lo in range(0, len(ladder), kernel.rows):
+        steps = ladder[lo : lo + kernel.rows]
+        cand = _normalize_p(np.maximum(x + steps[:, None] * direction, 0.0), p)
+        cand_val = kernel.value(kernel.gather(cand))
+        wins = np.flatnonzero(cand_val > val)
+        if len(wins):
+            w = wins[0]
+            return lo + w + 1, steps[w], cand[w], cand_val[w]
+    return len(ladder), None, x, val
 
 
 def _ascent(
     kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int
-) -> tuple[np.ndarray, float, int, bool]:
-    """Projected-gradient ascent of one start, a (1, n) batch, with halving
-    line search; returns (best x, best L, iters, converged).  The iterate is
-    always the best one so far."""
-    X = kernel.gather(x)
-    val = kernel.value(X)[0]
-    eta = 0.25  # direction is sup-normalized, so steps live on the entry scale
-    it = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projected-gradient ascent with halving line search on every row of
+    the (b, n) batch x; returns (best x, best L, iterations, converged), one
+    row or entry per start.  The iterate is always the best one so far.
+
+    The rows step in lock step: each step makes one gradient and residual
+    call for the live rows and one trial gather and value for all of them,
+    whose gather the next gradient reuses when every trial improved; a row
+    whose trial fails goes on down its halvings in `_halving_ladder`.  Each
+    row keeps its own step size and trial count and leaves the batch when
+    it returns, so it ends exactly as it would alone.
+    """
+    n_rows = len(x)
+    out_x, out_val = np.empty_like(x), np.empty(n_rows)
+    out_it, out_ok = np.empty(n_rows, dtype=np.int64), np.empty(n_rows, dtype=bool)
+    live = np.arange(n_rows)  # the input row of each batch row
+    eta = np.full(n_rows, 0.25)  # direction is sup-normalized, so steps live on the entry scale
+    steps = 0  # trial steps: each live row's trials, less its halvings in `extra`
+    extra = np.zeros(n_rows, dtype=np.int64)
+    most = 0  # the largest entry of extra
     ascent_cap = min(budget // 2, 2000)
-    while it < ascent_cap:
+
+    def retire(stop, ok):
+        """Return the stopping rows' iterates; the mask of the rows that go on."""
+        rows = live[stop]
+        out_x[rows], out_val[rows], out_it[rows] = x[stop], val[stop], steps + extra[stop]
+        out_ok[rows] = ok
+        return ~stop
+
+    X = kernel.gather(x)
+    val = kernel.value(X)
+    # a row whose gain fell below float resolution, or that reached the cap,
+    # hands off to the fixed-point polish
+    done = np.full(n_rows, ascent_cap <= 0)
+    while True:
+        if done.any():
+            keep = retire(done, False)
+            x, val, eta, extra, live = (a[keep] for a in (x, val, eta, extra, live))
+            if not len(x):
+                break
+            X = None
+        if X is None:
+            X = kernel.gather(x)
         grad = kernel.grad(X)
         rho_est, res = kernel.euler_residual(x, np.power(x, p - 1.0), grad)
-        if res[0] <= tol * max(1.0, rho_est[0]):
-            return x[0], val, it, True
-        top = np.maximum.reduce(grad, axis=1)[0]
-        if top <= 0.0:
-            break
-        direction = grad / top  # sup-normalized ascent direction
-        gain = 0.0
-        while eta > 1e-18:
-            cand = _normalize_p(np.maximum(x + eta * direction, 0.0), p)
-            cand_X = kernel.gather(cand)
-            it += 1
-            cand_val = kernel.value(cand_X)[0]
-            if cand_val > val:
-                gain = cand_val - val
-                x, X, val = cand, cand_X, cand_val
-                eta = min(eta * 1.5, 1e6)
+        top = np.maximum.reduce(grad, axis=1)
+        ok = res <= tol * np.fmax(1.0, rho_est)
+        stop = ok | (top <= 0.0)
+        if stop.any():
+            keep = retire(stop, ok[stop])
+            x, val, eta, extra, live, grad, top = (
+                a[keep] for a in (x, val, eta, extra, live, grad, top)
+            )
+            if not len(x):
                 break
-            eta *= 0.5
-        if gain <= 1e-13 * max(1.0, val):
-            break  # below float resolution; hand off to the fixed-point polish
-    return x[0], val, it, False
+        direction = grad / top[:, None]  # sup-normalized ascent direction
+        cand = _normalize_p(np.maximum(x + eta[:, None] * direction, 0.0), p)
+        X = kernel.gather(cand)
+        cand_val = kernel.value(X)
+        steps += 1
+        up = cand_val > val
+        if not up.all():
+            for i in np.flatnonzero(~up):
+                trials, step, cand[i], cand_val[i] = _halving_ladder(
+                    kernel, x[i], direction[i], val[i], eta[i], p
+                )
+                extra[i] += trials
+                most = max(most, int(extra[i]))
+                if step is not None:
+                    eta[i] = step
+            X = None  # the gather buffer holds the last halvings
+        done = cand_val - val <= 1e-13 * np.fmax(1.0, cand_val)
+        if steps + most >= ascent_cap:
+            done |= steps + extra >= ascent_cap
+        x, val = cand, cand_val
+        eta = np.minimum(eta * 1.5, 1e6)
+    return out_x, out_val, out_it, out_ok
 
 
 def _projected_gradient_run(
     kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ascent on the p-sphere per start, then one fixed-point polish batch.
+    """Ascent on the p-sphere of every start, then one fixed-point polish
+    batch of the starts it left unconverged, if any.
 
     The line search alone stalls once objective increments fall under float
     resolution, so after the ascent phase the shifted fixed-point map is run
     from each unconverged start's incumbent to push the eigenequation
     residual to tolerance.  Returns what `_fixed_point_run` returns.
     """
-    ascents = (_ascent(kernel, x[i : i + 1], p, tol, budget) for i in range(len(x)))
-    best_x, best_val, its, ok = map(np.array, zip(*ascents))
+    best_x, best_val, its, ok = _ascent(kernel, x, p, tol, budget)
     todo = ~ok
+    if not todo.any():
+        return best_x, best_val, its, ok
     # polish with a small adaptive shift: the monotonicity guard inside the
     # fixed-point run enlarges it if this regime turns out to need more
     px, pval, pit, pok = _fixed_point_run(
@@ -471,8 +585,11 @@ def solve_rho_p(
     than raising; the best iterate so far is still returned.
 
     The starts iterate together as one (starts, n) batch, split into chunks
-    of at most BATCH_ENTRIES // (r * m) rows (at least one); each start ends
-    exactly as it would alone.
+    of at most BATCH_ENTRIES // (r * m) rows (at least one), each step one
+    kernel call for all of a chunk's live starts; for p < r the halvings of
+    a failed line search are tried as kernel rows, as many per call as the
+    kernel holds (see LADDER_ENTRIES).  Each start ends exactly as it would
+    alone.
     """
     if not (1.0 < p < math.inf) or math.isnan(p):
         raise BadP(f"p={p} outside (1, inf)")
@@ -494,7 +611,7 @@ def solve_rho_p(
     initials = np.concatenate((uniform[None], _normalize_p(np.array(extra).reshape(-1, n), p)))
 
     chunk = max(1, BATCH_ENTRIES // (g.r * g.m))
-    kernel = _Lagrangian(g, rows=min(chunk, len(initials)))
+    kernel = _Lagrangian(g, rows=min(chunk, max(len(initials), LADDER_ENTRIES // (g.r * g.m))))
     parts = [
         run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter, alpha)
         for lo in range(0, len(initials), chunk)

@@ -857,8 +857,12 @@ def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
     return best_x, best_val, it, False
 
 
-def _projected_gradient_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
-    """One start of the ascent, then its own fixed-point polish."""
+def _projected_gradient_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha, searches=None):
+    """One start of the ascent, then its own fixed-point polish.
+
+    Each line search whose first trial fails is appended to `searches`, if
+    given, as (trials before its step, halvings it tried, whether one of
+    them improved)."""
     X = kernel.gather(x)
     best_x, best_val = x, kernel.value(X)
     eta = 0.25
@@ -874,6 +878,7 @@ def _projected_gradient_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
             break
         direction = grad / top
         gain = 0.0
+        before = it
         while eta > 1e-18:
             cand = _normalize_p_1d(np.maximum(x + eta * direction, 0.0), p)
             cand_X = kernel.gather(cand)
@@ -885,6 +890,8 @@ def _projected_gradient_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
                 eta = min(eta * 1.5, 1e6)
                 break
             eta *= 0.5
+        if searches is not None and (it - before > 1 or gain == 0.0):
+            searches.append((before, it - before - 1, gain > 0.0))
         if gain <= 1e-13 * max(1.0, best_val):
             break
     polish_alpha = max(1.0, best_val)
@@ -895,10 +902,12 @@ def _projected_gradient_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
 
 
 def solve_rho_p_perstart(
-    g: Hypergraph, p: float, config: Optional[SolverConfig] = None
+    g: Hypergraph, p: float, config: Optional[SolverConfig] = None, searches=None
 ) -> SpectralSolution:
     """Reference solve: the same multi-start contract as `solve_rho_p`, with
-    each start run to its end, one after another, on one 1-D iterate."""
+    each start run to its end, one after another, on one 1-D iterate.
+    `searches` collects the projected-gradient starts' line searches that
+    go past their first trial (see `_projected_gradient_start`)."""
     if not (1.0 < p < math.inf) or math.isnan(p):
         raise BadP(f"p={p} outside (1, inf)")
     cfg = config or SolverConfig()
@@ -913,7 +922,11 @@ def solve_rho_p_perstart(
     dmax, _ = g.degree_extremes()
     alpha = float(math.factorial(g.r) * dmax)
     rng = np.random.default_rng(cfg.seed)
-    run = _fixed_point_start if strategy == "fixed-point-shifted" else _projected_gradient_start
+    if strategy == "fixed-point-shifted":
+        run = _fixed_point_start
+    else:
+        def run(*args):
+            return _projected_gradient_start(*args, searches=searches)
     initials = [uniform.copy()]
     while len(initials) < cfg.starts:
         initials.append(_normalize_p_1d(rng.uniform(0.1, 1.0, n), p))

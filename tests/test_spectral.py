@@ -1,6 +1,7 @@
 """Lagrangian values, gradients, the solver, its oracles, and identities."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 from itertools import combinations
 
@@ -179,16 +180,19 @@ class TestKernelScratch:
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_every_batch_size(self, r, rng):
-        """b runs down from rows to 1 and back up; at each b, grad before
-        value computes its own prefixes, grad after value reuses value's,
-        a gather in between leaves nothing of the last batch behind, and
-        grad of an X that is not the kernel's current gather computes its
-        own."""
+        """b runs down from rows to 1 and back up through every size; at
+        each b, grad before value computes its own prefixes, grad after
+        value reuses value's, a gather in between leaves nothing of the last
+        batch behind, and grad of an X that is not the kernel's current
+        gather computes its own, also for an X of the last batch size.  For
+        r = 2 every grad is the one bincount on the swapped index, which is
+        rebuilt for each b."""
         for _ in range(12):
             g = random_graph(rng.randint(r, 8), r, rng.uniform(0.2, 0.9), rng)
-            rows = rng.randint(1, 6)
+            rows = rng.randint(1, 7)
             kernel = _Lagrangian(g, rows=rows)
-            for b in [*range(rows, 0, -1), rows]:
+            last = None
+            for b in [*range(rows, 0, -1), *range(2, rows + 1)]:
                 x = self.batch(g, b, rng)
                 X = kernel.gather(x)
                 first = kernel.grad(X)
@@ -200,6 +204,9 @@ class TestKernelScratch:
                 Y = kernel.gather(y)  # the same buffer; value's prefixes were x's
                 self.check(g, y, kernel.value(Y), kernel.grad(Y))
                 self.check(g, x, val, kernel.grad(X))  # the prefixes are y's
+                if last is not None:
+                    self.check(g, last[0], last[1], kernel.grad(last[2]))
+                last = x, val, X
 
     def test_scratch_stays_at_one_row(self):
         """A solve on a graph with r * m > BATCH_ENTRIES runs its starts one
@@ -530,6 +537,56 @@ class TestBatchedSolverOracle:
         cfg = SolverConfig(starts=6, seed=8)
         assert BATCH_ENTRIES // (g.r * g.m) < cfg.starts  # more than one chunk
         _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
+
+
+class TestLineSearchLadder:
+    """The lock-step ascent's halving ladders, tried as kernel rows, against
+    the per-start oracle's sequential line search, bit for bit.  Both run
+    with every warning an error and every floating-point fault but
+    underflow raised, so a speculative candidate that warns or raises where
+    the sequential search does not fails the test."""
+
+    @staticmethod
+    def solve_both(g, p, cfg) -> list:
+        """The oracle's line searches past their first trial, after checking
+        that both solves agree."""
+        searches = []
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            want = solve_rho_p_perstart(g, p, cfg, searches)
+            got = solve_rho_p(g, p, cfg)
+        _same_solution(got, want)
+        return searches
+
+    def test_chunked_graph_ladders_span_kernel_batches(self):
+        """A chunked 3-graph's kernel holds at most a chunk of rows, fewer
+        than a ladder's halvings: some search takes a halving past the first
+        kernel batch, and some runs down to the 1e-18 floor."""
+        g = complete_r_graph(5, 3).blow_up((3, 4, 5, 6, 9))
+        cfg = SolverConfig(starts=8, seed=3)
+        chunk = BATCH_ENTRIES // (g.r * g.m)
+        assert chunk < cfg.starts  # more than one chunk, and at most chunk kernel rows
+        searches = [s for p in (1.5, 2.0) for s in self.solve_both(g, p, cfg)]
+        assert max(tried for _, tried, won in searches if won) > chunk
+        assert any(not won for _, _, won in searches)
+
+    @pytest.mark.parametrize("r, p", [(2, 1.5), (3, 1.5), (4, 3.0)])
+    def test_budget_cap_inside_a_ladder(self, r, p, rng):
+        """An ascent stops at its budget // 2 only between steps, so a cap
+        that falls inside a line search's halvings lets the search run to
+        its end; each start's polish then gets the budget that is left."""
+        capped = 0
+        for i in range(40):
+            g = random_graph(rng.randint(r + 1, 7), r, rng.uniform(0.3, 0.9), rng)
+            cfg = SolverConfig(starts=1 + i % 4, seed=i)
+            inside = [(before, tried) for before, tried, _ in self.solve_both(g, p, cfg)
+                      if tried >= 2]
+            if inside:
+                # the search's trials are before + 1 .. before + 1 + tried
+                before, _ = inside[i % len(inside)]
+                self.solve_both(g, p, replace(cfg, max_iter=2 * (before + 2)))
+                capped += 1
+        assert capped >= 10
 
 
 class TestOracles:
