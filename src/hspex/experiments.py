@@ -20,7 +20,9 @@ from typing import Iterable, Optional, Sequence
 from .canonical import canonical_key_string
 from .errors import HypothesisFailed, Infeasible
 from .families import (
+    ALL_MASKS_GUARD_BITS,
     ForbiddenFamily,
+    _check_guard,
     _mask_classes,
     extremal_lambda_p,
     extremal_pi,
@@ -107,7 +109,9 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
 
 def connected_graph_classes(v: int, r: int = 2) -> list[Hypergraph]:
     """All connected r-graphs on exactly v labeled vertices, one per iso class:
-    the first in ascending edge-mask order."""
+    the first in ascending edge-mask order.  It holds all 2^C(v, r) masks,
+    so C(v, r) > ALL_MASKS_GUARD_BITS raises TooLarge."""
+    _check_guard(v, r, ALL_MASKS_GUARD_BITS)
     # connectivity is invariant under relabeling: testing one graph per class
     # keeps the same first-seen representatives
     return [g for g in _mask_classes(range(1 << math.comb(v, r)), v, r) if g.is_connected()]

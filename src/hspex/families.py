@@ -43,10 +43,10 @@ from .embedding import (
 )
 from .errors import BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from .hypergraph import Hypergraph, serialize
-from .spectral import SolverConfig, SpectralSolution, _check_seed, solve_rho_p
+from .spectral import SolverConfig, SpectralSolution, _check_p, _check_seed, solve_rho_p
 
 ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
-STREAM_GUARD_BITS = 24     # stricter cap for enumerate_family, which holds every member mask
+ALL_MASKS_GUARD_BITS = 24  # stricter cap for the sweeps that hold every mask at once
 FULL_MODE_GUARD_BITS = 20  # cap when materializing all members (--full audits)
 VALUE_COLLAPSE = 1e-9      # spectral argmax graphs within this of the best
 WALK_BATCH = 16384         # member nodes the walk pops and expands per step; leaves
@@ -198,9 +198,14 @@ def _check_sweepable(fam: Family, n: int, limit: int) -> None:
         )
     if n < 0:
         raise OutOfRange(f"vertex count {n} < 0")
-    if comb(n, fam.r) > limit:
+    _check_guard(n, fam.r, limit)
+
+
+def _check_guard(n: int, r: int, limit: int) -> None:
+    """Raise TooLarge unless the C(n, r) candidate edges fit the guard `limit`."""
+    if comb(n, r) > limit:
         raise TooLarge(
-            f"C({n},{fam.r}) = {comb(n, fam.r)} candidate edges exceeds the guard ({limit}); "
+            f"C({n},{r}) = {comb(n, r)} candidate edges exceeds the guard ({limit}); "
             "reduce n or r"
         )
 
@@ -459,7 +464,7 @@ def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     member masks (`_orbit_classes`).  The walk and the labelling run in
     full before the first one is yielded.
     """
-    _check_sweepable(fam, n, STREAM_GUARD_BITS)
+    _check_sweepable(fam, n, ALL_MASKS_GUARD_BITS)
     yield from _mask_classes(_member_masks(fam, n), n, fam.r)
 
 
@@ -529,6 +534,7 @@ def extremal_lambda_p(
     One representative per isomorphism class is solved.
     """
     t0 = time.perf_counter()
+    _check_p(p)  # before the member walk, which can take seconds
     _check_sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     if full:  # the audit walk itself counts the members
         masks = _member_masks(fam, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -281,19 +281,11 @@ class Hypergraph:
         t = [int(c) for c in t]
         if len(t) != self.n or any(c < 1 for c in t):
             raise BadCounts(f"need {self.n} positive counts, got {t}")
-        offset = [0] * self.n
-        acc = 0
-        for v in range(self.n):
-            offset[v] = acc
-            acc += t[v]
-        edges: list[Edge] = []
-        for e in self.edges:
-            choices: list[Edge] = [()]
-            for v in e:
-                choices = [c + (offset[v] + j,) for c in choices for j in range(t[v])]
-            edges.extend(choices)
+        ends = [*accumulate(t, initial=0)]
+        ids = [range(a, b) for a, b in zip(ends, ends[1:])]  # the copies of each vertex
         # blockwise ids keep each inherited edge increasing and distinct
-        return Hypergraph._trusted(acc, self.r, tuple(sorted(edges)))
+        edges = [c for e in self.edges for c in product(*(ids[v] for v in e))]
+        return Hypergraph._trusted(ends[-1], self.r, tuple(sorted(edges)))
 
 
 # --- module-level constructors ---------------------------------------------

@@ -18,6 +18,7 @@ Lagrangian of the cloned graph, so the cloning identity holds bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -252,6 +253,12 @@ def _check_seed(seed: int) -> None:
         raise BadConfig("seed must be >= 0")
 
 
+def _check_p(p: float) -> None:
+    # the one p rule of every solving path; a NaN p fails both comparisons
+    if not 1.0 < p < math.inf:
+        raise BadP(f"p={p} outside (1, inf)")
+
+
 @dataclass
 class SolverConfig:
     """Knobs for solve_rho_p; defaults favor accuracy over speed."""
@@ -463,12 +470,13 @@ def _halving_ladder(
     return len(ladder), None, x, val
 
 
-def _ascent(
+def _projected_gradient_run(
     kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Projected-gradient ascent with halving line search on every row of
-    the (b, n) batch x; returns (best x, best L, iterations, converged), one
-    row or entry per start.  The iterate is always the best one so far.
+    the (b, n) batch x, then one fixed-point polish batch of the rows it
+    left unconverged; returns (best x, best L, iterations, converged), one
+    row or entry per start.  The ascent's iterate is always its best one.
 
     The rows step in lock step: each step makes one gradient and residual
     call for the live rows and one trial gather and value for all of them,
@@ -476,6 +484,10 @@ def _ascent(
     whose trial fails goes on down its halvings in `_halving_ladder`.  Each
     row keeps its own step size and trial count and leaves the batch when
     it returns, so it ends exactly as it would alone.
+
+    The line search stalls once gains fall under float resolution; the
+    polish, whose small shift its monotonicity guard enlarges as needed,
+    pushes the residual of each unconverged row's incumbent to tolerance.
     """
     n_rows = len(x)
     out_x, out_val = np.empty_like(x), np.empty(n_rows)
@@ -541,35 +553,18 @@ def _ascent(
             done |= steps + extra >= ascent_cap
         x, val = cand, cand_val
         eta = np.minimum(eta * 1.5, 1e6)
+
+    todo = ~out_ok
+    if todo.any():
+        px, pval, pit, pok = _fixed_point_run(
+            kernel, out_x[todo], p, tol, budget - out_it[todo], np.fmax(1.0, out_val[todo])
+        )
+        won = pval >= out_val[todo]
+        out_x[todo] = np.where(won[:, None], px, out_x[todo])
+        out_val[todo] = np.where(won, pval, out_val[todo])
+        out_it[todo] += pit
+        out_ok[todo] = won & pok
     return out_x, out_val, out_it, out_ok
-
-
-def _projected_gradient_run(
-    kernel: _Lagrangian, x: np.ndarray, p: float, tol: float, budget: int, alpha
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ascent on the p-sphere of every start, then one fixed-point polish
-    batch of the starts it left unconverged, if any.
-
-    The line search alone stalls once objective increments fall under float
-    resolution, so after the ascent phase the shifted fixed-point map is run
-    from each unconverged start's incumbent to push the eigenequation
-    residual to tolerance.  Returns what `_fixed_point_run` returns.
-    """
-    best_x, best_val, its, ok = _ascent(kernel, x, p, tol, budget)
-    todo = ~ok
-    if not todo.any():
-        return best_x, best_val, its, ok
-    # polish with a small adaptive shift: the monotonicity guard inside the
-    # fixed-point run enlarges it if this regime turns out to need more
-    px, pval, pit, pok = _fixed_point_run(
-        kernel, best_x[todo], p, tol, budget - its[todo], np.fmax(1.0, best_val[todo])
-    )
-    won = pval >= best_val[todo]
-    best_x[todo] = np.where(won[:, None], px, best_x[todo])
-    best_val[todo] = np.where(won, pval, best_val[todo])
-    its[todo] += pit
-    ok[todo] = won & pok
-    return best_x, best_val, its, ok
 
 
 def solve_rho_p(
@@ -591,8 +586,7 @@ def solve_rho_p(
     kernel holds (see LADDER_ENTRIES).  Each start ends exactly as it would
     alone.
     """
-    if not (1.0 < p < math.inf) or math.isnan(p):
-        raise BadP(f"p={p} outside (1, inf)")
+    _check_p(p)
     cfg = config or SolverConfig()
     n = g.n
     if n == 0:
@@ -601,19 +595,20 @@ def solve_rho_p(
     if g.m == 0:
         return SpectralSolution(0.0, uniform, p, 0.0, 0, 1, 0.0, ())
 
-    strategy = "fixed-point-shifted" if p >= g.r else "projected-gradient"
-    dmax, _ = g.degree_extremes()
-    alpha = float(math.factorial(g.r) * dmax)
-    rng = np.random.default_rng(cfg.seed)
-    run = _fixed_point_run if strategy == "fixed-point-shifted" else _projected_gradient_run
-
-    extra = [rng.uniform(0.1, 1.0, n) for _ in range(cfg.starts - 1)]
-    initials = np.concatenate((uniform[None], _normalize_p(np.array(extra).reshape(-1, n), p)))
+    if p >= g.r:
+        strategy = "fixed-point-shifted"
+        alpha = float(math.factorial(g.r) * g.degree_extremes()[0])  # r! * dmax
+        run = functools.partial(_fixed_point_run, alpha=alpha)
+    else:
+        strategy, run = "projected-gradient", _projected_gradient_run
+    # one draw of all random starts: the doubles of one draw per start, in order
+    extra = np.random.default_rng(cfg.seed).uniform(0.1, 1.0, (cfg.starts - 1, n))
+    initials = np.concatenate((uniform[None], _normalize_p(extra, p)))
 
     chunk = max(1, BATCH_ENTRIES // (g.r * g.m))
     kernel = _Lagrangian(g, rows=min(chunk, max(len(initials), LADDER_ENTRIES // (g.r * g.m))))
     parts = [
-        run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter, alpha)
+        run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter)
         for lo in range(0, len(initials), chunk)
     ]
     xs, vals, iters, oks = (np.concatenate(column) for column in zip(*parts))

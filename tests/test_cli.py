@@ -247,6 +247,13 @@ class TestExtremalSaturate:
         assert code == 1 and out == ""
         assert err == "error: vertex count -1 < 0\n"
 
+    @pytest.mark.parametrize("full", [[], ["--full"]], ids=["maximal", "full"])
+    def test_extremal_bad_p_before_the_sweep_exit_1(self, capsys, files, full):
+        """p is checked before the member walk: an edgeless forbidden graph
+        (no members) still gives the p error, not exit 4."""
+        argv = ["extremal", "--forbid", files["empty"], "--n", "4", "--p", "0.5"] + full
+        assert run(capsys, argv) == (1, "", "error: p=0.5 outside (1, inf)\n")
+
     def test_extremal_full_without_p_exit_1(self, capsys, files):
         code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "5", "--full"])
         assert code == 1 and out == ""

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from hspex import families
-from hspex.errors import BadConfig, HypothesisFailed, Infeasible
+from hspex.errors import BadConfig, HypothesisFailed, Infeasible, TooLarge
 from hspex.families import ForbiddenFamily
 from hspex.hypergraph import Hypergraph, complete_r_graph, new_hypergraph
 from hspex.spectral import SolverConfig
@@ -53,6 +53,12 @@ class TestGenerators:
     def test_connected_classes_small(self):
         assert len(connected_graph_classes(3)) == 2  # path, triangle
         assert len(connected_graph_classes(4)) == 6
+
+    @pytest.mark.parametrize("v, r", [(8, 2), (7, 3)])
+    def test_connected_classes_guard(self, v, r):
+        """It holds all 2^C(v, r) masks: C(8, 2) = 28 would ask for 2 GiB."""
+        with pytest.raises(TooLarge, match=rf"C\({v},{r}\) = {math.comb(v, r)} .* guard \(24\)"):
+            connected_graph_classes(v, r)
 
     @pytest.mark.parametrize("v, r", [(v, 2) for v in range(6)] + [(4, 3)])
     def test_connected_classes_match_key_oracle(self, v, r):

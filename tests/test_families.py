@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hspex.canonical import canonical_key, refinement_signature
-from hspex.errors import BadConfig, HspexError, NotMember, OutOfRange, TooLarge, UniformityMismatch
+from hspex.errors import BadConfig, BadP, HspexError, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from hspex.families import (
     ForbiddenFamily,
     PredicateFamily,
@@ -25,7 +25,7 @@ from hspex.families import (
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_hypergraph
 from hspex.spectral import SolverConfig, rho_infinity
-from conftest import complete_bipartite, cycle, path3, path5, random_graph, relabel
+from conftest import complete_bipartite, cycle, path3, path4, path5, random_graph, relabel
 from oracles import (
     _classes,
     classes_by_key,
@@ -139,6 +139,57 @@ class TestSaturation:
         """random.Random(-3) shuffles like random.Random(3), so -3 is refused."""
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             saturate(k3_family(), Hypergraph(6, 2, ()), order, seed=-3)
+
+
+class TestInducedFamilies:
+    """Membership of an induced family is not monotone under edge addition:
+    a rejected non-edge can become addable once others are in, so
+    `saturate` makes passes until one adds nothing, and every check adds
+    the edge and tests membership."""
+
+    FAMILIES = [ForbiddenFamily((h,), induced=True) for h in (cycle(4), path4())]
+
+    @staticmethod
+    def addable(fam, g) -> list:
+        """Brute force: the non-edges, in lex order, whose addition keeps g a member."""
+        return [e for e in combinations(range(g.n), g.r)
+                if e not in g.edge_set and is_member(fam, Hypergraph(g.n, g.r, g.edges + (e,)))]
+
+    @staticmethod
+    def one_pass(fam, g0, order, seed):
+        """What a single pass over the candidates would add."""
+        cand = [e for e in combinations(range(g0.n), g0.r) if e not in g0.edge_set]
+        if order == "random":
+            random.Random(seed).shuffle(cand)
+        g = g0
+        for e in cand:
+            if is_member(fam, Hypergraph(g.n, g.r, g.edges + (e,))):
+                g = Hypergraph(g.n, g.r, g.edges + (e,))
+        return g
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=["C4", "P4"])
+    def test_saturate_leaves_no_addable_edge(self, fam):
+        later_pass = 0
+        for n in (4, 5, 6):
+            g0 = Hypergraph(n, 2, ())
+            for order, seed in [("lex", 0)] + [("random", s) for s in range(5)]:
+                g = saturate(fam, g0, order, seed)
+                assert is_member(fam, g) and self.addable(fam, g) == []
+                assert is_edge_maximal(fam, g) == (True, None)
+                later_pass += g != self.one_pass(fam, g0, order, seed)
+        assert later_pass > 0  # some pass after the first added an edge
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=["C4", "P4"])
+    def test_is_edge_maximal_names_the_first_addable_edge(self, fam, rng):
+        checked = 0
+        for _ in range(200):
+            g = random_graph(rng.randint(4, 6), 2, 0.5, rng)
+            if not is_member(fam, g):
+                continue
+            checked += 1
+            first = self.addable(fam, g)[:1]
+            assert is_edge_maximal(fam, g) == (not first, first[0] if first else None)
+        assert checked >= 20
 
 
 class TestClosureChecks:
@@ -653,6 +704,23 @@ class TestExtremal:
         extremal_lambda_p(fam, 6, 2.0, cfg)
         extremal_lambda_p(fam, 6, 3.0, cfg)
         assert calls == [6]
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_bad_p_raises_before_the_walk(self, full, monkeypatch):
+        """p is checked before the member walk, which at n = 8 walks
+        millions of members; a cold cache makes any walk show."""
+        import hspex.families as families
+
+        families._sweep.cache_clear()
+        calls = []
+        monkeypatch.setattr(families, "_walk", lambda f, n: calls.append(n) or iter(()))
+        for p in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(BadP):
+                extremal_lambda_p(k3_family(), 6 if full else 8, p, full=full)
+        assert calls == []
+        # an edgeless forbidden graph has no members; the p error comes first
+        with pytest.raises(BadP):
+            extremal_lambda_p(ForbiddenFamily((Hypergraph(3, 2, ()),)), 4, 0.5, full=full)
 
     @pytest.mark.parametrize("full", [False, True])
     def test_no_members_raises(self, full):

@@ -1,6 +1,8 @@
 """Lagrangian values, gradients, the solver, its oracles, and identities."""
 
+import inspect
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 from itertools import combinations
@@ -530,6 +532,34 @@ class TestBatchedSolverOracle:
         xs, vals, its, oks = _fixed_point_run(kernel, x0, 3.0, 1e-10, 100, alphas)
         assert its.tolist() == [1, 3, 5] and not oks.any()
         assert xs.tobytes() == x0.tobytes() and vals.tolist() == [-1.0] * 3
+
+    def test_stagnant_rows_collapse_onto_a_face(self, monkeypatch):
+        """Rows whose residual stagnates with near-dead entries collapse onto
+        a boundary face at the 512-step checkpoints, each as it would alone.
+        Here three polish rows collapse at every checkpoint from 1024 to 8192
+        and the solve ends NoConvergence.  Should another numpy build never
+        collapse here, a seeded search over small 4-graphs at p = 1.3 finds a
+        new instance."""
+        from hspex import spectral
+
+        source, first = inspect.getsourcelines(spectral._fixed_point_run)
+        line = first + next(i for i, s in enumerate(source) if "x[collapse] = _normalize_p(" in s)
+        collapsed = []
+
+        def spy(x, p):
+            caller = sys._getframe(1)
+            if caller.f_code is spectral._fixed_point_run.__code__ and caller.f_lineno == line:
+                collapsed.append(caller.f_locals["it"])
+            return _normalize_p(x, p)
+
+        g = Hypergraph(8, 4, [(0, 3, 4, 7), (0, 4, 5, 7), (1, 2, 6, 7), (1, 3, 4, 7), (2, 4, 5, 7)])
+        cfg = SolverConfig(starts=4, seed=1173)
+        monkeypatch.setattr(spectral, "_normalize_p", spy)
+        got = solve_rho_p(g, 1.3, cfg)
+        monkeypatch.undo()
+        assert collapsed and all(it % 512 == 0 for it in collapsed), "no row collapsed"
+        assert not got.converged
+        _same_solution(got, solve_rho_p_perstart(g, 1.3, cfg))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_graph_split_into_chunks(self, p):

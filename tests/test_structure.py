@@ -362,6 +362,12 @@ class TestPlateaus:
         ok, grouping = is_lambda_plateau(bowtie3(), (0, 1, 2), (2, 1))
         assert ok
 
+    def test_components_missing_e_join_the_first_group(self):
+        """A component of H - e that meets no vertex of e can go in any
+        group; it goes in the first."""
+        g = Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)])
+        assert is_lambda_plateau(g, (0, 1), (1, 1)) == (True, [((0,), (3, 4)), ((1, 2),)])
+
     def test_trivial_partition_rejected(self, k4_3):
         with pytest.raises(TrivialPartition):
             is_lambda_plateau(k4_3, (0, 1, 2), (3,))
