@@ -19,9 +19,11 @@ solves through the public API:
 
 For each set it prints the solves, their iterations (the sum of
 SpectralSolution.iterations: fixed-point steps and line-search trials, per
-start) and the kernel calls.  The solves and iterations are results, the
-same on any tree that solves alike; the calls are the work done for them.
-None of these counts depends on the machine.  Uses only the stdlib.
+start) and the kernel calls, first in all and then (the fp. columns) those
+made inside ``hspex.spectral._fixed_point_run``: every p >= r solve and
+every p < r polish.  The solves and iterations are results, the same on any
+tree that solves alike; the calls are the work done for them.  None of these
+counts depends on the machine.  Uses only the stdlib.
 """
 
 from __future__ import annotations
@@ -38,17 +40,31 @@ BLOW_UPS = [(6, 2, (3, 5, 7, 9, 11, 13)), (5, 3, (2, 4, 6, 8, 10)),
 
 
 def counted(hspex, counts: Counter) -> None:
-    """Wrap the kernel's methods and the solution's constructor with counters."""
+    """Wrap the kernel's methods, the fixed-point run and the solution's
+    constructor with counters."""
     spectral = hspex.spectral
+    depth = [0]  # how many _fixed_point_run calls are running
 
     def wrap(name, inner):
         def call(*args, **kwargs):
             counts[name] += 1
+            if depth[0]:
+                counts["fp." + name] += 1
             return inner(*args, **kwargs)
         return call
 
     for name in KERNEL_CALLS:
         setattr(spectral._Lagrangian, name, wrap(name, getattr(spectral._Lagrangian, name)))
+    fixed_point_run = spectral._fixed_point_run
+
+    def inside_fixed_point(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return fixed_point_run(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    spectral._fixed_point_run = inside_fixed_point
     init = spectral.SpectralSolution.__init__
 
     def solution(self, *args, **kwargs):
@@ -91,7 +107,7 @@ def main(argv=None) -> int:
 
     counts: Counter = Counter()
     counted(hspex, counts)
-    keys = ("solves", "iterations", *KERNEL_CALLS)
+    keys = ("solves", "iterations", *KERNEL_CALLS, *(f"fp.{name}" for name in KERNEL_CALLS))
     print(f"# hspex from {Path(hspex.__file__).parent}")
     print(f"{'set':13s}" + "".join(f"{k:>12s}" for k in keys))
     for name, run in solve_sets(hspex):

@@ -72,6 +72,10 @@ class AllZero(HspexError):
     """A weight vector that must be nonzero is identically zero."""
 
 
+class BadWeights(HspexError):
+    """A weight vector that must be nonnegative has a negative or NaN entry."""
+
+
 class IsolatedVertex(HspexError):
     """An operation requiring minimum degree >= 1 met an isolated vertex."""
 

@@ -30,6 +30,7 @@ from .errors import (
     AllZero,
     BadConfig,
     BadP,
+    BadWeights,
     DimensionMismatch,
     IsolatedVertex,
     SameVertex,
@@ -106,31 +107,32 @@ class _Lagrangian:
         self._valid = None  # the gather whose products the prefix buffer holds
 
     def _batch(self, b: int) -> None:
-        """Point the views and the row index at a batch of b rows."""
-        if b != self._b:
-            r, m = self.positions.shape
-            self._b = b
-            self._index = self.positions[:, None, :]  # one row needs no offsets, nor a copy
-            if b != 1:
-                self._index = self._index + self.n * np.arange(b, dtype=np.intp)[:, None]
-            self._flat_index = [row.reshape(-1) for row in self._index]
-            self._swapped = None  # r = 2: built by the first grad at this b
-            self._X = self._gathered[: r * b * m].reshape(r, b, m)
-            self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
-            if r > 2:
-                self._L = self._loo[: b * m].reshape(b, m)
+        """Point the views and the row index at a new batch size b."""
+        r, m = self.positions.shape
+        self._b = b
+        self._index = self.positions[:, None, :]  # one row needs no offsets, nor a copy
+        if b != 1:
+            self._index = self._index + self.n * np.arange(b, dtype=np.intp)[:, None]
+        self._flat_index = [row.reshape(-1) for row in self._index]
+        self._swapped = None  # r = 2: built by the first grad at this b
+        self._X = self._gathered[: r * b * m].reshape(r, b, m)
+        self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
+        if r > 2:
+            self._L = self._loo[: b * m].reshape(b, m)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """The (r, b, m) array of a (b, n) batch x over each edge position,
         written into the gather buffer."""
-        self._batch(len(x))
+        if len(x) != self._b:
+            self._batch(len(x))
         self._valid = None
         # the indices are in range by construction; mode="raise" would copy out
-        return x.reshape(-1).take(self._index, out=self._X, mode="clip")
+        return x.ravel().take(self._index, out=self._X, mode="clip")
 
     def _prefixes(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """P_1 .. P_{r-1} of a gather X into the prefix buffer, left to right."""
-        self._batch(X.shape[1])
+        if X.shape[1] != self._b:
+            self._batch(X.shape[1])
         prev = X[0]
         for j in range(1, len(X)):
             prev = np.multiply(prev, X[j], out=self._P[j - 1])
@@ -139,20 +141,23 @@ class _Lagrangian:
 
     def value(self, X: np.ndarray) -> np.ndarray:
         """Per row, r! * sum of per-edge products, from a gather X."""
-        return self.rfact * np.add.reduce(self._prefixes(X)[-1], axis=1)
+        out = np.add.reduce(self._prefixes(X)[-1], axis=1)
+        return np.multiply(out, self.rfact, out=out)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
         r, b = X.shape[:2]
-        if r == 2:
-            self._batch(b)
+        if r == 2:  # (r-1)! = 1
+            if b != self._b:
+                self._batch(b)
+            half = b * self.n
             if self._swapped is None:
                 first, second = self._flat_index
                 self._swapped = np.empty(2 * len(first), dtype=np.intp)
                 self._swapped[: len(first)] = second
-                np.add(first, b * self.n, out=self._swapped[len(first) :])
-            parts = np.bincount(self._swapped, weights=X.reshape(-1), minlength=2 * b * self.n)
-            return self.rm1fact * np.add.reduce(parts.reshape(2, b, self.n), axis=0)
+                np.add(first, half, out=self._swapped[len(first) :])
+            parts = np.bincount(self._swapped, weights=X.ravel(), minlength=2 * half)
+            return np.add(parts[:half], parts[half:], out=parts[:half]).reshape(b, self.n)
         P = self._P if X is self._valid else self._prefixes(X)
         prefix = (X[0], *P)  # prefix[k] = P_k
         out = None
@@ -161,25 +166,24 @@ class _Lagrangian:
             loo = prefix[j - 1] if j else X[1]
             for k in range(max(j + 1, 2), r):
                 loo = np.multiply(loo, X[k], out=self._L)
-            part = np.bincount(
-                self._flat_index[j], weights=loo.reshape(-1), minlength=b * self.n
-            )
+            part = np.bincount(self._flat_index[j], weights=loo.ravel(), minlength=b * self.n)
             if out is None:
                 out = part
             else:
                 out += part
-        return self.rm1fact * out.reshape(b, self.n)
+        return np.multiply(out, self.rm1fact, out=out).reshape(b, self.n)
 
     def residual(self, xp: np.ndarray, grad: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Per row, max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
-        return np.maximum.reduce(np.abs(rho[:, None] * xp - grad), axis=1, initial=0.0)
+        d = rho[:, None] * xp
+        return np.maximum.reduce(np.abs(np.subtract(d, grad, out=d), out=d), axis=1, initial=0.0)
 
     def euler_residual(
         self, x: np.ndarray, xp: np.ndarray, grad: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per row, (rho estimate, residual) with Euler's rho = sum x_v grad_v = L
         on the sphere."""
-        rho_est = (x[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        rho_est = (x[:, None, :] @ grad[:, :, None]).ravel()
         return rho_est, self.residual(xp, grad, rho_est)
 
 
@@ -197,6 +201,7 @@ def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     """max over vertices of |rho * x_v^(p-1) - gradient_v|."""
+    _check_p(p)
     arr = _as_weights(g, x)[None]
     ev = _Lagrangian(g)
     grad = ev.grad(ev.gather(arr))
@@ -209,6 +214,8 @@ def principal_ratio(x) -> float:
     if arr.size == 0 or not np.any(arr):
         raise AllZero("principal ratio undefined for the zero vector")
     lo = float(arr.min())
+    if not lo >= 0.0:  # a negative entry, or a NaN one, which fails every comparison
+        raise BadWeights(f"principal ratio needs nonnegative weights, got min entry {lo}")
     if lo == 0.0:
         return math.inf
     return float(arr.max()) / lo
@@ -216,6 +223,7 @@ def principal_ratio(x) -> float:
 
 def degree_ratio_lower_bound(g: Hypergraph, p: float) -> float:
     """(max degree / min degree)^(1/(p+r-2)); requires min degree >= 1."""
+    _check_p(p)
     dmax, dmin = g.degree_extremes()
     if dmin == 0:
         raise IsolatedVertex("graph has an isolated vertex (or no vertices)")
@@ -224,6 +232,7 @@ def degree_ratio_lower_bound(g: Hypergraph, p: float) -> float:
 
 def rho_upper_bound(n: int, r: int, p: float) -> float:
     """n^(r(1-1/p)), the universal upper bound for the p-spectral radius."""
+    _check_p(p)
     return float(n) ** (r * (1.0 - 1.0 / p))
 
 
@@ -329,14 +338,15 @@ class SpectralSolution:
 
 
 def _normalize_p(x: np.ndarray, p: float) -> np.ndarray:
-    """Each row of x scaled to unit l^p norm.
+    """Each row of x scaled to unit l^p norm, in place; returns x.
 
     The root is a scalar pow per row: numpy's SIMD array power can round the
     last bit differently from libm's pow, and a row's bits must not depend on
     its batch.
     """
-    nrm = np.array([s ** (1.0 / p) for s in np.add.reduce(x**p, axis=1).tolist()])
-    return x / nrm[:, None]
+    root = 1.0 / p
+    x /= np.array([s**root for s in np.add.reduce(x**p, axis=1).tolist()])[:, None]
+    return x
 
 
 def _fixed_point_run(
@@ -354,7 +364,9 @@ def _fixed_point_run(
     leaves the batch when it returns, so it ends exactly as it would alone.
     All rows start at iteration 0 and step together, so one counter serves;
     below the smallest budget no row can be out of budget, and a step in
-    which every row improved needs no monotonicity test.
+    which every row improved needs no monotonicity test: its iterate becomes
+    the best one by reference, so a collapse, the one write into x that can
+    follow such a step, copies x first.
     """
     n_rows = len(x)
     out_x, out_val = np.empty_like(x), np.empty(n_rows)
@@ -362,18 +374,19 @@ def _fixed_point_run(
     live = np.arange(n_rows)  # the input row of each batch row
     budget = np.full(n_rows, budget)
     floor = int(budget.min())  # no row is out of budget while it < floor
-    alpha = np.full(n_rows, alpha, dtype=float)[:, None]
-    X = kernel.gather(x)
-    val = kernel.value(X)  # L at the current iterate
-    best_x, best_val = x.copy(), val.copy()
-    exp = 1.0 / (p - 1.0)
+    alpha = np.full(x.shape, np.reshape(alpha, (-1, 1)), dtype=float)  # x's shape: no broadcast
+    gather, value, gradient, euler = kernel.gather, kernel.value, kernel.grad, kernel.euler_residual
+    X = gather(x)
+    val = value(X)  # L at the current iterate
+    best_x, best_val = x.copy(), val
+    pm1, exp = p - 1.0, 1.0 / (p - 1.0)
     it = 0
     res_checkpoint = np.full(n_rows, math.inf)
     stagnant = np.zeros(n_rows, dtype=np.int64)
-    while len(x):
-        grad = kernel.grad(X)
-        xp = np.power(x, p - 1.0)
-        rho_est, res = kernel.euler_residual(x, xp, grad)
+    while True:
+        grad = gradient(X)
+        xp = np.power(x, pm1)
+        rho_est, res = euler(x, xp, grad)
         ok = res <= tol * np.fmax(1.0, rho_est)
         if it < floor:
             stop = ok
@@ -394,14 +407,15 @@ def _fixed_point_run(
             collapse = tiny.any(axis=1)
             stagnant = np.where(slow & ~collapse, stagnant + 1, 0)
             stop |= stagnant >= 2
-            if collapse.any():
+            if np.count_nonzero(collapse):
+                x = x.copy()  # best_x may be x itself
                 x[collapse] = _normalize_p(np.where(tiny, 0.0, x)[collapse], p)
-                X = kernel.gather(x)
-                grad = kernel.grad(X)
-                xp = np.power(x, p - 1.0)
+                X = gather(x)
+                grad = gradient(X)
+                xp = np.power(x, pm1)
             res_checkpoint = res
-        y = grad + alpha * xp
-        if stop.any():
+        y = np.add(np.multiply(alpha, xp, out=xp), grad, out=xp)  # xp is not read again
+        if np.count_nonzero(stop):
             rows = live[stop]
             out_x[rows] = np.where(ok[stop, None], x[stop], best_x[stop])
             out_val[rows] = np.where(ok[stop], val[stop], best_val[stop])
@@ -414,26 +428,25 @@ def _fixed_point_run(
             )
             if not len(x):
                 break
-        x = _normalize_p(np.power(y, exp), p)
-        X = kernel.gather(x)
+        x = _normalize_p(np.power(y, exp, out=y), p)
+        X = gather(x)
         it += 1
-        val = kernel.value(X)
+        val = value(X)
         up = val > best_val
-        if up.all():
-            np.copyto(best_x, x)
-            np.copyto(best_val, val)
+        if np.count_nonzero(up) == len(up):
+            best_x, best_val = x, val
             continue
         np.copyto(best_x, x, where=up[:, None])
         np.copyto(best_val, val, where=up)
         down = val < best_val - 1e-12 * np.fmax(1.0, best_val)
-        if down.any():
+        if np.count_nonzero(down):
             # non-monotone: shift too small for this regime; enlarge and restart
             alpha[down] *= 4.0
             x[down] = best_x[down]
             val[down] = best_val[down]
-            X = kernel.gather(x)
+            X = gather(x)
             hopeless = alpha[:, 0] > 1e9
-            if hopeless.any():
+            if np.count_nonzero(hopeless):
                 budget[hopeless] = it  # return the best iterate now
                 floor = it
     return out_x, out_val, out_it, out_ok
@@ -506,39 +519,41 @@ def _projected_gradient_run(
         out_ok[rows] = ok
         return ~stop
 
-    X = kernel.gather(x)
-    val = kernel.value(X)
+    gather, value, gradient, euler = kernel.gather, kernel.value, kernel.grad, kernel.euler_residual
+    X = gather(x)
+    val = value(X)
     # a row whose gain fell below float resolution, or that reached the cap,
     # hands off to the fixed-point polish
     done = np.full(n_rows, ascent_cap <= 0)
     while True:
-        if done.any():
+        if np.count_nonzero(done):
             keep = retire(done, False)
             x, val, eta, extra, live = (a[keep] for a in (x, val, eta, extra, live))
             if not len(x):
                 break
             X = None
         if X is None:
-            X = kernel.gather(x)
-        grad = kernel.grad(X)
-        rho_est, res = kernel.euler_residual(x, np.power(x, p - 1.0), grad)
+            X = gather(x)
+        grad = gradient(X)
+        rho_est, res = euler(x, np.power(x, p - 1.0), grad)
         top = np.maximum.reduce(grad, axis=1)
         ok = res <= tol * np.fmax(1.0, rho_est)
         stop = ok | (top <= 0.0)
-        if stop.any():
+        if np.count_nonzero(stop):
             keep = retire(stop, ok[stop])
             x, val, eta, extra, live, grad, top = (
                 a[keep] for a in (x, val, eta, extra, live, grad, top)
             )
             if not len(x):
                 break
-        direction = grad / top[:, None]  # sup-normalized ascent direction
-        cand = _normalize_p(np.maximum(x + eta[:, None] * direction, 0.0), p)
-        X = kernel.gather(cand)
-        cand_val = kernel.value(X)
+        direction = np.divide(grad, top[:, None], out=grad)  # sup-normalized ascent direction
+        cand = eta[:, None] * direction
+        cand = _normalize_p(np.maximum(np.add(cand, x, out=cand), 0.0, out=cand), p)
+        X = gather(cand)
+        cand_val = value(X)
         steps += 1
         up = cand_val > val
-        if not up.all():
+        if np.count_nonzero(up) != len(up):
             for i in np.flatnonzero(~up):
                 trials, step, cand[i], cand_val[i] = _halving_ladder(
                     kernel, x[i], direction[i], val[i], eta[i], p
@@ -552,7 +567,7 @@ def _projected_gradient_run(
         if steps + most >= ascent_cap:
             done |= steps + extra >= ascent_cap
         x, val = cand, cand_val
-        eta = np.minimum(eta * 1.5, 1e6)
+        np.minimum(np.multiply(eta, 1.5, out=eta), 1e6, out=eta)
 
     todo = ~out_ok
     if todo.any():
@@ -613,12 +628,12 @@ def solve_rho_p(
     ]
     xs, vals, iters, oks = (np.concatenate(column) for column in zip(*parts))
 
-    best = max(range(len(vals)), key=lambda i: (vals[i], tuple(xs[i])))
-    best_val, best_x = vals[best], xs[best]
+    val_list, x_list = vals.tolist(), xs.tolist()
+    best = max(range(len(val_list)), key=lambda i: (val_list[i], x_list[i]))
     converged_vals = vals[oks]
-    gap = float(best_val - converged_vals.min()) if len(converged_vals) else 0.0
+    gap = float(vals[best] - converged_vals.min()) if len(converged_vals) else 0.0
 
-    x_out = np.where(best_x < CLAMP_EPS, 0.0, best_x)
+    x_out = np.where(xs[best] < CLAMP_EPS, 0.0, xs[best])
     X_out = kernel.gather(x_out[None])
     rho = kernel.value(X_out)
     residual = float(
@@ -630,10 +645,10 @@ def solve_rho_p(
         flags.append("NoConvergence")
     if gap > GAP_EPS:
         flags.append("NonUniqueSuspected")
-    if np.any(x_out == 0.0):
+    if np.count_nonzero(x_out == 0.0):
         flags.append("ZeroEntries")
     per_start = tuple(
-        StartRecord(float(v), int(i), bool(o), strategy) for v, i, o in zip(vals, iters, oks)
+        StartRecord(v, i, o, strategy) for v, i, o in zip(val_list, iters.tolist(), oks.tolist())
     )
     return SpectralSolution(
         rho, x_out, p, residual, int(iters.sum()), len(initials), gap, tuple(flags), per_start

@@ -809,8 +809,13 @@ def _normalize_p_1d(x: np.ndarray, p: float) -> np.ndarray:
     return x / np.sum(x**p) ** (1.0 / p)
 
 
-def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
-    """One start of the shifted power iteration: (best x, best L, iters, converged)."""
+def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha, events=None):
+    """One start of the shifted power iteration: (best x, best L, iters, converged).
+
+    Appends to `events`, if given, (it, what) for each collapse at the
+    checkpoint of iteration `it` ("collapse") and for each step, which ends
+    at iteration `it`, that improves on the best value ("up") or resets the
+    shift after a drop ("reset")."""
     X = kernel.gather(x)
     best_x, best_val = x, kernel.value(X)
     exp = 1.0 / (p - 1.0)
@@ -827,6 +832,8 @@ def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
             if res > 0.5 * res_checkpoint:
                 tiny = (x > 0.0) & (x < 1e-6)
                 if tiny.any():
+                    if events is not None:
+                        events.append((it, "collapse"))
                     x = _normalize_p_1d(np.where(tiny, 0.0, x), p)
                     X = kernel.gather(x)
                     grad = kernel.grad(X)
@@ -848,7 +855,11 @@ def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha):
         val = kernel.value(X)
         if val > best_val:
             best_x, best_val = x, val
+            if events is not None:
+                events.append((it, "up"))
         elif val < best_val - 1e-12 * max(1.0, best_val):
+            if events is not None:
+                events.append((it, "reset"))
             alpha *= 4.0
             x = best_x
             X = kernel.gather(x)

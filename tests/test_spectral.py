@@ -14,6 +14,7 @@ from hspex.errors import (
     AllZero,
     BadConfig,
     BadP,
+    BadWeights,
     DimensionMismatch,
     IsolatedVertex,
     OutOfRange,
@@ -250,6 +251,20 @@ class TestResidualAndRatios:
         assert principal_ratio([0.0, 1.0]) == math.inf
         with pytest.raises(AllZero):
             principal_ratio([0.0, 0.0])
+
+    @pytest.mark.parametrize("x", [[1.0, -2.0], [-1.0, -2.0], [1.0, math.nan], [0.0, -1.0]])
+    def test_principal_ratio_rejects_negative_or_nan_weights(self, x):
+        with pytest.raises(BadWeights):
+            principal_ratio(x)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, 1.0, math.nan, math.inf])
+    def test_bad_p_rejected(self, k3, p):
+        with pytest.raises(BadP):
+            degree_ratio_lower_bound(k3, p)
+        with pytest.raises(BadP):
+            rho_upper_bound(3, 2, p)
+        with pytest.raises(BadP):
+            eigen_residual(k3, [0.5] * 3, p, 1.0)
 
     def test_degree_ratio_bound(self, k3):
         assert degree_ratio_lower_bound(path3(), 2) == pytest.approx(math.sqrt(2))
@@ -512,6 +527,41 @@ class TestBatchedSolverOracle:
                 assert (float(vals[b]).hex(), its[b], oks[b]) == (float(want[1]).hex(), *want[2:])
             stalled += its[2] == 1536 and not oks[2]
         assert stalled > 0
+
+    def test_edge_paths_right_after_an_all_improved_step(self):
+        """A step in which every row improved makes its iterate the best one
+        without a copy, so the paths that follow such a step must leave each
+        row as the per-start oracle leaves it: a collapse at a 512-step
+        checkpoint, a shift reset after a value drop and a stop on budget.
+        Here vertex 1 is isolated, its entry decays, and row 2 collapses it
+        at the checkpoint of iteration 1024 and drops in value at the next
+        step; rows 2 and 4 then stop on budget."""
+        g = Hypergraph(5, 4, ((0, 2, 3, 4),))
+        p = 1.3
+        budgets = np.array([1100, 513, 2000, 1025, 700, 1600])
+        alphas = np.array([1.0, 0.5, 2.0, 0.25, 4.0, 1.5])
+        x0 = _normalize_p(np.random.default_rng(370).uniform(0.0, 1.0, (6, g.n)) ** 4, p)
+        kernel = _Lagrangian(g, rows=6)
+        xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, budgets, alphas)
+        events = []
+        for b in range(6):
+            ev = []
+            want = _fixed_point_start(
+                _Lagrangian1D(g), x0[b], p, 1e-10, int(budgets[b]), float(alphas[b]), ev
+            )
+            assert xs[b].tobytes() == want[0].tobytes()
+            assert (float(vals[b]).hex(), its[b], oks[b]) == (float(want[1]).hex(), *want[2:])
+            events.append(set(ev))
+
+        def all_up(k):
+            """Every row still in the batch at the step ending at iteration k
+            improved there."""
+            return all((k, "up") in ev for ev, it in zip(events, its) if it >= k)
+
+        ended = [(k, what) for ev in events for k, what in ev]
+        assert any(all_up(k) for k, what in ended if what == "collapse")
+        assert any(all_up(k - 1) for k, what in ended if what == "reset")
+        assert any(all_up(it) for it, ok, cap in zip(its, oks, budgets) if not ok and it == cap)
 
     def test_shift_past_1e9_ends_a_row(self):
         """A row whose shift passes 1e9 in a reset returns its best iterate at
