@@ -34,7 +34,10 @@ bytes of what comes back, layer by layer:
              equal results, and P5 free at n = 7, whose 240 completions
              per edge fill several gap blocks), enumerate_family edge lists and
              extremal_lambda_p(full=True) results, so every consumer of the
-             member walk is covered; connected_graph_classes edge lists for
+             member walk is covered, and calls that share a sweep record in
+             both orders (the audit before enumerate_family for C5 at n = 6,
+             extremal_pi after the audit on an equal family value built anew
+             for C5 at n = 5); connected_graph_classes edge lists for
              v = 1..6 with r = 2 and v = 4 with r = 3, the other consumer of
              the class reduction
   membership contains_subgraph and contains_induced_subgraph witnesses,
@@ -249,6 +252,17 @@ def extremal_layer(hspex, emit) -> None:
             res = hspex.extremal_lambda_p(fam, n, 2.0, hspex.SolverConfig(starts=4, seed=n),
                                           full=True)
             emit(("full", h.r, n), _extremal(res))
+    # orders of calls that share one sweep record: the audit before
+    # enumerate_family on one value (C5 at n = 6), and extremal_pi after the
+    # audit on an equal value built anew (C5 at n = 5, not swept before)
+    fam = hspex.ForbiddenFamily((c5,))
+    for n in (6, 5):
+        res = hspex.extremal_lambda_p(fam, n, 2.0, hspex.SolverConfig(starts=4, seed=n),
+                                      full=True)
+        emit(("full", "C5", n), _extremal(res))
+    emit(("enumerate", "C5", 6), [g.edges for g in hspex.enumerate_family(fam, 6)])
+    c5_again = hspex.new_hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    emit(("pi", "C5", 5), hspex.extremal_pi(hspex.ForbiddenFamily((c5_again,)), 5).to_json_dict())
     from hspex.experiments import connected_graph_classes
 
     for v, r in [(v, 2) for v in range(1, 7)] + [(4, 3)]:

@@ -17,6 +17,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .canonical import canonical_key_string
 from .errors import HypothesisFailed, Infeasible
 from .families import (
@@ -60,6 +62,11 @@ class ExperimentReport:
     excluded: int = 0
     notes: list[str] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
+
+    def judge(self, failed: bool) -> None:
+        """The verdict rule: fail, else pass-with-exclusions when instances
+        were excluded, else pass."""
+        self.verdict = "fail" if failed else "pass-with-exclusions" if self.excluded else "pass"
 
     def to_json_dict(self) -> dict:
         """The fields in declaration order, sharing their objects (no copy)."""
@@ -114,7 +121,8 @@ def connected_graph_classes(v: int, r: int = 2) -> list[Hypergraph]:
     _check_guard(v, r, ALL_MASKS_GUARD_BITS)
     # connectivity is invariant under relabeling: testing one graph per class
     # keeps the same first-seen representatives
-    return [g for g in _mask_classes(range(1 << math.comb(v, r)), v, r) if g.is_connected()]
+    masks = np.arange(1 << math.comb(v, r), dtype=np.int64)
+    return [g for g in _mask_classes(masks, v, r) if g.is_connected()]
 
 
 def is_r_partite(h: Hypergraph) -> bool:
@@ -208,10 +216,7 @@ def run_degree_bound_suite(
                     "violated": violated,
                 }
             )
-    if violations:
-        report.verdict = "fail"
-    else:
-        report.verdict = "pass-with-exclusions" if report.excluded else "pass"
+    report.judge(violations > 0)
     return report
 
 
@@ -263,10 +268,7 @@ def run_ratio_scaling(
                     "argmax_key": canonical_key_string(g),
                 }
             )
-    ok = worst <= RATIO_CAP
-    report.verdict = (
-        ("pass-with-exclusions" if report.excluded else "pass") if ok else "fail"
-    )
+    report.judge(not worst <= RATIO_CAP)
     return report
 
 
@@ -318,7 +320,7 @@ def run_bridgeless_tight_suite(
                     "witness_validates": valid_witness,
                 }
             )
-    report.verdict = "pass" if failures == 0 else "fail"
+    report.judge(failures > 0)
     return report
 
 
@@ -362,8 +364,7 @@ def run_plateau_construction(h: Hypergraph, k: int, ell: int) -> ExperimentRepor
             "j1_witness_validates": witness_ok,
         }
     )
-    ok = member and maximal and not cert.result and witness_ok
-    report.verdict = "pass" if ok else "fail"
+    report.judge(not (member and maximal and not cert.result and witness_ok))
     if augmenting is not None:
         report.notes.append(f"augmenting edge {augmenting} after saturation")
     return report

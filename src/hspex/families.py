@@ -8,16 +8,17 @@ forbidden-copy pruning (`_walk`), which serves every sweep: it pops
 WALK_BATCH nodes at a time, one broadcast step per candidate edge blocks all
 of its completions in the batch's children, in blocks of fixed size, and
 leaves are yielded without being expanded.  The masks a result depends on
-are sorted into DFS preorder by a closed-form key
-(`_preorder_key`).  Each such mask set (all members, the edge-maximal ones)
-is closed under relabeling, so its isomorphism classes are its S_n-orbits,
-which `_orbit_classes` labels in numpy with no isomorphism test.  One
-immutable record per (family value, n), `_SweepData`, holds the member
-count and one graph per class of the edge-maximal members; `extremal_pi`
-and `extremal_lambda_p` both read it (a relabeled or reordered family is
-another value, swept again with equal results).  The lex-ordered candidate
-edges that give mask bits their meaning are built in this module alone.
-Everything is deterministic.
+are sorted into DFS preorder by a closed-form key (`_preorder_key`).  Each
+such mask set (all members, the edge-maximal ones) is closed under
+relabeling, so its isomorphism classes are its S_n-orbits, which
+`_orbit_classes` labels in numpy with no isomorphism test.  `_sweep`, the
+walk's one consumer, caches one immutable `_SweepData` per (family value,
+n, mask set): the member count and one graph per class.  `extremal_pi` and
+`extremal_lambda_p` read the edge-maximal record, `enumerate_family` and
+`extremal_lambda_p(full=True)` the all-members one (a relabeled or
+reordered family is another value, swept again with equal results).  The
+lex-ordered candidate edges that give mask bits their meaning are built in
+this module alone.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -183,10 +184,10 @@ def check_multiplicative_witness(fam: Family, g: Hypergraph, t) -> bool:
 @dataclass(frozen=True)
 class _SweepData:
     """One cached sweep: the member count and the first of each class of
-    edge-maximal members in preorder."""
+    its mask set (all members, or the edge-maximal ones) in preorder."""
 
     count: int
-    maximal: tuple[Hypergraph, ...]
+    classes: tuple[Hypergraph, ...]
 
 
 def _check_sweepable(fam: Family, n: int, limit: int) -> None:
@@ -373,22 +374,18 @@ def _in_preorder(chunks: list[np.ndarray], m: int) -> np.ndarray:
     return masks[np.argsort(_preorder_key(masks, m), kind="stable")]
 
 
-def _member_masks(fam: ForbiddenFamily, n: int) -> np.ndarray:
-    """Every member's edge mask in preorder, 8 bytes per member."""
-    return _in_preorder([batch & 0xFFFFFFFF for batch in _walk(fam, n)], comb(n, fam.r))
-
-
 @functools.cache
-def _sweep(fam: ForbiddenFamily, n: int) -> _SweepData:
-    """Member count and one graph per class of the edge-maximal members
-    (addable set empty), labelled once per (family value, n) and cached."""
+def _sweep(fam: ForbiddenFamily, n: int, every: bool) -> _SweepData:
+    """Member count and one graph per class of every member or of the
+    edge-maximal ones (addable set empty).  Callers pass `every`
+    positionally, so each (family value, n, mask set) has one cache key."""
     count = 0
     found = []
     for batch in _walk(fam, n):
         count += len(batch)
-        found.append(batch[batch < 1 << 32])
-    maximal = _in_preorder(found, comb(n, fam.r))
-    return _SweepData(count, tuple(_mask_classes(maximal, n, fam.r)))
+        found.append(batch & 0xFFFFFFFF if every else batch[batch < 1 << 32])
+    masks = _in_preorder(found, comb(n, fam.r))
+    return _SweepData(count, tuple(_mask_classes(masks, n, fam.r)))
 
 
 def _mask_to_graph(mask: int, cand: list[tuple[int, ...]], n: int, r: int) -> Hypergraph:
@@ -440,10 +437,10 @@ def _orbit_classes(masks: np.ndarray, n: int, r: int) -> np.ndarray:
             return masks[label == np.arange(len(masks))]
 
 
-def _mask_classes(masks: Iterable[int], n: int, r: int) -> list[Hypergraph]:
-    """One graph per isomorphism class of a relabeling-closed mask set:
-    the first of each class in the given order (`_orbit_classes`)."""
-    reps = _orbit_classes(np.asarray(masks, dtype=np.int64), n, r)
+def _mask_classes(masks: np.ndarray, n: int, r: int) -> list[Hypergraph]:
+    """One graph per isomorphism class of a relabeling-closed int64 mask
+    set: the first of each class in the given order (`_orbit_classes`)."""
+    reps = _orbit_classes(masks, n, r)
     cand = _candidate_edges(n, r)
     return [_mask_to_graph(m, cand, n, r) for m in reps.tolist()]
 
@@ -461,11 +458,11 @@ def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     Representatives are the first member of each class in DFS preorder (lex
     order of the sorted edge-index lists), yielded in that order: members
     are closed under relabeling, so the classes are the S_n-orbits of the
-    member masks (`_orbit_classes`).  The walk and the labelling run in
-    full before the first one is yielded.
+    member masks (`_orbit_classes`).  They are the cached all-members
+    sweep's classes, which `extremal_lambda_p(full=True)` solves.
     """
     _check_sweepable(fam, n, ALL_MASKS_GUARD_BITS)
-    yield from _mask_classes(_member_masks(fam, n), n, fam.r)
+    yield from _sweep(fam, n, True).classes
 
 
 @dataclass
@@ -506,15 +503,15 @@ def extremal_pi(fam: Family, n: int) -> ExtremalResult:
     """Maximum edge count over members on exactly n labeled vertices."""
     t0 = time.perf_counter()
     _check_sweepable(fam, n, ENUM_GUARD_BITS)
-    data = _sweep(fam, n)
+    data = _sweep(fam, n, False)
     _require_members(data.count)
     # a maximum-size member of a subgraph-closed family is edge-maximal, and
     # a class's first maximal mask in preorder is its first argmax mask
-    best = max(g.m for g in data.maximal)
+    best = max(g.m for g in data.classes)
     return ExtremalResult(
         n=n,
         value=float(best),
-        argmax=tuple(g for g in data.maximal if g.m == best),
+        argmax=tuple(g for g in data.classes if g.m == best),
         count_members=data.count,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
@@ -529,27 +526,20 @@ def extremal_lambda_p(
 ) -> ExtremalResult:
     """Maximum p-spectral radius over members on exactly n labeled vertices.
 
-    By default only edge-maximal members are solved (a spectral-extremal
-    member must be edge-maximal); ``full=True`` audits every member instead.
-    One representative per isomorphism class is solved.
+    By default one representative per class of edge-maximal members is
+    solved (a spectral-extremal member must be edge-maximal); ``full=True``
+    audits every member class instead, the ones `enumerate_family` yields.
     """
     t0 = time.perf_counter()
     _check_p(p)  # before the member walk, which can take seconds
     _check_sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
-    if full:  # the audit walk itself counts the members
-        masks = _member_masks(fam, n)
-        count = len(masks)
-        reps = _mask_classes(masks, n, fam.r)
-    else:
-        data = _sweep(fam, n)
-        count = data.count
-        reps = data.maximal
-    _require_members(count)
+    data = _sweep(fam, n, full)
+    _require_members(data.count)
 
     cfg = config or SolverConfig()
     solved: list[tuple[float, Hypergraph, SpectralSolution]] = []
     non_converged = 0
-    for g in reps:
+    for g in data.classes:
         sol = solve_rho_p(g, p, cfg)
         if not sol.converged:
             non_converged += 1
@@ -560,10 +550,10 @@ def extremal_lambda_p(
         n=n,
         value=best,
         argmax=tuple(g for g, _ in winners),
-        count_members=count,
+        count_members=data.count,
         p=p,
         solutions=tuple(sol for _, sol in winners),
         non_converged=non_converged,
-        classes_solved=len(reps),
+        classes_solved=len(data.classes),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )

@@ -641,7 +641,7 @@ def solve_rho_p(
     )
     rho = float(rho[0])
     flags = []
-    if residual > cfg.tol * max(1.0, rho):
+    if not residual <= cfg.tol * max(1.0, rho):  # a NaN residual fails too
         flags.append("NoConvergence")
     if gap > GAP_EPS:
         flags.append("NonUniqueSuspected")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 from typing import Iterable, Optional
 
 from .errors import (
@@ -138,6 +139,8 @@ class BridgeCertificate:
 
 
 def _check_k(g: Hypergraph, k: int) -> None:
+    if not isinstance(k, Integral):  # numpy integers are Integral too
+        raise BadK(f"k={k!r} is not an integer")
     if not 1 <= k <= g.r - 1:
         raise BadK(f"k={k} outside [1, {g.r - 1}]")
 

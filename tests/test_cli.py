@@ -5,6 +5,7 @@ import itertools
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hspex import cli, families, spectral
@@ -116,6 +117,16 @@ class TestRho:
         )
         assert code == 2
         assert "NoConvergence" in json.loads(out)["flags"]
+
+    def test_nan_residual_exit_2(self, capsys, files):
+        """An infinite rho with a NaN residual is not convergence."""
+        with np.errstate(all="ignore"):
+            code, out, _ = run(capsys, ["rho", "--input", files["k3"], "--p", "1e5",
+                                        "--starts", "2", "--max-iter", "0", "--json"])
+        data = json.loads(out)
+        assert code == 2
+        assert (data["rho"], data["residual"]) == ("inf", "nan")
+        assert "NoConvergence" in data["flags"]
 
     @pytest.mark.parametrize("flag", [["--starts", "0"], ["--tol", "0"], ["--tol", "inf"],
                                       ["--tol", "nan"], ["--seed", "-1"]])
@@ -232,6 +243,15 @@ class TestExtremalSaturate:
         assert code == 2
         assert out == clean
         assert err == "did not converge: 2 of 2 classes\n"
+
+    def test_extremal_nan_residual_exit_2(self, capsys, files):
+        """The one class solves to an infinite rho with a NaN residual: exit 2."""
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, ["extremal", "--forbid", files["k3"], "--n", "3",
+                                          "--p", "1e5", "--starts", "2"])
+        assert code == 2
+        assert json.loads(out)["value"] == "inf"
+        assert err == "did not converge: 1 of 1 classes\n"
 
     def test_extremal_zero_starts_exit_1(self, capsys, files):
         code, out, err = run(

@@ -232,6 +232,15 @@ class TestReportEmission:
             "experiment", "parameters", "seed", "verdict", "excluded", "notes", "rows"]
         assert d["rows"] is rep.rows
 
+    @pytest.mark.parametrize("failed, excluded, verdict", [
+        (True, 0, "fail"), (True, 3, "fail"),
+        (False, 3, "pass-with-exclusions"), (False, 0, "pass"),
+    ])
+    def test_judge(self, failed, excluded, verdict):
+        rep = ExperimentReport("x", {}, 0, excluded=excluded)
+        rep.judge(failed)
+        assert rep.verdict == verdict
+
     def test_json_deterministic(self):
         fam = ForbiddenFamily((complete_r_graph(3, 2),))
         a = run_density_trend(fam, [4, 5]).to_json()

@@ -285,19 +285,19 @@ class TestEnumeration:
         from hspex.families import _sweep
 
         fam = k3_family()
-        assert _sweep(fam, 5).count == brute_member_count(fam, 5)
+        assert _sweep(fam, 5, False).count == brute_member_count(fam, 5)
 
     def test_labeled_count_matches_bruteforce_3uniform(self):
         from hspex.families import _sweep
 
         fam = ForbiddenFamily((complete_r_graph(4, 3),))
-        assert _sweep(fam, 5).count == brute_member_count(fam, 5)
+        assert _sweep(fam, 5, False).count == brute_member_count(fam, 5)
 
     def test_two_forbidden_graphs(self):
         from hspex.families import _sweep
 
         fam = ForbiddenFamily((complete_r_graph(3, 2), cycle(4)))
-        assert _sweep(fam, 5).count == brute_member_count(fam, 5)
+        assert _sweep(fam, 5, False).count == brute_member_count(fam, 5)
 
     def test_maximal_masks_match_definition_n5(self):
         fam = k3_family()
@@ -345,11 +345,19 @@ def maximal_masks(fam: ForbiddenFamily, n: int) -> tuple[int, ...]:
     return tuple(_in_preorder(found, math.comb(n, fam.r)).tolist())
 
 
-def fresh_sweep(fam: ForbiddenFamily, n: int):
+def member_masks(fam: ForbiddenFamily, n: int) -> list[int]:
+    """Every member's edge mask from the walk, in preorder."""
+    from hspex.families import _in_preorder, _walk
+
+    found = [b & 0xFFFFFFFF for b in _walk(fam, n)]
+    return _in_preorder(found, math.comb(n, fam.r)).tolist()
+
+
+def fresh_sweep(fam: ForbiddenFamily, n: int, every: bool = False):
     from hspex.families import _sweep
 
     _sweep.cache_clear()
-    return _sweep(fam, n)
+    return _sweep(fam, n, every)
 
 
 def check_sweep(fam: ForbiddenFamily, n: int):
@@ -431,7 +439,7 @@ def test_walk_results_do_not_depend_on_batch_size(forbidden, n, batch_nodes, mon
     assert max(map(len, batches)) < 2 * batch_nodes
     assert np.array_equal(np.sort(np.concatenate(batches)), expected)
     check_sweep(fam, n)
-    assert families._member_masks(fam, n).tolist() == list(member_masks_dfs(fam, n))
+    assert member_masks(fam, n) == list(member_masks_dfs(fam, n))
 
 
 def test_walk_scratch_stays_within_its_bound():
@@ -498,18 +506,22 @@ def test_orbit_classes_match_class_oracles(forbidden, n):
     """On each relabeling-closed mask set a sweep reduces (all members,
     edge-maximal and maximum-size ones), orbit labelling keeps exactly the
     class representatives of the isomorphism oracles, in the same order,
-    and the sweep record holds the edge-maximal ones as graphs.  Only
-    K4^(3) at n = 6's 477,965 members are past the isomorphism oracles and
-    are checked against the brute-force orbit oracle alone."""
-    from hspex.families import _member_masks
-
+    and the two sweep records hold the edge-maximal ones and all members'
+    as graphs.  Only K4^(3) at n = 6's 477,965 members are past the
+    isomorphism oracles and are checked against the brute-force orbit
+    oracle alone."""
     fam = ForbiddenFamily(forbidden)
     data = fresh_sweep(fam, n)
     argmax_masks = sweep_dfs(fam, n)[2]
     maximal = maximal_masks(fam, n)
     maximal_reps = orbit_reps(maximal, n, fam.r)
-    assert edge_lists(data.maximal) == edge_lists(mask_graphs(maximal_reps, n, fam.r))
-    for masks in (_member_masks(fam, n).tolist(), maximal, argmax_masks):
+    assert edge_lists(data.classes) == edge_lists(mask_graphs(maximal_reps, n, fam.r))
+    members = member_masks(fam, n)
+    every = fresh_sweep(fam, n, True)
+    assert every.count == data.count == len(members)
+    member_reps = orbit_reps(members, n, fam.r)
+    assert edge_lists(every.classes) == edge_lists(mask_graphs(member_reps, n, fam.r))
+    for masks in (members, maximal, argmax_masks):
         reps = orbit_reps(masks, n, fam.r)
         assert reps == orbit_classes_bruteforce(masks, n, fam.r)
         if len(masks) <= ORACLE_CLASS_MASKS:
@@ -789,6 +801,31 @@ class TestSweepCache:
         first, *others = (self.results(fam, 6) for fam in families)
         assert all(other == first for other in others)
         assert [f for f, _ in walks] == families  # each value walked once
+
+    def test_one_record_per_mask_set(self):
+        """pi, lambda at p = 2 and 3, enumerate_family and the full audit on
+        one (family value, n) sweep twice from a cold cache, once per mask
+        set; the audit solves exactly the enumerated classes, and every
+        result equals the one its call gives alone from a cold cache."""
+        import hspex.families as families
+
+        fam, n = ForbiddenFamily((cycle(5),)), 6
+        cfg = SolverConfig(starts=2, seed=1)
+        calls = [
+            lambda: extremal_pi(fam, n).to_json_dict(),
+            lambda: extremal_lambda_p(fam, n, 2.0, cfg).to_json_dict(stats=True),
+            lambda: extremal_lambda_p(fam, n, 3.0, cfg).to_json_dict(stats=True),
+            lambda: edge_lists(enumerate_family(fam, n)),
+            lambda: extremal_lambda_p(fam, n, 2.0, cfg, full=True).to_json_dict(stats=True),
+        ]
+        families._sweep.cache_clear()
+        shared = [call() for call in calls]
+        assert families._sweep.cache_info().misses == 2
+        assert shared[4]["classes_solved"] == len(shared[3])
+        for call, result in zip(calls, shared):
+            families._sweep.cache_clear()
+            assert call() == result
+        families._sweep.cache_clear()
 
     def test_family_from_a_list_is_a_hashable_equal_value(self):
         listed = ForbiddenFamily([complete_r_graph(3, 2), cycle(4)])

@@ -266,6 +266,24 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_hypergraph("2 3\n")
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  \n# a\n#b\n"])
+    def test_parse_empty_or_comment_only(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == "line 1: missing header line 'r n m'"
+
+    def test_parse_non_integer_header(self):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph("2 x 1\n0 1\n")
+        assert str(err.value) == "line 1: non-integer header ['2', 'x', '1']"
+
+    @pytest.mark.parametrize("token", ["a", "1.0"])
+    def test_parse_non_integer_vertex_id(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph(f"# a path\n2 3 2\n0 1\n\n0 {token}\n")
+        assert err.value.line == 5
+        assert str(err.value) == f"line 5: non-integer vertex id in ['0', '{token}']"
+
     def test_parse_wrong_edge_count(self):
         with pytest.raises(ParseError):
             parse_hypergraph("2 3 2\n0 1\n")

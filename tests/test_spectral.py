@@ -432,6 +432,15 @@ class TestSolver:
         with pytest.raises(BadConfig, match="seed"):
             SolverConfig(seed=-1)
 
+    def test_nan_residual_is_not_convergence(self):
+        """At p = 1e5 a random start's sum(x**p) underflows to 0, so the
+        best iterate is infinite and its residual NaN, which fails every
+        comparison: the solve is flagged, not passed."""
+        with np.errstate(all="ignore"):
+            sol = solve_rho_p(complete_r_graph(4, 2), 1e5, SolverConfig(starts=2, max_iter=0))
+        assert sol.rho == math.inf and math.isnan(sol.residual)
+        assert "NoConvergence" in sol.flags and not sol.converged
+
     def test_negative_max_iter_rejected(self):
         with pytest.raises(BadConfig, match="max_iter"):
             SolverConfig(max_iter=-1)

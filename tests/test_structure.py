@@ -4,6 +4,7 @@ import random
 import warnings
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hspex import structure
@@ -93,6 +94,21 @@ class TestTightness:
             is_k_tight(k4_3, 3)
         with pytest.raises(BadK):
             is_k_tight(k4_3, 0)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+    def test_non_integer_k(self, k4_3, k):
+        """k = 1.5 once gave a certificate from is_k_tight and a bare
+        TypeError from the other two deciders."""
+        for call in (lambda: is_k_tight(k4_3, k), lambda: is_k_bridge(k4_3, (0, 1, 2), k),
+                     lambda: is_k_plateaued(k4_3, k)):
+            with pytest.raises(BadK, match="not an integer"):
+                call()
+
+    def test_numpy_integer_k(self, k4_3):
+        k = np.int64(2)
+        assert is_k_tight(k4_3, k) == is_k_tight(k4_3, 2)
+        assert is_k_bridge(k4_3, (0, 1, 2), k) == is_k_bridge(k4_3, (0, 1, 2), 2)
+        assert is_k_plateaued(k4_3, k) == is_k_plateaued(k4_3, 2)
 
     def test_one_tight_iff_connected(self, rng):
         """Graphs with edges and no isolated vertices: 1-tight == connected."""
