@@ -537,23 +537,17 @@ def extremal_lambda_p(
     _require_members(data.count)
 
     cfg = config or SolverConfig()
-    solved: list[tuple[float, Hypergraph, SpectralSolution]] = []
-    non_converged = 0
-    for g in data.classes:
-        sol = solve_rho_p(g, p, cfg)
-        if not sol.converged:
-            non_converged += 1
-        solved.append((sol.rho, g, sol))
-    best = max(s[0] for s in solved)
-    winners = [(g, sol) for rho, g, sol in solved if rho >= best - VALUE_COLLAPSE]
+    sols = [solve_rho_p(g, p, cfg) for g in data.classes]
+    best = max(s.rho for s in sols)
+    winners = [i for i, s in enumerate(sols) if s.rho >= best - VALUE_COLLAPSE]
     return ExtremalResult(
         n=n,
         value=best,
-        argmax=tuple(g for g, _ in winners),
+        argmax=tuple(data.classes[i] for i in winners),
         count_members=data.count,
         p=p,
-        solutions=tuple(sol for _, sol in winners),
-        non_converged=non_converged,
+        solutions=tuple(sols[i] for i in winners),
+        non_converged=sum(not s.converged for s in sols),
         classes_solved=len(data.classes),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )

@@ -40,20 +40,16 @@ from .hypergraph import Hypergraph
 
 CLAMP_EPS = 1e-14  # output entries below this are reported as exact zeros
 GAP_EPS = 1e-6     # multi-start disagreement threshold
-# A solve iterates at most this many gathered entries (rows * r * m) at once,
-# or one start's if that is more: a graph with many edges runs its starts a
-# few rows, or one row, at a time, so memory stays at the one-start level.
-# The kernel sizes its scratch from it once per solve: with
-# E = max(BATCH_ENTRIES, r * m), the gather, prefix and leave-one-out buffers
-# hold 2E float64 and the edge positions and the batch's index at most 2E
-# intp; for r = 2 there is no leave-one-out buffer (1.5E float64) and the
-# swapped scatter index adds E intp (2.5E), so at most 32E bytes in all.
+# A solve's kernel holds one chunk of max(1, BATCH_ENTRIES // (r * m)) rows,
+# and no kernel call (a step, a halving ladder, the polish or the final pass)
+# holds more, so none gathers more than E = max(BATCH_ENTRIES, r * m)
+# entries: a graph with many edges runs its starts a few rows, or one row, at
+# a time, so memory stays at the one-start level.  The kernel sizes its
+# scratch from it once per solve: the gather, prefix and leave-one-out
+# buffers hold 2E float64 and the edge positions and the batch's index at
+# most 2E intp; for r = 2 there is no leave-one-out buffer (1.5E float64) and
+# the swapped scatter index adds E intp (2.5E), so at most 32E bytes in all.
 BATCH_ENTRIES = 1 << 15
-# A line search tries its halvings as kernel rows, so a solve's kernel holds
-# at least this many gathered entries' worth of rows (but no more than a
-# chunk): on a small graph one call then tries a whole halving ladder, and
-# the call, not the arithmetic, is the cost.
-LADDER_ENTRIES = 1 << 11
 
 
 def _as_weights(g: Hypergraph, x) -> np.ndarray:
@@ -401,12 +397,13 @@ def _fixed_point_run(
             # Collapse them onto the boundary face, which is itself optimal
             # (a wrongly collapsed vertex resurrects via its gradient); when
             # nothing is collapsible the flatness is interior, and grinding
-            # further cannot improve the value, so give up on this start.
+            # further cannot improve the value, so give up on this start.  A
+            # row whose value is inf or NaN cannot recover: it gives up too.
             slow = ~stop & (res > 0.5 * res_checkpoint)
             tiny = slow[:, None] & (x > 0.0) & (x < 1e-6)
             collapse = tiny.any(axis=1)
             stagnant = np.where(slow & ~collapse, stagnant + 1, 0)
-            stop |= stagnant >= 2
+            stop = stop | (stagnant >= 2) | ~np.isfinite(val)  # stop may be ok itself
             if np.count_nonzero(collapse):
                 x = x.copy()  # best_x may be x itself
                 x[collapse] = _normalize_p(np.where(tiny, 0.0, x)[collapse], p)
@@ -464,7 +461,7 @@ def _halving_ladder(
     """The rest of one start's line search after its trial step eta failed.
 
     Its halvings eta/2, eta/4, ... above 1e-18, projected and normalized,
-    are evaluated as kernel rows, as many per call as the kernel holds.
+    are evaluated as kernel rows, one chunk (`kernel.rows`) per call.
     Returns (trials, step, x, L) of the first that improves on val, or of
     x itself with step None when none does; trials counts the halvings the
     one-by-one search tries, and each candidate has the bits of its trial
@@ -597,9 +594,8 @@ def solve_rho_p(
     The starts iterate together as one (starts, n) batch, split into chunks
     of at most BATCH_ENTRIES // (r * m) rows (at least one), each step one
     kernel call for all of a chunk's live starts; for p < r the halvings of
-    a failed line search are tried as kernel rows, as many per call as the
-    kernel holds (see LADDER_ENTRIES).  Each start ends exactly as it would
-    alone.
+    a failed line search are tried as kernel rows, up to a chunk per call.
+    Each start ends exactly as it would alone.
     """
     _check_p(p)
     cfg = config or SolverConfig()
@@ -621,7 +617,7 @@ def solve_rho_p(
     initials = np.concatenate((uniform[None], _normalize_p(extra, p)))
 
     chunk = max(1, BATCH_ENTRIES // (g.r * g.m))
-    kernel = _Lagrangian(g, rows=min(chunk, max(len(initials), LADDER_ENTRIES // (g.r * g.m))))
+    kernel = _Lagrangian(g, rows=chunk)
     parts = [
         run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter)
         for lo in range(0, len(initials), chunk)

@@ -829,6 +829,8 @@ def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha, events=N
         if res <= tol * max(1.0, rho_est):
             return x, kernel.value(X), it, True
         if it and it % 512 == 0:
+            if not math.isfinite(val):
+                break  # an inf or NaN value cannot recover
             if res > 0.5 * res_checkpoint:
                 tiny = (x > 0.0) & (x < 1e-6)
                 if tiny.any():
@@ -861,7 +863,7 @@ def _fixed_point_start(kernel: _Lagrangian1D, x, p, tol, budget, alpha, events=N
             if events is not None:
                 events.append((it, "reset"))
             alpha *= 4.0
-            x = best_x
+            x, val = best_x, best_val
             X = kernel.gather(x)
             if alpha > 1e9:
                 break
@@ -958,7 +960,7 @@ def solve_rho_p_perstart(
     rho = kernel.value(X_out)
     residual = kernel.residual(np.power(x_out, p - 1.0), kernel.grad(X_out), rho)
     flags = []
-    if residual > cfg.tol * max(1.0, rho):
+    if not residual <= cfg.tol * max(1.0, rho):  # a NaN residual fails too
         flags.append("NoConvergence")
     if gap > GAP_EPS:
         flags.append("NonUniqueSuspected")

@@ -11,7 +11,7 @@ import pytest
 from hspex import cli, families, spectral
 from hspex.cli import build_parser, main
 from hspex.experiments import ExperimentReport
-from hspex.hypergraph import serialize, complete_r_graph
+from hspex.hypergraph import Hypergraph, serialize, complete_r_graph
 from conftest import bowtie3, cycle, path3
 
 
@@ -127,6 +127,22 @@ class TestRho:
         assert code == 2
         assert (data["rho"], data["residual"]) == ("inf", "nan")
         assert "NoConvergence" in data["flags"]
+
+    def test_stats_stagnant_start_not_converged(self, capsys, tmp_path):
+        """A start that gives up on a stagnating residual is reported as not
+        converged, in both the JSON and the text statistics."""
+        f = tmp_path / "stagnant.hg"
+        f.write_text(serialize(Hypergraph(7, 3, ((0, 1, 2), (0, 5, 6), (3, 4, 6)))))
+        argv = ["rho", "--input", str(f), "--p", "2", "--starts", "1", "--stats"]
+        code, out, _ = run(capsys, argv + ["--json"])
+        data = json.loads(out)
+        assert code == 2 and data["flags"] == ["NoConvergence"]
+        assert [(rec["iterations"], rec["converged"]) for rec in data["per_start"]] == [
+            (3536, False)
+        ]
+        code, out, _ = run(capsys, argv)
+        assert code == 2
+        assert out.splitlines()[1].endswith("converged = False  strategy = projected-gradient")
 
     @pytest.mark.parametrize("flag", [["--starts", "0"], ["--tol", "0"], ["--tol", "inf"],
                                       ["--tol", "nan"], ["--seed", "-1"]])

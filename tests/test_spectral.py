@@ -234,6 +234,26 @@ class TestKernelScratch:
             assert sol.converged
             assert peak < 8 * 3 * g.r * g.m + 2**19
 
+    @pytest.mark.parametrize("g, starts, rows", [
+        (complete_r_graph(4, 3), 2, 2730),
+        (complete_r_graph(10, 2).blow_up((20,) * 10), 16, 1),
+    ])
+    def test_kernel_holds_one_chunk(self, monkeypatch, g, starts, rows):
+        """A solve's kernel holds max(1, BATCH_ENTRIES // (r * m)) rows,
+        however many starts it runs."""
+        assert rows == max(1, BATCH_ENTRIES // (g.r * g.m))
+        built = []
+        init = _Lagrangian.__init__
+
+        def spy(self, graph, rows=1):
+            built.append(rows)
+            init(self, graph, rows)
+
+        monkeypatch.setattr(_Lagrangian, "__init__", spy)
+        for p in (1.5, 3.0):  # both strategies
+            solve_rho_p(g, p, SolverConfig(starts=starts, max_iter=0))
+        assert built == [rows, rows]
+
 
 class TestResidualAndRatios:
     def test_symmetric_solutions_have_zero_residual(self, k3):
@@ -619,6 +639,30 @@ class TestBatchedSolverOracle:
         assert collapsed and all(it % 512 == 0 for it in collapsed), "no row collapsed"
         assert not got.converged
         _same_solution(got, solve_rho_p_perstart(g, 1.3, cfg))
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(starts=1), SolverConfig(starts=4, seed=358488241)])
+    def test_stagnant_start_is_not_converged(self, cfg):
+        """A start that gives up on a stagnating residual, here the polish
+        of start 0 at iteration 3536, returns its best iterate unconverged,
+        as the per-start oracle's does."""
+        g = Hypergraph(7, 3, ((0, 1, 2), (0, 5, 6), (3, 4, 6)))
+        got = solve_rho_p(g, 2.0, cfg)
+        assert got.per_start[0][1:3] == (3536, False)
+        _same_solution(got, solve_rho_p_perstart(g, 2.0, cfg))
+
+    def test_non_finite_row_ends_at_a_checkpoint(self):
+        """At p = 1e5 the random start's sum(x**p) underflows to 0, so its
+        value is infinite from the start: it cannot recover, and it ends at
+        the first 512-step checkpoint, unconverged, as the per-start
+        oracle's does; the uniform start converges at once."""
+        g = complete_r_graph(3, 2)
+        cfg = SolverConfig(starts=2)
+        with np.errstate(all="ignore"):
+            got = solve_rho_p(g, 1e5, cfg)
+            want = solve_rho_p_perstart(g, 1e5, cfg)
+        assert [rec[1:3] for rec in got.per_start] == [(0, True), (512, False)]
+        assert got.rho == math.inf and got.flags == ("NoConvergence", "NonUniqueSuspected")
+        _same_solution(got, want)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_graph_split_into_chunks(self, p):
