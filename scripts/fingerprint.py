@@ -20,7 +20,10 @@ bytes of what comes back, layer by layer:
              vertexless and edgeless r-graphs for r = 2..5; cloning with u
              isolated, with z isolated and with u meeting every edge, and
              the error type and message for u == z and for a vertex out of
-             range
+             range; value and gradient of K_t^(r) blow-ups for r = 2..4,
+             whose long position-0 runs the kernel sums run by run, with
+             negative, 0.0 and -0.0 weights, one row through the public API
+             and batches of 1, 3 and 4 rows through the kernel
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates,
              components, is_connected and find_plateaus for one lambda per
              graph on random 2-, 3- and 4-graphs, and components,
@@ -81,6 +84,8 @@ import warnings
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 P_VALUES = (1.5, 2.0, 3.0, 4.0)
 
 
@@ -91,6 +96,11 @@ def _random_graph(hspex, rng: random.Random, n: int, r: int, density: float):
 
 def _weights(rng: random.Random, n: int, zeros: bool) -> list[float]:
     return [0.0 if zeros and rng.random() < 0.3 else rng.uniform(0.05, 1.0) for _ in range(n)]
+
+
+def _signed_weights(rng: random.Random, n: int) -> list[float]:
+    return [rng.choice((0.0, -0.0, -rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)))
+            for _ in range(n)]
 
 
 def _solution(sol) -> tuple:
@@ -185,6 +195,28 @@ def kernel_layer(hspex, emit) -> None:
             x = _weights(rng, 6, zeros)
             emit(("clone-fixed", h.edges, u, z),
                  _outcome(lambda: hspex.cloning_lagrangian_delta(h, u, z, x).hex()))
+    # blow-ups with long position-0 runs, which the kernel sums run by run
+    # once a batch has RUN_ENTRIES entries past a run's first: one row through
+    # the public API and batches of several rows through the kernel, with
+    # signed weights (negative entries, 0.0 and -0.0) and with weights of
+    # +-0 only whose first position-0 run starts with -0.0
+    for t, r, parts in [(10, 2, (10,) * 10), (6, 2, (3, 5, 7, 9, 11, 13)), (4, 2, (8,) * 4),
+                        (6, 3, (5,) * 6), (5, 3, (2, 4, 6, 8, 10)), (5, 4, (4,) * 5),
+                        (5, 4, (2, 3, 5, 7, 9))]:
+        g = hspex.complete_r_graph(t, r).blow_up(parts)
+        zeros = [-0.0 if v % 2 else 0.0 for v in range(g.n)]
+        zeros[g.edges[0][1]] = -0.0
+        for v in g.edges[0][2:]:
+            zeros[v] = 0.0
+        xs = [zeros, *(_signed_weights(rng, g.n) for _ in range(7))]
+        for x in xs[:3]:
+            emit(("run-sums", t, r, parts),
+                 (hspex.lagrangian(g, x).hex(), hspex.lagrangian_gradient(g, x).tobytes()))
+        kernel = hspex.spectral._Lagrangian(g, rows=4)
+        for lo, b in ((0, 4), (4, 1), (5, 3)):
+            X = kernel.gather(np.array(xs[lo : lo + b]))
+            emit(("run-sums batch", t, r, parts, b),
+                 (kernel.value(X).tobytes(), kernel.grad(X).tobytes()))
 
 
 def structure_layer(hspex, emit) -> None:

@@ -49,7 +49,18 @@ GAP_EPS = 1e-6     # multi-start disagreement threshold
 # buffers hold 2E float64 and the edge positions and the batch's index at
 # most 2E intp; for r = 2 there is no leave-one-out buffer (1.5E float64) and
 # the swapped scatter index adds E intp (2.5E), so at most 32E bytes in all.
+# A kernel whose batches sum position 0's runs (RUN_ENTRIES) adds run tables
+# for all its rows: a sign table of E/r float64, and starts and vertices of
+# 8 bytes each per run.  At r = 2 such a batch needs a leave-one-out buffer
+# (E/2 float64) but no swapped index: one row takes 28E bytes, plus 16 per run.
 BATCH_ENTRIES = 1 << 15
+# A batch sums position 0's runs once b * (m - K) of its position-0 entries,
+# those after a run's first, reach this.  Measured crossover against
+# bincount (per grad call, 2-core VM, BENCH_run_sums.json): 620-950 entries
+# at r = 3, 4 (dense 3- and 4-graphs, m ~ 200) and 890-2,880 at r = 2
+# (K6^(2)(3..13), K4^(2)(8^4)).  1024 also exceeds the 12 * 80 entries of a
+# graph with m <= 13 in the longest (80-row) halving ladder.
+RUN_ENTRIES = 1024
 
 
 def _as_weights(g: Hypergraph, x) -> np.ndarray:
@@ -67,10 +78,11 @@ class _Lagrangian:
     (r, m) edge positions, whose [j] row holds the j-th vertex of each edge
     of g.  The kernel owns its scratch, sized once from (r, rows, m): the
     gather buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1
-    and, for r >= 3, one leave-one-out buffer.  For the current batch size b
-    it holds an (r, b, m) index, the positions offset by i*n in row i, their
-    place in a flattened (b, n) batch, and contiguous views of the buffers;
-    they are rebuilt only when b changes.
+    and, for r >= 3 or a kernel that sums position 0's runs, one
+    leave-one-out buffer.  For the current batch size b it holds an
+    (r, b, m) index, the positions offset by i*n in row i, their place in a
+    flattened (b, n) batch, contiguous views of the buffers and the run
+    tables' first b rows; they are rebuilt only when b changes.
 
     A batch x of up to `rows` iterates is gathered once, ``X = gather(x)``,
     for both `value` and `grad`; X stays valid until the next gather.
@@ -79,14 +91,28 @@ class _Lagrangian:
     its own, and a gather invalidates them.  Every product multiplies
     positions left to right: the factor order of np.prod over an (m, r)
     index, so the bits match it for every r (prefix times suffix would
-    regroup them for r >= 4).  For r = 2 the leave-one-out products are X_1
-    and X_0 themselves, so `grad` is one bincount of X on a swapped index,
-    which sends X_0 to the vertices in position 1 and X_1, offset by b*n,
-    to those in position 0; the two parts are then added, the per-position
-    sum in the other order.  Edges are summed in g's sorted order.
+    regroup them for r >= 4).  `grad` scatters each loo_j onto the vertices
+    in position j with bincount, position 0 first, and adds the positions in
+    order.  Edges are summed in g's sorted order.
+
+    Position 0's entries are sorted by vertex, one run per vertex and row,
+    which bincount adds into one bin back to back, each add waiting on the
+    last.  A batch with RUN_ENTRIES entries past a run's first sums each run
+    instead: loo_0 times a sign table (+1 on a run's first entry, -1 on the
+    others; exact), then np.subtract.reduceat over the run starts, which
+    gives ((w1 + w2) + ...) + wL, bincount's order, and a bincount of the
+    run sums, so each bin still starts at +0.0.  numpy sums an add
+    reduction pairwise, so np.add.reduceat would regroup the terms; subtract
+    is reduced in order.  Positions >= 1 keep bincount: a vertex's entries
+    there are split across position-0 runs.  For r = 2 the leave-one-out
+    products are X_1 and X_0 themselves; below RUN_ENTRIES `grad` is one
+    bincount of X on a swapped index, which sends X_0 to the vertices in
+    position 1 and X_1, offset by b*n, to those in position 0; the two
+    parts are then added, the per-position sum in the other order.
     Every row gets the bits it would get alone: `np.add.reduce` along a
-    contiguous row and `bincount` on offset indices add in the one-row
-    order, and a stacked matmul makes one dot product per row.
+    contiguous row, run sums within a row and `bincount` on offset indices
+    add in the one-row order, and a stacked matmul makes one dot product
+    per row.
     """
 
     def __init__(self, g: Hypergraph, rows: int = 1):
@@ -96,11 +122,40 @@ class _Lagrangian:
         self.rm1fact = math.factorial(r - 1)
         self.positions = np.array(g.edges, dtype=np.intp).reshape(-1, r).T.copy()
         m = self.positions.shape[1]
+        self._runs = None  # position 0's run tables, built by the first batch to use them
         self._gathered = np.empty(r * rows * m)
         self._prefix = np.empty((r - 1) * rows * m)
         self._loo = np.empty(rows * m if r > 2 else 0)
         self._b = None
         self._valid = None  # the gather whose products the prefix buffer holds
+
+    def _position0_runs(self, b: int):
+        """The run tables' first b rows, or None when fewer than RUN_ENTRIES
+        of a b-row batch's position-0 entries follow a run's first.  They are
+        built once, for `rows` rows, if a batch can reach it: per row the
+        runs' starts in a flattened (rows, m) array and their vertices offset
+        by i*n, and a (rows, m) sign table."""
+        m = self.positions.shape[1]
+        if b * m < RUN_ENTRIES:  # fewer than m entries of a row follow a run's first
+            return None
+        if self._runs is None:
+            first = self.positions[0]
+            starts = np.flatnonzero(np.diff(first, prepend=-1))
+            self._runs = ()
+            if self.rows * (m - len(starts)) >= RUN_ENTRIES:
+                offsets = np.arange(self.rows, dtype=np.intp)[:, None]
+                sign = np.full((self.rows, m), -1.0)
+                sign[:, starts] = 1.0
+                vertices = first[starts] + self.n * offsets
+                self._runs = ((starts + m * offsets).ravel(), vertices.ravel(), sign)
+                if not len(self._loo):  # r = 2: the signed entries need a buffer
+                    self._loo = np.empty(self.rows * m)
+        if self._runs:
+            starts, vertices, sign = self._runs
+            k = len(starts) // self.rows
+            if b * (m - k) >= RUN_ENTRIES:
+                return starts[: b * k], vertices[: b * k], sign[:b]
+        return None
 
     def _batch(self, b: int) -> None:
         """Point the views and the row index at a new batch size b."""
@@ -110,10 +165,11 @@ class _Lagrangian:
         if b != 1:
             self._index = self._index + self.n * np.arange(b, dtype=np.intp)[:, None]
         self._flat_index = [row.reshape(-1) for row in self._index]
-        self._swapped = None  # r = 2: built by the first grad at this b
+        self._swapped = None  # r = 2 off the run path: built by the first grad at this b
         self._X = self._gathered[: r * b * m].reshape(r, b, m)
         self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
-        if r > 2:
+        self._batch_runs = self._position0_runs(b)
+        if len(self._loo):
             self._L = self._loo[: b * m].reshape(b, m)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
@@ -142,10 +198,13 @@ class _Lagrangian:
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
-        r, b = X.shape[:2]
-        if r == 2:  # (r-1)! = 1
-            if b != self._b:
-                self._batch(b)
+        r, b, m = X.shape
+        if b != self._b:
+            self._batch(b)
+        if not m:  # bincount of no entries gives int64 zeros
+            return np.zeros((b, self.n))
+        runs = self._batch_runs
+        if r == 2 and runs is None:  # (r-1)! = 1
             half = b * self.n
             if self._swapped is None:
                 first, second = self._flat_index
@@ -154,7 +213,7 @@ class _Lagrangian:
                 np.add(first, half, out=self._swapped[len(first) :])
             parts = np.bincount(self._swapped, weights=X.ravel(), minlength=2 * half)
             return np.add(parts[:half], parts[half:], out=parts[:half]).reshape(b, self.n)
-        P = self._P if X is self._valid else self._prefixes(X)
+        P = () if r == 2 else self._P if X is self._valid else self._prefixes(X)
         prefix = (X[0], *P)  # prefix[k] = P_k
         out = None
         for j in range(r):
@@ -162,12 +221,20 @@ class _Lagrangian:
             loo = prefix[j - 1] if j else X[1]
             for k in range(max(j + 1, 2), r):
                 loo = np.multiply(loo, X[k], out=self._L)
-            part = np.bincount(self._flat_index[j], weights=loo.ravel(), minlength=b * self.n)
+            if j or runs is None:
+                part = np.bincount(self._flat_index[j], weights=loo.ravel(), minlength=b * self.n)
+            else:  # each run's sum in bincount's order, then one entry per run
+                starts, vertices, sign = runs
+                signed = np.multiply(loo, sign, out=self._L).ravel()
+                sums = np.subtract.reduceat(signed, starts)
+                part = np.bincount(vertices, weights=sums, minlength=b * self.n)
             if out is None:
                 out = part
             else:
                 out += part
-        return np.multiply(out, self.rm1fact, out=out).reshape(b, self.n)
+        if r > 2:
+            np.multiply(out, self.rm1fact, out=out)
+        return out.reshape(b, self.n)
 
     def residual(self, xp: np.ndarray, grad: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Per row, max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""

@@ -20,6 +20,7 @@ from hspex.errors import (
     OutOfRange,
     SameVertex,
 )
+from hspex import spectral
 from hspex.hypergraph import Hypergraph, complete_r_graph, ell_cliques
 from hspex.spectral import (
     BATCH_ENTRIES,
@@ -106,6 +107,10 @@ def _every_labeled_graph(r: int, max_n: int):
             yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
 
 
+# RUN_ENTRIES forced so that every batch sums position 0's runs, or none does
+CUTOFFS = (0, 1 << 62)
+
+
 def _weights_with_zeros(n: int, rng) -> list[float]:
     return [0.0 if rng.random() < 0.3 else rng.uniform(0.05, 1.0) for _ in range(n)]
 
@@ -142,6 +147,25 @@ class TestKernelOracle:
         for g in (Hypergraph(0, 2, ()), Hypergraph(0, 4, ()), Hypergraph(6, 3, ())):
             self.check(g, random_positive_weights(g.n, rng), 2.0)
             self.check(g, [0.0] * g.n, 3.0)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_edgeless_gradient_is_float(self, r):
+        """bincount of no entries gives int64 zeros; the gradient is float64
+        zeros, for one row and for several."""
+        g = Hypergraph(6, r, ())
+        assert lagrangian_gradient(g, [0.5] * 6).dtype == np.float64
+        kernel = _Lagrangian(g, rows=4)
+        for b in (4, 1, 3):
+            grad = kernel.grad(kernel.gather(np.full((b, 6), 0.5)))
+            assert grad.dtype == np.float64 and grad.shape == (b, 6) and not grad.any()
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_batch_rows_on_each_scatter_path(self, r, cutoff, rng, monkeypatch):
+        """test_batch_rows_match_single_rows with position 0's run sums taken
+        by every batch (cutoff 0) and by none."""
+        monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
+        self.test_batch_rows_match_single_rows(r, rng)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_batch_rows_match_single_rows(self, r, rng):
@@ -211,6 +235,14 @@ class TestKernelScratch:
                     self.check(g, last[0], last[1], kernel.grad(last[2]))
                 last = x, val, X
 
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_batch_size_on_each_scatter_path(self, r, cutoff, rng, monkeypatch):
+        """test_every_batch_size with position 0's run sums taken by every
+        batch (cutoff 0) and by none."""
+        monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
+        self.test_every_batch_size(r, rng)
+
     def test_scratch_stays_at_one_row(self):
         """A solve on a graph with r * m > BATCH_ENTRIES runs its starts one
         row at a time, so its kernel holds one row of scratch: the edge
@@ -253,6 +285,89 @@ class TestKernelScratch:
         for p in (1.5, 3.0):  # both strategies
             solve_rho_p(g, p, SolverConfig(starts=starts, max_iter=0))
         assert built == [rows, rows]
+
+
+def _sunflower(r: int, petals: int) -> Hypergraph:
+    """Edges {0, ..., r-2} + {r - 1 + i}: vertex 0 is position 0 of every edge."""
+    core = tuple(range(r - 1))
+    return Hypergraph(r - 1 + petals, r, tuple((*core, r - 1 + i) for i in range(petals)))
+
+
+def _signed_weights(n: int, rng) -> list[float]:
+    """Entries that are 0.0, -0.0, negative or positive."""
+    return [rng.choice((0.0, -0.0, rng.uniform(-1.0, -0.05), rng.uniform(0.05, 1.0)))
+            for _ in range(n)]
+
+
+class TestPosition0Runs:
+    """Position 0's scatter as one sum per run, forced on (cutoff 0) and off,
+    on graphs whose position-0 runs are long, against the per-column oracle
+    bit for bit: weights with zeros, negative entries and -0.0, runs whose
+    first term is -0.0 and whose others are +-0, and batches of several rows."""
+
+    GRAPHS = [
+        *(complete_r_graph(t, r).blow_up(parts) for t, r, parts in [
+            (4, 2, (5, 3, 4, 6)), (6, 2, (3, 5, 7, 9, 11, 13)), (4, 3, (3, 2, 4, 3)),
+            (5, 3, (2, 4, 6, 8, 10)), (5, 4, (2, 3, 5, 7, 9)), (6, 5, (2,) * 6),
+        ]),
+        *(_sunflower(r, 40) for r in (2, 3, 4, 5)),
+    ]
+
+    @staticmethod
+    def zero_runs(g) -> list[float]:
+        """+-0 weights, so every term is +-0, with -0.0 as the first term of
+        the first run: -0.0 at position 1 of the first edge, +0.0 after it."""
+        x = [-0.0 if v % 2 else 0.0 for v in range(g.n)]
+        first = g.edges[0]
+        for v in first[2:]:
+            x[v] = 0.0
+        x[first[1]] = -0.0
+        return x
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"r{g.r}m{g.m}")
+    def test_gradient_bits(self, g, cutoff, rng, monkeypatch):
+        monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
+        rows = 5
+        kernel = _Lagrangian(g, rows=rows)
+        xs = [self.zero_runs(g), [-0.0] * g.n, [1.0] * g.n]
+        xs += [_signed_weights(g.n, rng) for _ in range(2 * rows)]
+        for x in xs:
+            assert lagrangian_gradient(g, x).tobytes() == lagrangian_gradient_percolumn(g, x).tobytes()
+        for lo in range(0, len(xs), rows):
+            batch = np.array(xs[lo : lo + rows])
+            X = kernel.gather(batch)
+            assert (kernel._batch_runs is not None) == (cutoff == 0)
+            kernel.value(X)
+            for grad in (kernel.grad(X), kernel.grad(X.copy())):  # shared and own prefixes
+                for x, row in zip(batch, grad):
+                    assert row.tobytes() == lagrangian_gradient_percolumn(g, x).tobytes()
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    def test_zero_runs_sum_to_positive_zero(self, cutoff, monkeypatch):
+        """A run of +-0 terms led by -0.0 can sum to -0.0; the vertex's
+        gradient entry is +0.0 on both paths, as in the oracle."""
+        monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
+        g = _sunflower(2, 6)  # vertex 0's run has the terms x_1 .. x_6
+        for x in ([0.5, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0], [0.5] + [-0.0] * 6):
+            grad = lagrangian_gradient(g, x)
+            assert grad.tobytes() == lagrangian_gradient_percolumn(g, x).tobytes()
+            assert math.copysign(1.0, grad[0]) == 1.0
+
+    @pytest.mark.parametrize("parts", [(10, 2, (20,) * 10), (5, 4, (2, 3, 5, 7, 9))])
+    def test_solutions_equal_on_both_paths(self, parts, monkeypatch):
+        """The default cutoff sends these blow-ups' batches through the run
+        sums; with the bincount scatter everywhere, the solutions have the
+        same bits."""
+        t, r, sizes = parts
+        g = complete_r_graph(t, r).blow_up(sizes)
+        assert _Lagrangian(g)._position0_runs(1) is not None
+        for p in (1.5, 3.0):  # both strategies
+            got = solve_rho_p(g, p)
+            monkeypatch.setattr(spectral, "RUN_ENTRIES", CUTOFFS[1])
+            want = solve_rho_p(g, p)
+            monkeypatch.undo()
+            _same_solution(got, want)
 
 
 class TestResidualAndRatios:
