@@ -64,8 +64,9 @@ class BadP(HspexError):
 
 
 class BadConfig(HspexError, ValueError):
-    """Settings out of range: a solver tol not finite and positive, starts < 1
-    or max_iter < 0, or a negative seed anywhere."""
+    """Settings out of range: a solver tol not finite and positive, starts or
+    max_iter not an integer, starts < 1 or max_iter < 0, or a seed anywhere
+    that is negative or not an integer."""
 
 
 class AllZero(HspexError):

@@ -29,9 +29,20 @@ from .errors import (
 Edge = tuple[int, ...]
 
 
+def _integers(raw: Iterable, error: type[Exception], what: str) -> tuple[int, ...]:
+    """raw as a tuple of ints; an entry that int() would truncate or parse
+    (1.5, "2") raises `error`, and one it cannot convert raises as int() does."""
+    raw = tuple(raw)
+    ints = tuple(map(int, raw))
+    if ints != raw:
+        bad = next(v for v, i in zip(raw, ints) if i != v)
+        raise error(f"{what} {bad!r} is not an integer")
+    return ints
+
+
 def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
-    """Validate one edge: r distinct ids, each in [0, n); return sorted tuple."""
-    ids = tuple(int(v) for v in raw)
+    """Validate one edge: r distinct integer ids, each in [0, n); return sorted tuple."""
+    ids = _integers(raw, OutOfRange, "vertex")
     if len(set(ids)) != len(ids):
         raise RepeatedVertex(f"edge {ids} repeats a vertex")
     if len(ids) != r:
@@ -213,7 +224,7 @@ class Hypergraph:
 
     def induced_subgraph(self, vertex_set: Iterable[int]) -> "Hypergraph":
         """Relabeled subgraph on the given vertices (order-preserving relabel)."""
-        s = sorted({int(v) for v in vertex_set})
+        s = sorted(set(_integers(vertex_set, OutOfRange, "vertex")))
         for v in s:
             if not 0 <= v < self.n:
                 raise OutOfRange(f"vertex {v} outside [0, {self.n})")
@@ -225,7 +236,7 @@ class Hypergraph:
 
     def remove_edge(self, e: Iterable[int]) -> "Hypergraph":
         """Same vertex set, one edge removed.  Raises NoSuchEdge if absent."""
-        key = tuple(sorted(int(v) for v in e))
+        key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
         i = bisect_left(self.edges, key)
         if i == self.m or self.edges[i] != key:
             raise NoSuchEdge(f"edge {key} not in graph")
@@ -260,6 +271,7 @@ class Hypergraph:
         v in e and u not in e adds e + u - v.  With u == v this is the
         identity.
         """
+        u, v = _integers((u, v), OutOfRange, "vertex")
         for w in (u, v):
             if not 0 <= w < self.n:
                 raise OutOfRange(f"vertex {w} outside [0, {self.n})")
@@ -278,7 +290,7 @@ class Hypergraph:
 
         Output ids are blockwise: copies of vertex 0 first, then of 1, ...
         """
-        t = [int(c) for c in t]
+        t = list(_integers(t, BadCounts, "count"))  # printed as a list below
         if len(t) != self.n or any(c < 1 for c in t):
             raise BadCounts(f"need {self.n} positive counts, got {t}")
         ends = [*accumulate(t, initial=0)]

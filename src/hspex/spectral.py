@@ -22,6 +22,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,21 +46,21 @@ GAP_EPS = 1e-6     # multi-start disagreement threshold
 # holds more, so none gathers more than E = max(BATCH_ENTRIES, r * m)
 # entries: a graph with many edges runs its starts a few rows, or one row, at
 # a time, so memory stays at the one-start level.  The kernel sizes its
-# scratch from it once per solve: the gather, prefix and leave-one-out
-# buffers hold 2E float64 and the edge positions and the batch's index at
-# most 2E intp; for r = 2 there is no leave-one-out buffer (1.5E float64) and
-# the swapped scatter index adds E intp (2.5E), so at most 32E bytes in all.
-# A kernel whose batches sum position 0's runs (RUN_ENTRIES) adds run tables
-# for all its rows: a sign table of E/r float64, and starts and vertices of
-# 8 bytes each per run.  At r = 2 such a batch needs a leave-one-out buffer
-# (E/2 float64) but no swapped index: one row takes 28E bytes, plus 16 per run.
+# scratch from it once per solve, the same way for every r: the gather,
+# prefix and leave-one-out buffers hold 2E float64 and the edge positions and
+# the batch's index at most 2E intp, so at most 32E bytes in all.  A kernel
+# whose batches sum position 0's runs (RUN_ENTRIES) adds run tables for all
+# its rows: a sign table of E/r float64, and starts and vertices of 8 bytes
+# each per run.
 BATCH_ENTRIES = 1 << 15
 # A batch sums position 0's runs once b * (m - K) of its position-0 entries,
 # those after a run's first, reach this.  Measured crossover against
-# bincount (per grad call, 2-core VM, BENCH_run_sums.json): 620-950 entries
-# at r = 3, 4 (dense 3- and 4-graphs, m ~ 200) and 890-2,880 at r = 2
-# (K6^(2)(3..13), K4^(2)(8^4)).  1024 also exceeds the 12 * 80 entries of a
-# graph with m <= 13 in the longest (80-row) halving ladder.
+# bincount (per grad call, 2-core VM): 620-950 entries at r = 3, 4 (dense 3-
+# and 4-graphs, m ~ 200, BENCH_run_sums.json) and 720-890 at r = 2
+# (K4^(2)(8^4) loses at 720 and wins at 1,080, K6^(2)(3..13) wins at 890,
+# BENCH_one_scatter.json), so one cutoff fits every r.  1024 also exceeds
+# the 12 * 80 entries of a graph with m <= 13 in the longest (80-row)
+# halving ladder.
 RUN_ENTRIES = 1024
 
 
@@ -78,8 +79,7 @@ class _Lagrangian:
     (r, m) edge positions, whose [j] row holds the j-th vertex of each edge
     of g.  The kernel owns its scratch, sized once from (r, rows, m): the
     gather buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1
-    and, for r >= 3 or a kernel that sums position 0's runs, one
-    leave-one-out buffer.  For the current batch size b it holds an
+    and one leave-one-out buffer.  For the current batch size b it holds an
     (r, b, m) index, the positions offset by i*n in row i, their place in a
     flattened (b, n) batch, contiguous views of the buffers and the run
     tables' first b rows; they are rebuilt only when b changes.
@@ -105,14 +105,10 @@ class _Lagrangian:
     reduction pairwise, so np.add.reduceat would regroup the terms; subtract
     is reduced in order.  Positions >= 1 keep bincount: a vertex's entries
     there are split across position-0 runs.  For r = 2 the leave-one-out
-    products are X_1 and X_0 themselves; below RUN_ENTRIES `grad` is one
-    bincount of X on a swapped index, which sends X_0 to the vertices in
-    position 1 and X_1, offset by b*n, to those in position 0; the two
-    parts are then added, the per-position sum in the other order.
-    Every row gets the bits it would get alone: `np.add.reduce` along a
-    contiguous row, run sums within a row and `bincount` on offset indices
-    add in the one-row order, and a stacked matmul makes one dot product
-    per row.
+    products are X_1 and X_0 themselves.  Every row gets the bits it would
+    get alone: `np.add.reduce` along a contiguous row, run sums within a row
+    and `bincount` on offset indices add in the one-row order, and a
+    stacked matmul makes one dot product per row.
     """
 
     def __init__(self, g: Hypergraph, rows: int = 1):
@@ -125,7 +121,7 @@ class _Lagrangian:
         self._runs = None  # position 0's run tables, built by the first batch to use them
         self._gathered = np.empty(r * rows * m)
         self._prefix = np.empty((r - 1) * rows * m)
-        self._loo = np.empty(rows * m if r > 2 else 0)
+        self._loo = np.empty(rows * m)
         self._b = None
         self._valid = None  # the gather whose products the prefix buffer holds
 
@@ -148,8 +144,6 @@ class _Lagrangian:
                 sign[:, starts] = 1.0
                 vertices = first[starts] + self.n * offsets
                 self._runs = ((starts + m * offsets).ravel(), vertices.ravel(), sign)
-                if not len(self._loo):  # r = 2: the signed entries need a buffer
-                    self._loo = np.empty(self.rows * m)
         if self._runs:
             starts, vertices, sign = self._runs
             k = len(starts) // self.rows
@@ -165,12 +159,10 @@ class _Lagrangian:
         if b != 1:
             self._index = self._index + self.n * np.arange(b, dtype=np.intp)[:, None]
         self._flat_index = [row.reshape(-1) for row in self._index]
-        self._swapped = None  # r = 2 off the run path: built by the first grad at this b
         self._X = self._gathered[: r * b * m].reshape(r, b, m)
         self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
         self._batch_runs = self._position0_runs(b)
-        if len(self._loo):
-            self._L = self._loo[: b * m].reshape(b, m)
+        self._L = self._loo[: b * m].reshape(b, m)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """The (r, b, m) array of a (b, n) batch x over each edge position,
@@ -204,15 +196,6 @@ class _Lagrangian:
         if not m:  # bincount of no entries gives int64 zeros
             return np.zeros((b, self.n))
         runs = self._batch_runs
-        if r == 2 and runs is None:  # (r-1)! = 1
-            half = b * self.n
-            if self._swapped is None:
-                first, second = self._flat_index
-                self._swapped = np.empty(2 * len(first), dtype=np.intp)
-                self._swapped[: len(first)] = second
-                np.add(first, half, out=self._swapped[len(first) :])
-            parts = np.bincount(self._swapped, weights=X.ravel(), minlength=2 * half)
-            return np.add(parts[:half], parts[half:], out=parts[:half]).reshape(b, self.n)
         P = () if r == 2 else self._P if X is self._valid else self._prefixes(X)
         prefix = (X[0], *P)  # prefix[k] = P_k
         out = None
@@ -318,9 +301,17 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
 # --- solver ------------------------------------------------------------------
 
 
+def _check_integer(name: str, value) -> None:
+    # numpy integers are Integral too; a float would run truncated or rounded,
+    # or fail inside numpy at solve time
+    if not isinstance(value, Integral):
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed(seed: int) -> None:
     # the one seed rule of every seeded path: random.Random(-s) seeds like
     # random.Random(s), so a negative seed would silently run as its absolute value
+    _check_integer("seed", seed)
     if seed < 0:
         raise BadConfig("seed must be >= 0")
 
@@ -346,6 +337,8 @@ class SolverConfig:
     def __post_init__(self):
         if not math.isfinite(self.tol):
             raise BadConfig(f"tol must be finite, got {self.tol}")
+        _check_integer("starts", self.starts)
+        _check_integer("max_iter", self.max_iter)
         if self.tol <= 0 or self.starts < 1:
             raise BadConfig("tol must be positive and starts >= 1")
         if self.max_iter < 0:

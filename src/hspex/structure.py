@@ -18,10 +18,11 @@ from .errors import (
     BadK,
     EmptyGraph,
     NoSuchEdge,
+    OutOfRange,
     TargetMismatch,
     TrivialPartition,
 )
-from .hypergraph import Hypergraph, _k_closure
+from .hypergraph import Hypergraph, _integers, _k_closure
 
 Partition = tuple[int, ...]
 
@@ -165,7 +166,7 @@ def _uncut_edge_set(masks: Iterable[int], umask: int, k: int, r: int) -> bool:
 def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
     """Raw-definition recheck: does this proper edge-containing subset witness
     failure of k-tightness (no edge meets it in k..r-1 vertices)?"""
-    u = set(int(v) for v in subset)
+    u = set(_integers(subset, OutOfRange, "vertex"))
     if not u or len(u) >= g.n:
         return False
     return _uncut_edge_set(g.edge_masks, sum(1 << v for v in u), k, g.r)
@@ -203,7 +204,7 @@ def is_k_bridge(g: Hypergraph, e, k: int) -> BridgeCertificate:
     lex order: the first k-closure in H - e of a k-subset of e that misses a
     vertex of e (a valid A contains such a closure, which is valid itself).
     A closure stops once it holds all of e."""
-    key = tuple(sorted(int(v) for v in e))
+    key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
     if key not in g.edge_set:
         raise NoSuchEdge(f"{key} not an edge")
     _check_k(g, k)
@@ -241,7 +242,7 @@ def is_lambda_plateau(
     lam = validate_partition(lam, r=h.r)
     if len(lam) < 2:
         raise TrivialPartition("a plateau requires a nontrivial partition")
-    key = tuple(sorted(int(v) for v in e))
+    key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
     if key not in h.edge_set:
         raise NoSuchEdge(f"{key} not an edge")
     comps = h.remove_edge(key).components()

@@ -44,6 +44,10 @@ class TestGenerators:
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             random_connected_hypergraph(5, 2, 4, seed=-1)
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(BadConfig, match="^seed must be an integer, got 2.5$"):
+            random_connected_hypergraph(5, 2, 5, 2.5)
+
     def test_infeasible(self):
         with pytest.raises(Infeasible):
             random_connected_hypergraph(6, 2, 2, seed=0)
@@ -88,6 +92,11 @@ class TestDegreeBoundSuite:
         """random.Random(-5) draws seed 5's instances, so -5 is refused."""
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             run_degree_bound_suite(1, seed=-5)
+
+    def test_non_integer_seed_rejected(self):
+        """A float seed would be reported as given, with a passing verdict."""
+        with pytest.raises(BadConfig, match="^seed must be an integer, got 1.5$"):
+            run_degree_bound_suite(1, seed=1.5)
 
     def test_determinism(self):
         a = run_degree_bound_suite(5, seed=9)
@@ -157,6 +166,10 @@ class TestBridgelessTight:
     def test_negative_seed_rejected(self):
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=1, seed=-1)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(BadConfig, match="^seed must be an integer, got 0.5$"):
+            run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=1, seed=0.5)
 
     def test_disconnected_pattern_skipped(self):
         two = new_hypergraph(4, 2, [(0, 1), (2, 3)])

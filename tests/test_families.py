@@ -140,6 +140,12 @@ class TestSaturation:
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             saturate(k3_family(), Hypergraph(6, 2, ()), order, seed=-3)
 
+    @pytest.mark.parametrize("order", ["random", "lex"])
+    def test_non_integer_seed_rejected(self, order):
+        """random.Random(1.5) would shuffle by the float's hash."""
+        with pytest.raises(BadConfig, match="^seed must be an integer, got 1.5$"):
+            saturate(k3_family(), Hypergraph(6, 2, ()), order, seed=1.5)
+
 
 class TestInducedFamilies:
     """Membership of an induced family is not monotone under edge addition:

@@ -207,6 +207,42 @@ class TestTransformations:
             path3().blow_up([1, 1])
 
 
+class TestIntegerIds:
+    """An id or count that int() would truncate or parse is refused, not
+    rounded to another vertex; integers of any integer type are accepted."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g: Hypergraph(3, 2, [(0.5, 1.9)]),
+        lambda g: Hypergraph(3, 2, [(0, 1), ("1", "2")]),
+        lambda g: g.add_edge((1.7, 2.2)),
+        lambda g: g.remove_edge((0.2, 1.9)),
+        lambda g: g.induced_subgraph([0.7, 1.2, 3.9]),
+        lambda g: g.clone_vertex(1.5, 0),
+        lambda g: g.clone_vertex(0, 2.5),
+    ], ids=["constructor", "string", "add_edge", "remove_edge", "induced_subgraph",
+            "clone_vertex_u", "clone_vertex_z"])
+    def test_non_integer_vertex_ids_rejected(self, call):
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            call(new_hypergraph(4, 2, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("counts", [[1.5, 2, 1], [1, 2.0001, 1], [1, "2", 1]])
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(BadCounts, match="is not an integer"):
+            path3().blow_up(counts)
+
+    def test_integral_values_accepted(self):
+        import numpy as np
+
+        g = Hypergraph(4, 2, [(0.0, 1), np.array([2, 1]), (np.int64(3), np.uint8(2))])
+        assert g == new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g.add_edge((np.int32(0), 3.0)).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert g.remove_edge((1.0, 0)).edges == ((1, 2), (2, 3))
+        assert g.induced_subgraph(np.arange(3)).edges == ((0, 1), (1, 2))
+        assert g.clone_vertex(np.int64(3), 0.0) == g.clone_vertex(3, 0)
+        assert path3().blow_up(np.array([1, 2, 1])) == path3().blow_up([1, 2, 1])
+
+
 class TestConstructors:
     def test_complete(self):
         assert complete_r_graph(4, 3).m == 4

@@ -211,9 +211,9 @@ class TestKernelScratch:
         each b, grad before value computes its own prefixes, grad after
         value reuses value's, a gather in between leaves nothing of the last
         batch behind, and grad of an X that is not the kernel's current
-        gather computes its own, also for an X of the last batch size.  For
-        r = 2 every grad is the one bincount on the swapped index, which is
-        rebuilt for each b."""
+        gather computes its own, also for an X of the last batch size.  At
+        r = 2 too, grad scatters one position at a time on the row index,
+        which is rebuilt for each b."""
         for _ in range(12):
             g = random_graph(rng.randint(r, 8), r, rng.uniform(0.2, 0.9), rng)
             rows = rng.randint(1, 7)
@@ -242,6 +242,47 @@ class TestKernelScratch:
         batch (cutoff 0) and by none."""
         monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
         self.test_every_batch_size(r, rng)
+
+    @staticmethod
+    def owned(values) -> dict[int, int]:
+        """id -> nbytes of the arrays that hold the data of every array among
+        values, or in a tuple or list among them."""
+        out = {}
+        for v in values:
+            for a in v if isinstance(v, (tuple, list)) else (v,):
+                if isinstance(a, np.ndarray):
+                    while a.base is not None:
+                        a = a.base
+                    out[id(a)] = a.nbytes
+        return out
+
+    @pytest.mark.parametrize("t, r, parts, rows", [
+        (4, 2, (8,) * 4, 4), (4, 2, (8,) * 4, 2), (5, 3, (2, 3, 3, 4, 4), 5),
+        (5, 4, (2, 2, 3, 3, 3), 6), (6, 5, (2,) * 6, 7),
+    ])
+    def test_scatter_choice_and_scratch_at_every_r(self, t, r, parts, rows, rng):
+        """With the default RUN_ENTRIES, a batch of b rows sums position 0's
+        runs exactly when b * (m - K) reaches it, K runs per row, and these
+        blow-ups cross it as b grows, except with 2 rows.  The kernel's
+        arrays stay within the BATCH_ENTRIES comment's bound for every r:
+        32E bytes, E = r * rows * m here, plus run tables of E/r float64 and
+        two intp per run and row."""
+        g = complete_r_graph(t, r).blow_up(parts)
+        m, k = g.m, len({e[0] for e in g.edges})
+        sums = [b * (m - k) >= spectral.RUN_ENTRIES for b in range(1, rows + 1)]
+        assert not sums[0] and sums[-1] == (rows > 2)
+        kernel = _Lagrangian(g, rows=rows)
+        entries = r * rows * m
+        for b in [*range(1, rows + 1), *range(rows - 1, 0, -1)]:
+            x = self.batch(g, b, rng)
+            X = kernel.gather(x)
+            assert (kernel._batch_runs is not None) == sums[b - 1]
+            self.check(g, x, kernel.value(X), kernel.grad(X))
+            runs = self.owned(kernel._runs or ())
+            scratch = self.owned(vars(kernel).values())
+            assert sum(runs.values()) <= 8 * entries // r + 16 * rows * k
+            assert sum(n for a, n in scratch.items() if a not in runs) <= 32 * entries
+        assert bool(kernel._runs) == (rows > 2)
 
     def test_scratch_stays_at_one_row(self):
         """A solve on a graph with r * m > BATCH_ENTRIES runs its starts one
@@ -580,6 +621,23 @@ class TestSolver:
         with pytest.raises(BadConfig, match="max_iter"):
             SolverConfig(max_iter=-1)
         assert SolverConfig(max_iter=0).max_iter == 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", 2.0), ("seed", np.float64(3.0)), ("seed", "3"),
+        ("starts", 2.5), ("starts", 2.0), ("max_iter", 10.5), ("max_iter", 10.0),
+    ])
+    def test_integer_settings_must_be_integers(self, name, value):
+        """A float seed or starts would fail inside numpy at solve time, and a
+        float max_iter would run rounded up; each is refused at construction."""
+        with pytest.raises(BadConfig, match=f"^{name} must be an integer, got "):
+            SolverConfig(**{name: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = SolverConfig(starts=np.int64(3), max_iter=np.int32(5000), seed=np.uint8(7))
+        sol = solve_rho_p(complete_r_graph(4, 2), 2.0, cfg)
+        assert sol.starts_used == 3 and sol.converged
+        want = solve_rho_p(complete_r_graph(4, 2), 2.0, SolverConfig(max_iter=5000, starts=3, seed=7))
+        _same_solution(sol, want)
 
     def test_settings(self):
         """p and r pick the strategy; the config holds only what a caller sets."""

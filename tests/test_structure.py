@@ -12,6 +12,7 @@ from hspex.errors import (
     BadK,
     EmptyGraph,
     NoSuchEdge,
+    OutOfRange,
     TargetMismatch,
     TrivialPartition,
 )
@@ -324,6 +325,12 @@ class TestBridges:
         with pytest.raises(NoSuchEdge):
             is_k_bridge(k3, (0, 3), 1)
 
+    def test_non_integer_edge_rejected(self):
+        """(0.2, 1.9) would be read as the edge (0, 1) and certified."""
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            is_k_bridge(path3(), (0.2, 1.9), 1)
+        assert is_k_bridge(path3(), (np.int64(0), 1.0), 1) == is_k_bridge(path3(), (0, 1), 1)
+
     def test_long_paths_decide_without_warning(self):
         """Path ends are 1-bridges with A = (0,), even where no subset search could finish."""
         for n in (26, 200):
@@ -391,6 +398,12 @@ class TestPlateaus:
     def test_no_such_edge(self):
         with pytest.raises(NoSuchEdge):
             is_lambda_plateau(path3(), (0, 2), (1, 1))
+
+    def test_non_integer_edge_rejected(self):
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            is_lambda_plateau(path3(), (0.5, 1), (1, 1))
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            tightness_violation_holds(path3(), 1, (0, 1.5))
 
     def test_plateaued_flags(self, k4_3):
         assert is_k_plateaued(path3(), 1) == (True, [])
