@@ -9,9 +9,9 @@ bytes of what comes back, layer by layer:
   solver     every SpectralSolution field, x as x.tobytes(), floats as hex:
              random 2-, 3- and 4-graphs at p in {1.5, 2, 3, 4} (both
              strategies at each r), K_t^(r) blow-ups, two blow-ups
-             whose 16 starts run in one-row chunks and in chunks with a
-             partial last one, and a 30-instance run_degree_bound_suite
-             report as JSON
+             whose batch of 16 starts the kernel walks in one-row blocks
+             and in blocks with a short last one, and a 30-instance
+             run_degree_bound_suite report as JSON
   kernel     lagrangian, lagrangian_gradient, eigen_residual and
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
              weight vectors that hold exact zeros, and the classical oracle
@@ -147,8 +147,10 @@ def solver_layer(hspex, emit) -> None:
         for p in P_VALUES:
             cfg = hspex.SolverConfig(starts=2, seed=t * 10 + r)
             emit(("blow-up", t, r, parts, p), _solution(hspex.solve_rho_p(g, p, cfg)))
-    # chunked solves: K10 blown up to 18,000 edges runs its starts one row at
-    # a time, and K5^(4)(2, 3, 5, 7, 9) runs 16 starts in chunks of 3 and 1
+    # solves in several kernel blocks: K10 blown up to 18,000 edges walks its
+    # 16 starts in one-row blocks, and K5^(4)(2, 3, 5, 7, 9) in blocks of 3
+    # with a short last one of 1; the case key "chunked" stays, so digests
+    # compare with older trees
     for t, r, parts in [(10, 2, (20,) * 10), (5, 4, (2, 3, 5, 7, 9))]:
         g = hspex.complete_r_graph(t, r).blow_up(parts)
         for p in P_VALUES:

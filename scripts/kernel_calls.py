@@ -3,9 +3,9 @@
     python3 scripts/kernel_calls.py [--src DIR]
 
 Imports the hspex package found in DIR (default: this checkout's src/),
-wraps the `gather`, `value` and `grad` methods of its kernel,
-``hspex.spectral._Lagrangian``, with counters, and runs three sets of
-solves through the public API:
+wraps the `gather`, `value`, `grad` and `euler_residual` methods of its
+kernel, ``hspex.spectral._Lagrangian``, with counters, and runs three sets
+of solves through the public API:
 
   degree-bound  run_degree_bound_suite(50, seed=0): 50 random connected
                 2- and 3-graphs, each solved at p = 1.5, 2, 3 and 4 with
@@ -19,10 +19,12 @@ solves through the public API:
 
 For each set it prints the solves, their iterations (the sum of
 SpectralSolution.iterations: fixed-point steps and line-search trials, per
-start) and the kernel calls, first in all and then (the fp. columns) those
-made inside ``hspex.spectral._fixed_point_run``: every p >= r solve and
-every p < r polish.  The solves and iterations are results, the same on any
-tree that solves alike; the calls are the work done for them.  None of these
+start), the lock steps (`euler_residual` calls: one per step of a batch of
+starts, however many starts it holds) and the kernel calls, first in all and
+then (the fp. columns) those made inside ``hspex.spectral._fixed_point_run``:
+every p >= r solve and every p < r polish.  A `gather` holds one kernel
+block.  The solves and iterations are results, the same on any tree that
+solves alike; the steps and calls are the work done for them.  None of these
 counts depends on the machine.  Uses only the stdlib.
 """
 
@@ -34,7 +36,8 @@ from collections import Counter
 from pathlib import Path
 
 P_VALUES = (1.5, 2.0, 3.0, 4.0)
-KERNEL_CALLS = ("gather", "value", "grad")
+# counter name -> the kernel method it counts
+KERNEL_CALLS = {"steps": "euler_residual", "gather": "gather", "value": "value", "grad": "grad"}
 BLOW_UPS = [(6, 2, (3, 5, 7, 9, 11, 13)), (5, 3, (2, 4, 6, 8, 10)),
             (5, 4, (2, 3, 5, 7, 9)), (10, 2, (20,) * 10)]
 
@@ -53,8 +56,8 @@ def counted(hspex, counts: Counter) -> None:
             return inner(*args, **kwargs)
         return call
 
-    for name in KERNEL_CALLS:
-        setattr(spectral._Lagrangian, name, wrap(name, getattr(spectral._Lagrangian, name)))
+    for name, method in KERNEL_CALLS.items():
+        setattr(spectral._Lagrangian, method, wrap(name, getattr(spectral._Lagrangian, method)))
     fixed_point_run = spectral._fixed_point_run
 
     def inside_fixed_point(*args, **kwargs):

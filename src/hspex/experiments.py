@@ -100,7 +100,7 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     vertices; raises Infeasible when m cannot support connectivity and
     BadConfig for a negative seed.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     total = math.comb(n, r)
     if m < math.ceil((n - 1) / (r - 1)) or m > total:
         raise Infeasible(f"m={m} cannot connect n={n} vertices with r={r}")
@@ -173,7 +173,7 @@ def run_degree_bound_suite(
     """
     from .spectral import solve_rho_p
 
-    _check_seed(seed)
+    seed = _check_seed(seed)
     rng = random.Random(seed)
     report = ExperimentReport(
         "degree-bound",
@@ -282,7 +282,7 @@ def run_bridgeless_tight_suite(
     """Random-order saturations of the empty graph must be k-tight when the
     forbidden graph has no k-bridge; bridged or disconnected graphs are
     skipped and listed."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     rng = random.Random(seed)
     report = ExperimentReport(
         "bridgeless-tight",

@@ -131,7 +131,7 @@ def saturate(fam: Family, g0: Hypergraph, order: str = "lex", seed: int = 0) -> 
     Membership is monotone under edge addition for plain forbidden
     families, so one pass suffices.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     _require_member(fam, g0)
     present = g0.edge_set
     candidates = [e for e in combinations(range(g0.n), g0.r) if e not in present]

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 from typing import NamedTuple, Optional
 
@@ -41,19 +43,21 @@ from .hypergraph import Hypergraph
 
 CLAMP_EPS = 1e-14  # output entries below this are reported as exact zeros
 GAP_EPS = 1e-6     # multi-start disagreement threshold
-# A solve's kernel holds one chunk of max(1, BATCH_ENTRIES // (r * m)) rows,
-# and no kernel call (a step, a halving ladder, the polish or the final pass)
-# holds more, so none gathers more than E = max(BATCH_ENTRIES, r * m)
-# entries: a graph with many edges runs its starts a few rows, or one row, at
-# a time, so memory stays at the one-start level.  The kernel sizes its
-# scratch from it once per solve, the same way for every r: the gather,
-# prefix and leave-one-out buffers hold 2E float64 and the edge positions and
-# the batch's index at most 2E intp, so at most 32E bytes in all.  A kernel
-# whose batches sum position 0's runs (RUN_ENTRIES) adds run tables for all
-# its rows: a sign table of E/r float64, and starts and vertices of 8 bytes
-# each per run.
+# A solve steps all its starts as one batch, and its kernel walks every batch
+# in blocks of at most max(1, BATCH_ENTRIES // (r * m)) rows; no kernel call
+# (a block of a step, of a halving ladder, of the polish or of the final
+# pass) holds more, so none gathers more than E = max(BATCH_ENTRIES, r * m)
+# entries: a graph with many edges has blocks of a few rows, or of one row,
+# so memory stays at the one-start level.  The kernel sizes its scratch from
+# it once per solve, the same way for every r: the gather, prefix and
+# leave-one-out buffers hold 2E float64 and the block index, whose row 0 is
+# the edge positions, at most E intp; a short block's gather copies its part
+# of the index for the call, under E intp more, so at most 32E bytes in all.
+# A kernel whose blocks sum position 0's runs (RUN_ENTRIES) adds run
+# tables for all its rows: a sign table of E/r float64, and starts and
+# vertices of 8 bytes each per run.
 BATCH_ENTRIES = 1 << 15
-# A batch sums position 0's runs once b * (m - K) of its position-0 entries,
+# A block sums position 0's runs once b * (m - K) of its position-0 entries,
 # those after a run's first, reach this.  Measured crossover against
 # bincount (per grad call, 2-core VM): 620-950 entries at r = 3, 4 (dense 3-
 # and 4-graphs, m ~ 200, BENCH_run_sums.json) and 720-890 at r = 2
@@ -75,16 +79,21 @@ class _Lagrangian:
     """L and its gradient over one graph, for a batch of iterates; the one
     evaluation path.
 
-    Built from a graph g and a row count `rows`; caches r!, (r-1)! and the
+    Built from a graph g and a block size `rows`; caches r!, (r-1)! and the
     (r, m) edge positions, whose [j] row holds the j-th vertex of each edge
-    of g.  The kernel owns its scratch, sized once from (r, rows, m): the
-    gather buffer, the prefix products P_k = X_0 * ... * X_k for k = 1..r-1
-    and one leave-one-out buffer.  For the current batch size b it holds an
-    (r, b, m) index, the positions offset by i*n in row i, their place in a
-    flattened (b, n) batch, contiguous views of the buffers and the run
-    tables' first b rows; they are rebuilt only when b changes.
+    of g.  `evaluate` takes a (b, n) batch of any size and walks it in row
+    blocks of at most `rows` rows, one gather each, whose prefix products
+    the value and the gradient share.  The kernel owns its scratch, sized
+    once from (r, rows, m): the gather buffer, the prefix products
+    P_k = X_0 * ... * X_k for k = 1..r-1 and one leave-one-out buffer.  Its
+    (r, b, m) index holds the positions offset by i*n in row i, their place
+    in a flattened (b, n) block, and is built for the largest block seen.  A
+    smaller block (a short last one, or one that rows have left) is gathered
+    through the index's row prefix, so the index is never rebuilt for it;
+    that prefix is not contiguous, so `take` copies it for the call.  The
+    buffers and the run tables are used through their first rows.
 
-    A batch x of up to `rows` iterates is gathered once, ``X = gather(x)``,
+    A block x of up to `rows` iterates is gathered once, ``X = gather(x)``,
     for both `value` and `grad`; X stays valid until the next gather.
     `value` builds the prefixes of X and `grad` of the same X reuses them,
     loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}; `grad` of any other X builds
@@ -97,7 +106,7 @@ class _Lagrangian:
 
     Position 0's entries are sorted by vertex, one run per vertex and row,
     which bincount adds into one bin back to back, each add waiting on the
-    last.  A batch with RUN_ENTRIES entries past a run's first sums each run
+    last.  A block with RUN_ENTRIES entries past a run's first sums each run
     instead: loo_0 times a sign table (+1 on a run's first entry, -1 on the
     others; exact), then np.subtract.reduceat over the run starts, which
     gives ((w1 + w2) + ...) + wL, bincount's order, and a bincount of the
@@ -112,13 +121,14 @@ class _Lagrangian:
     """
 
     def __init__(self, g: Hypergraph, rows: int = 1):
-        self.n, r = g.n, g.r
+        self.n, r, m = g.n, g.r, g.m
         self.rows = rows
         self.rfact = math.factorial(r)
         self.rm1fact = math.factorial(r - 1)
-        self.positions = np.array(g.edges, dtype=np.intp).reshape(-1, r).T.copy()
-        m = self.positions.shape[1]
-        self._runs = None  # position 0's run tables, built by the first batch to use them
+        edges = chain.from_iterable(g.edges)
+        self.positions = np.fromiter(edges, np.intp, count=r * m).reshape(m, r).T.copy()
+        self._index = self.positions[:, None, :]  # one row needs no offsets, nor a copy
+        self._runs = None  # position 0's run tables, built by the first block to use them
         self._gathered = np.empty(r * rows * m)
         self._prefix = np.empty((r - 1) * rows * m)
         self._loo = np.empty(rows * m)
@@ -127,8 +137,8 @@ class _Lagrangian:
 
     def _position0_runs(self, b: int):
         """The run tables' first b rows, or None when fewer than RUN_ENTRIES
-        of a b-row batch's position-0 entries follow a run's first.  They are
-        built once, for `rows` rows, if a batch can reach it: per row the
+        of a b-row block's position-0 entries follow a run's first.  They are
+        built once, for `rows` rows, if a block can reach it: per row the
         runs' starts in a flattened (rows, m) array and their vertices offset
         by i*n, and a (rows, m) sign table."""
         m = self.positions.shape[1]
@@ -152,26 +162,33 @@ class _Lagrangian:
         return None
 
     def _batch(self, b: int) -> None:
-        """Point the views and the row index at a new batch size b."""
+        """Point the views at a new block size b: row prefixes of the index,
+        which is rebuilt only for a block larger than any before, and of the
+        buffers."""
         r, m = self.positions.shape
+        if b > self._index.shape[1]:
+            offsets = self.n * np.arange(b, dtype=np.intp)[:, None]
+            self._index = self.positions[:, None, :] + offsets
+            self.positions = self._index[:, 0]  # a view: no second copy of the positions
         self._b = b
-        self._index = self.positions[:, None, :]  # one row needs no offsets, nor a copy
-        if b != 1:
-            self._index = self._index + self.n * np.arange(b, dtype=np.intp)[:, None]
-        self._flat_index = [row.reshape(-1) for row in self._index]
+        # each [j] is contiguous, the whole only at the largest b: one take of
+        # a prefix, which copies it, beat r takes of its contiguous [j] rows
+        # on small blocks and matched them on large ones
+        self._row_index = self._index[:, :b]
         self._X = self._gathered[: r * b * m].reshape(r, b, m)
+        self._flat_index = [row.reshape(-1) for row in self._row_index]
         self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
         self._batch_runs = self._position0_runs(b)
         self._L = self._loo[: b * m].reshape(b, m)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """The (r, b, m) array of a (b, n) batch x over each edge position,
+        """The (r, b, m) array of a (b, n) block x over each edge position,
         written into the gather buffer."""
         if len(x) != self._b:
             self._batch(len(x))
         self._valid = None
         # the indices are in range by construction; mode="raise" would copy out
-        return x.ravel().take(self._index, out=self._X, mode="clip")
+        return x.ravel().take(self._row_index, out=self._X, mode="clip")
 
     def _prefixes(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """P_1 .. P_{r-1} of a gather X into the prefix buffer, left to right."""
@@ -218,6 +235,25 @@ class _Lagrangian:
         if r > 2:
             np.multiply(out, self.rm1fact, out=out)
         return out.reshape(b, self.n)
+
+    def evaluate(
+        self, x: np.ndarray, value: bool = True
+    ) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """(L per row, or None without `value`; gradient per row) of a (b, n)
+        batch x of any size, in blocks of at most `rows` rows: one gather per
+        block, whose prefixes the gradient takes from the value."""
+        rows = self.rows
+        if len(x) <= rows:
+            X = self.gather(x)
+            return (self.value(X) if value else None), self.grad(X)
+        vals = np.empty(len(x)) if value else None
+        grads = np.empty(x.shape)
+        for lo in range(0, len(x), rows):
+            X = self.gather(x[lo : lo + rows])
+            if value:
+                vals[lo : lo + rows] = self.value(X)
+            grads[lo : lo + rows] = self.grad(X)
+        return vals, grads
 
     def residual(self, xp: np.ndarray, grad: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Per row, max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
@@ -308,12 +344,15 @@ def _check_integer(name: str, value) -> None:
         raise BadConfig(f"{name} must be an integer, got {value!r}")
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
     # the one seed rule of every seeded path: random.Random(-s) seeds like
-    # random.Random(s), so a negative seed would silently run as its absolute value
+    # random.Random(s), so a negative seed would silently run as its absolute
+    # value; the plain int it returns is what random.Random and reports take
+    # (random.Random refuses a numpy integer)
     _check_integer("seed", seed)
     if seed < 0:
         raise BadConfig("seed must be >= 0")
+    return operator.index(seed)
 
 
 def _check_p(p: float) -> None:
@@ -343,7 +382,7 @@ class SolverConfig:
             raise BadConfig("tol must be positive and starts >= 1")
         if self.max_iter < 0:
             raise BadConfig("max_iter must be >= 0")
-        _check_seed(self.seed)
+        self.seed = _check_seed(self.seed)
 
 
 class StartRecord(NamedTuple):
@@ -422,7 +461,9 @@ def _fixed_point_run(
     below the smallest budget no row can be out of budget, and a step in
     which every row improved needs no monotonicity test: its iterate becomes
     the best one by reference, so a collapse, the one write into x that can
-    follow such a step, copies x first.
+    follow such a step, copies x first.  Each step makes one kernel
+    evaluation, value and gradient, of all live rows; a row that a collapse
+    or a reset moves gets its gradient anew.
     """
     n_rows = len(x)
     out_x, out_val = np.empty_like(x), np.empty(n_rows)
@@ -431,16 +472,14 @@ def _fixed_point_run(
     budget = np.full(n_rows, budget)
     floor = int(budget.min())  # no row is out of budget while it < floor
     alpha = np.full(x.shape, np.reshape(alpha, (-1, 1)), dtype=float)  # x's shape: no broadcast
-    gather, value, gradient, euler = kernel.gather, kernel.value, kernel.grad, kernel.euler_residual
-    X = gather(x)
-    val = value(X)  # L at the current iterate
+    evaluate, euler = kernel.evaluate, kernel.euler_residual
+    val, grad = evaluate(x)  # L and its gradient at the current iterate
     best_x, best_val = x.copy(), val
     pm1, exp = p - 1.0, 1.0 / (p - 1.0)
     it = 0
     res_checkpoint = np.full(n_rows, math.inf)
     stagnant = np.zeros(n_rows, dtype=np.int64)
     while True:
-        grad = gradient(X)
         xp = np.power(x, pm1)
         rho_est, res = euler(x, xp, grad)
         ok = res <= tol * np.fmax(1.0, rho_est)
@@ -467,8 +506,7 @@ def _fixed_point_run(
             if np.count_nonzero(collapse):
                 x = x.copy()  # best_x may be x itself
                 x[collapse] = _normalize_p(np.where(tiny, 0.0, x)[collapse], p)
-                X = gather(x)
-                grad = gradient(X)
+                grad[collapse] = evaluate(x[collapse], value=False)[1]
                 xp = np.power(x, pm1)
             res_checkpoint = res
         y = np.add(np.multiply(alpha, xp, out=xp), grad, out=xp)  # xp is not read again
@@ -486,9 +524,8 @@ def _fixed_point_run(
             if not len(x):
                 break
         x = _normalize_p(np.power(y, exp, out=y), p)
-        X = gather(x)
         it += 1
-        val = value(X)
+        val, grad = evaluate(x)
         up = val > best_val
         if np.count_nonzero(up) == len(up):
             best_x, best_val = x, val
@@ -501,7 +538,7 @@ def _fixed_point_run(
             alpha[down] *= 4.0
             x[down] = best_x[down]
             val[down] = best_val[down]
-            X = gather(x)
+            grad[down] = evaluate(x[down], value=False)[1]
             hopeless = alpha[:, 0] > 1e9
             if np.count_nonzero(hopeless):
                 budget[hopeless] = it  # return the best iterate now
@@ -521,7 +558,8 @@ def _halving_ladder(
     """The rest of one start's line search after its trial step eta failed.
 
     Its halvings eta/2, eta/4, ... above 1e-18, projected and normalized,
-    are evaluated as kernel rows, one chunk (`kernel.rows`) per call.
+    are evaluated as kernel rows, one block (`kernel.rows` rows) per call,
+    and the search ends with the first block that holds a winner.
     Returns (trials, step, x, L) of the first that improves on val, or of
     x itself with step None when none does; trials counts the halvings the
     one-by-one search tries, and each candidate has the bits of its trial
@@ -548,12 +586,13 @@ def _projected_gradient_run(
     left unconverged; returns (best x, best L, iterations, converged), one
     row or entry per start.  The ascent's iterate is always its best one.
 
-    The rows step in lock step: each step makes one gradient and residual
-    call for the live rows and one trial gather and value for all of them,
-    whose gather the next gradient reuses when every trial improved; a row
-    whose trial fails goes on down its halvings in `_halving_ladder`.  Each
-    row keeps its own step size and trial count and leaves the batch when
-    it returns, so it ends exactly as it would alone.
+    The rows step in lock step: each step makes one residual call for the
+    live rows and one kernel evaluation of all their trials, value and
+    gradient, whose gradient the next step uses; a row whose trial fails
+    goes on down its halvings in `_halving_ladder` and, if it goes on, gets
+    the gradient of its new iterate anew.  Each row keeps its own step size
+    and trial count and leaves the batch when it returns, so it ends exactly
+    as it would alone.
 
     The line search stalls once gains fall under float resolution; the
     polish, whose small shift its monotonicity guard enlarges as needed,
@@ -576,22 +615,17 @@ def _projected_gradient_run(
         out_ok[rows] = ok
         return ~stop
 
-    gather, value, gradient, euler = kernel.gather, kernel.value, kernel.grad, kernel.euler_residual
-    X = gather(x)
-    val = value(X)
+    evaluate, euler = kernel.evaluate, kernel.euler_residual
+    val, grad = evaluate(x)
     # a row whose gain fell below float resolution, or that reached the cap,
     # hands off to the fixed-point polish
     done = np.full(n_rows, ascent_cap <= 0)
     while True:
         if np.count_nonzero(done):
             keep = retire(done, False)
-            x, val, eta, extra, live = (a[keep] for a in (x, val, eta, extra, live))
+            x, val, grad, eta, extra, live = (a[keep] for a in (x, val, grad, eta, extra, live))
             if not len(x):
                 break
-            X = None
-        if X is None:
-            X = gather(x)
-        grad = gradient(X)
         rho_est, res = euler(x, np.power(x, p - 1.0), grad)
         top = np.maximum.reduce(grad, axis=1)
         ok = res <= tol * np.fmax(1.0, rho_est)
@@ -606,11 +640,11 @@ def _projected_gradient_run(
         direction = np.divide(grad, top[:, None], out=grad)  # sup-normalized ascent direction
         cand = eta[:, None] * direction
         cand = _normalize_p(np.maximum(np.add(cand, x, out=cand), 0.0, out=cand), p)
-        X = gather(cand)
-        cand_val = value(X)
+        cand_val, cand_grad = evaluate(cand)
         steps += 1
         up = cand_val > val
-        if np.count_nonzero(up) != len(up):
+        searched = np.count_nonzero(up) != len(up)
+        if searched:
             for i in np.flatnonzero(~up):
                 trials, step, cand[i], cand_val[i] = _halving_ladder(
                     kernel, x[i], direction[i], val[i], eta[i], p
@@ -619,11 +653,15 @@ def _projected_gradient_run(
                 most = max(most, int(extra[i]))
                 if step is not None:
                     eta[i] = step
-            X = None  # the gather buffer holds the last halvings
         done = cand_val - val <= 1e-13 * np.fmax(1.0, cand_val)
         if steps + most >= ascent_cap:
             done |= steps + extra >= ascent_cap
-        x, val = cand, cand_val
+        if searched:  # a searched row that goes on needs the gradient at its new iterate
+            moved = ~up & ~done
+            if np.count_nonzero(moved):
+                cand_grad[moved] = evaluate(cand[moved], value=False)[1]
+        x, val, grad = cand, cand_val, cand_grad
+        del cand, cand_grad, direction  # a retire then frees the rows that leave
         np.minimum(np.multiply(eta, 1.5, out=eta), 1e6, out=eta)
 
     todo = ~out_ok
@@ -651,11 +689,11 @@ def solve_rho_p(
     output (ZeroEntries flag).  A failed tolerance sets NoConvergence rather
     than raising; the best iterate so far is still returned.
 
-    The starts iterate together as one (starts, n) batch, split into chunks
-    of at most BATCH_ENTRIES // (r * m) rows (at least one), each step one
-    kernel call for all of a chunk's live starts; for p < r the halvings of
-    a failed line search are tried as kernel rows, up to a chunk per call.
-    Each start ends exactly as it would alone.
+    The starts iterate together in lock step as one (starts, n) batch, each
+    step one kernel evaluation of all live starts, which the kernel walks in
+    blocks of at most BATCH_ENTRIES // (r * m) rows (at least one); for
+    p < r the halvings of a failed line search are tried as kernel rows, up
+    to a block per call.  Each start ends exactly as it would alone.
     """
     _check_p(p)
     cfg = config or SolverConfig()
@@ -675,14 +713,10 @@ def solve_rho_p(
     # one draw of all random starts: the doubles of one draw per start, in order
     extra = np.random.default_rng(cfg.seed).uniform(0.1, 1.0, (cfg.starts - 1, n))
     initials = np.concatenate((uniform[None], _normalize_p(extra, p)))
+    del extra  # the run holds only the initials
 
-    chunk = max(1, BATCH_ENTRIES // (g.r * g.m))
-    kernel = _Lagrangian(g, rows=chunk)
-    parts = [
-        run(kernel, initials[lo : lo + chunk], p, cfg.tol, cfg.max_iter)
-        for lo in range(0, len(initials), chunk)
-    ]
-    xs, vals, iters, oks = (np.concatenate(column) for column in zip(*parts))
+    kernel = _Lagrangian(g, rows=max(1, BATCH_ENTRIES // (g.r * g.m)))
+    xs, vals, iters, oks = run(kernel, initials, p, cfg.tol, cfg.max_iter)
 
     val_list, x_list = vals.tolist(), xs.tolist()
     best = max(range(len(val_list)), key=lambda i: (val_list[i], x_list[i]))
@@ -690,11 +724,8 @@ def solve_rho_p(
     gap = float(vals[best] - converged_vals.min()) if len(converged_vals) else 0.0
 
     x_out = np.where(xs[best] < CLAMP_EPS, 0.0, xs[best])
-    X_out = kernel.gather(x_out[None])
-    rho = kernel.value(X_out)
-    residual = float(
-        kernel.residual(np.power(x_out, p - 1.0)[None], kernel.grad(X_out), rho)[0]
-    )
+    rho, grad = kernel.evaluate(x_out[None])
+    residual = float(kernel.residual(np.power(x_out, p - 1.0)[None], grad, rho)[0])
     rho = float(rho[0])
     flags = []
     if not residual <= cfg.tol * max(1.0, rho):  # a NaN residual fails too

@@ -5,6 +5,7 @@ import json
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hspex import families
@@ -47,6 +48,13 @@ class TestGenerators:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(BadConfig, match="^seed must be an integer, got 2.5$"):
             random_connected_hypergraph(5, 2, 5, 2.5)
+
+    def test_numpy_integer_seed(self):
+        """random.Random refuses a numpy integer; the seed check hands it the
+        plain int."""
+        assert random_connected_hypergraph(6, 2, 7, np.int64(42)) == random_connected_hypergraph(
+            6, 2, 7, 42
+        )
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
@@ -97,6 +105,13 @@ class TestDegreeBoundSuite:
         """A float seed would be reported as given, with a passing verdict."""
         with pytest.raises(BadConfig, match="^seed must be an integer, got 1.5$"):
             run_degree_bound_suite(1, seed=1.5)
+
+    def test_numpy_integer_seed(self):
+        """A numpy integer seed draws the plain int's instances, and the
+        report stores the plain int."""
+        got = run_degree_bound_suite(2, seed=np.int64(9))
+        want = run_degree_bound_suite(2, seed=9)
+        assert type(got.seed) is int and got.to_json() == want.to_json()
 
     def test_determinism(self):
         a = run_degree_bound_suite(5, seed=9)
@@ -170,6 +185,11 @@ class TestBridgelessTight:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(BadConfig, match="^seed must be an integer, got 0.5$"):
             run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=1, seed=0.5)
+
+    def test_numpy_integer_seed(self):
+        got = run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=3, seed=np.uint16(3))
+        want = run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=3, seed=3)
+        assert type(got.seed) is int and got.to_json() == want.to_json()
 
     def test_disconnected_pattern_skipped(self):
         two = new_hypergraph(4, 2, [(0, 1), (2, 3)])

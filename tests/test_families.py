@@ -128,6 +128,12 @@ class TestSaturation:
         b = saturate(fam, Hypergraph(6, 2, ()), "random", seed=11)
         assert a == b
 
+    def test_numpy_integer_seed(self):
+        """random.Random refuses a numpy integer; the seed check hands it the
+        plain int."""
+        fam, empty = k3_family(), Hypergraph(7, 2, ())
+        assert saturate(fam, empty, "random", seed=np.int64(4)) == saturate(fam, empty, "random", seed=4)
+
     def test_unseeded_random_order_is_seed_zero(self):
         """With no seed the shuffle is seed 0's, not one drawn from OS entropy."""
         fam, empty = k3_family(), Hypergraph(7, 2, ())

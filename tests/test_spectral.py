@@ -285,13 +285,13 @@ class TestKernelScratch:
         assert bool(kernel._runs) == (rows > 2)
 
     def test_scratch_stays_at_one_row(self):
-        """A solve on a graph with r * m > BATCH_ENTRIES runs its starts one
-        row at a time, so its kernel holds one row of scratch: the edge
-        index (r * m intp) and the gather, prefix and leave-one-out buffers
-        (2 * r * m float64), and the tuple-to-array conversion of the edges
-        (3 * r * m intp at its peak) is done before they exist.  512 KiB
-        covers the per-start arrays; a second row of scratch would add
-        3 * r * m entries."""
+        """A solve on a graph with r * m > BATCH_ENTRIES walks its batch of
+        starts in blocks of one row, so its kernel holds one row of scratch:
+        the edge index (r * m intp) and the gather, prefix and leave-one-out
+        buffers (2 * r * m float64), and the tuple-to-array conversion of
+        the edges (2 * r * m intp at its peak) is done before they exist.
+        512 KiB covers the per-start arrays of the whole batch and the run
+        tables; a second row of scratch would add 3 * r * m entries."""
         import tracemalloc
 
         g = complete_r_graph(10, 2).blow_up((20,) * 10)
@@ -312,8 +312,8 @@ class TestKernelScratch:
         (complete_r_graph(10, 2).blow_up((20,) * 10), 16, 1),
     ])
     def test_kernel_holds_one_chunk(self, monkeypatch, g, starts, rows):
-        """A solve's kernel holds max(1, BATCH_ENTRIES // (r * m)) rows,
-        however many starts it runs."""
+        """A solve's kernel holds one block of max(1, BATCH_ENTRIES // (r * m))
+        rows, however many starts its batch holds."""
         assert rows == max(1, BATCH_ENTRIES // (g.r * g.m))
         built = []
         init = _Lagrangian.__init__
@@ -638,6 +638,7 @@ class TestSolver:
         assert sol.starts_used == 3 and sol.converged
         want = solve_rho_p(complete_r_graph(4, 2), 2.0, SolverConfig(max_iter=5000, starts=3, seed=7))
         _same_solution(sol, want)
+        assert type(cfg.seed) is int and cfg.seed == 7
 
     def test_settings(self):
         """p and r pick the strategy; the config holds only what a caller sets."""
@@ -765,6 +766,27 @@ class TestBatchedSolverOracle:
         assert any(all_up(k - 1) for k, what in ended if what == "reset")
         assert any(all_up(it) for it, ok, cap in zip(its, oks, budgets) if not ok and it == cap)
 
+    def test_collapsed_row_steps_from_its_new_gradient(self):
+        """A row that collapses at a checkpoint takes its next step from the
+        gradient of its collapsed iterate: here row 0 collapses at iteration
+        1024 and converges at 1025, beside rows that do not collapse, with
+        the per-start oracle's bits."""
+        g = Hypergraph(5, 4, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 2, 3, 4)))
+        p = 1.2
+        x0 = np.concatenate([
+            _normalize_p(np.random.default_rng(seed).uniform(0.0, 1.0, (1, g.n)) ** 4, p)
+            for seed in (1938, 1, 2)
+        ])
+        kernel = _Lagrangian(g, rows=3)
+        xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, 3000, 1.0)
+        events = []
+        for b in range(3):
+            want = _fixed_point_start(_Lagrangian1D(g), x0[b], p, 1e-10, 3000, 1.0, events)
+            assert xs[b].tobytes() == want[0].tobytes()
+            assert (float(vals[b]).hex(), its[b], oks[b]) == (float(want[1]).hex(), *want[2:])
+            if b == 0:
+                assert (1024, "collapse") in events and (its[0], oks[0]) == (1025, True)
+
     def test_shift_past_1e9_ends_a_row(self):
         """A row whose shift passes 1e9 in a reset returns its best iterate at
         once: here every evaluation is lower than the last, so every step is
@@ -839,9 +861,11 @@ class TestBatchedSolverOracle:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_graph_split_into_chunks(self, p):
+        """A graph whose kernel blocks hold fewer rows than the solve has
+        starts: the one batch is walked in several blocks per step."""
         g = complete_r_graph(6, 2).blow_up((11, 13, 15, 17, 19, 21))
         cfg = SolverConfig(starts=6, seed=8)
-        assert BATCH_ENTRIES // (g.r * g.m) < cfg.starts  # more than one chunk
+        assert BATCH_ENTRIES // (g.r * g.m) < cfg.starts  # more than one block
         _same_solution(solve_rho_p(g, p, cfg), solve_rho_p_perstart(g, p, cfg))
 
 
@@ -865,15 +889,15 @@ class TestLineSearchLadder:
         return searches
 
     def test_chunked_graph_ladders_span_kernel_batches(self):
-        """A chunked 3-graph's kernel holds at most a chunk of rows, fewer
-        than a ladder's halvings: some search takes a halving past the first
-        kernel batch, and some runs down to the 1e-18 floor."""
+        """A 3-graph's kernel block holds fewer rows than its solve has
+        starts and than a ladder has halvings: some search takes a halving
+        past the first block, and some runs down to the 1e-18 floor."""
         g = complete_r_graph(5, 3).blow_up((3, 4, 5, 6, 9))
         cfg = SolverConfig(starts=8, seed=3)
-        chunk = BATCH_ENTRIES // (g.r * g.m)
-        assert chunk < cfg.starts  # more than one chunk, and at most chunk kernel rows
+        rows = BATCH_ENTRIES // (g.r * g.m)
+        assert rows < cfg.starts  # more than one block, of at most `rows` kernel rows
         searches = [s for p in (1.5, 2.0) for s in self.solve_both(g, p, cfg)]
-        assert max(tried for _, tried, won in searches if won) > chunk
+        assert max(tried for _, tried, won in searches if won) > rows
         assert any(not won for _, _, won in searches)
 
     @pytest.mark.parametrize("r, p", [(2, 1.5), (3, 1.5), (4, 3.0)])
@@ -893,6 +917,78 @@ class TestLineSearchLadder:
                 self.solve_both(g, p, replace(cfg, max_iter=2 * (before + 2)))
                 capped += 1
         assert capped >= 10
+
+
+# small blow-ups and exponents that run both strategies at r = 2, 3 and 4
+BLOCKED_SOLVES = [
+    (complete_r_graph(4, 2).blow_up((2, 1, 2, 3)), (1.5, 3.0)),
+    (complete_r_graph(5, 3).blow_up((1, 2, 1, 2, 1)), (2.0, 3.0)),
+    (complete_r_graph(5, 4).blow_up((1, 1, 2, 1, 2)), (2.5, 4.0)),
+]
+
+
+class TestOneBatchInBlocks:
+    """A solve steps all its starts as one batch, which the kernel walks in
+    blocks of BATCH_ENTRIES // (r * m) rows; here BATCH_ENTRIES is set so
+    that blocks hold 1, 2 or 3 rows of 7 starts: one-row blocks, or blocks
+    whose last is short."""
+
+    STARTS = 7
+
+    @staticmethod
+    def set_rows(monkeypatch, g, rows: int) -> None:
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", rows * g.r * g.m)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("g, ps", BLOCKED_SOLVES, ids=("r2", "r3", "r4"))
+    def test_short_last_block_matches_perstart(self, g, ps, rows, monkeypatch):
+        """Bit for bit against the per-start oracle, with every warning an
+        error and every floating-point fault but underflow raised."""
+        self.set_rows(monkeypatch, g, rows)
+        for p in ps:
+            for seed in range(3):
+                cfg = SolverConfig(starts=self.STARTS, seed=seed)
+                TestLineSearchLadder.solve_both(g, p, cfg)
+
+    @pytest.mark.parametrize("g, ps", BLOCKED_SOLVES, ids=("r2", "r3", "r4"))
+    def test_one_runner_call_and_gathers_of_one_block(self, g, ps, monkeypatch):
+        """One solve makes one runner call, which holds all its starts (a
+        p < r ascent also polishes its unconverged rows with one nested
+        fixed-point call), and no gather holds more than a block; some
+        steps gather several blocks, the last of them short."""
+        rows = 3
+        self.set_rows(monkeypatch, g, rows)
+        calls, gathered = [], []
+        depth = [0]
+
+        def spy_runner(run):
+            def call(kernel, x, *args, **kwargs):
+                calls.append((run.__name__, depth[0], len(x), kernel.rows))
+                depth[0] += 1
+                try:
+                    return run(kernel, x, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        gather = _Lagrangian.gather
+
+        def spy_gather(self, x):
+            gathered.append(len(x))
+            assert len(x) <= self.rows
+            return gather(self, x)
+
+        monkeypatch.setattr(_Lagrangian, "gather", spy_gather)
+        for name in ("_fixed_point_run", "_projected_gradient_run"):
+            monkeypatch.setattr(spectral, name, spy_runner(getattr(spectral, name)))
+        for p in ps:
+            calls.clear()
+            solve_rho_p(g, p, SolverConfig(starts=self.STARTS, seed=1))
+            runner = "_fixed_point_run" if p >= g.r else "_projected_gradient_run"
+            assert calls[0] == (runner, 0, self.STARTS, rows)
+            assert all(depth == 1 and name == "_fixed_point_run" for name, depth, _, _ in calls[1:])
+            assert len(calls) <= 1 + (runner == "_projected_gradient_run")
+        assert 1 in gathered and max(gathered) == rows
 
 
 class TestOracles:
