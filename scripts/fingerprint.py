@@ -23,7 +23,8 @@ bytes of what comes back, layer by layer:
              range; value and gradient of K_t^(r) blow-ups for r = 2..4,
              whose long position-0 runs the kernel sums run by run, with
              negative, 0.0 and -0.0 weights, one row through the public API
-             and batches of 1, 3 and 4 rows through the kernel; and value
+             and batches of 1, 3 and 4 rows through the kernel's
+             `evaluate`; and value
              and gradient of batches of 4, 1 and 3 rows, below the run-sum
              cutoff, of weights with exact zeros on random 2- to 5-graphs
   structure  is_k_tight, find_k_bridges and is_k_plateaued certificates,
@@ -216,22 +217,20 @@ def kernel_layer(hspex, emit) -> None:
         for x in xs[:3]:
             emit(("run-sums", t, r, parts),
                  (hspex.lagrangian(g, x).hex(), hspex.lagrangian_gradient(g, x).tobytes()))
-        kernel = hspex.spectral._Lagrangian(g, rows=4)
+        kernel = hspex.spectral._Lagrangian(g)
         for lo, b in ((0, 4), (4, 1), (5, 3)):
-            X = kernel.gather(np.array(xs[lo : lo + b]))
-            emit(("run-sums batch", t, r, parts, b),
-                 (kernel.value(X).tobytes(), kernel.grad(X).tobytes()))
-    # batches below RUN_ENTRIES: kernels of 4 rows on small random graphs,
-    # fed batches of 4, 1 and 3 rows of weights with exact zeros
+            val, grad = kernel.evaluate(np.array(xs[lo : lo + b]))
+            emit(("run-sums batch", t, r, parts, b), (val.tobytes(), grad.tobytes()))
+    # batches below RUN_ENTRIES on small random graphs: batches of 4, 1 and
+    # 3 rows of weights with exact zeros through one kernel's `evaluate`
     for i in range(60):
         r = 2 + i % 4
         g = _random_graph(hspex, rng, rng.randint(r, 9), r, rng.uniform(0.2, 1.0))
-        kernel = hspex.spectral._Lagrangian(g, rows=4)
+        kernel = hspex.spectral._Lagrangian(g)
         for b in (4, 1, 3):
             x = np.array([_weights(rng, g.n, zeros=True) for _ in range(b)]).reshape(b, g.n)
-            X = kernel.gather(x)
-            emit(("small batch", g.n, r, g.edges, b),
-                 (kernel.value(X).tobytes(), kernel.grad(X).tobytes()))
+            val, grad = kernel.evaluate(x)
+            emit(("small batch", g.n, r, g.edges, b), (val.tobytes(), grad.tobytes()))
 
 
 def structure_layer(hspex, emit) -> None:

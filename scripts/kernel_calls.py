@@ -3,9 +3,9 @@
     python3 scripts/kernel_calls.py [--src DIR]
 
 Imports the hspex package found in DIR (default: this checkout's src/),
-wraps the `gather`, `value`, `grad` and `euler_residual` methods of its
-kernel, ``hspex.spectral._Lagrangian``, with counters, and runs three sets
-of solves through the public API:
+wraps the `_block` and `euler_residual` methods of its kernel,
+``hspex.spectral._Lagrangian``, with counters, and runs three sets of
+solves through the public API:
 
   degree-bound  run_degree_bound_suite(50, seed=0): 50 random connected
                 2- and 3-graphs, each solved at p = 1.5, 2, 3 and 4 with
@@ -20,10 +20,11 @@ of solves through the public API:
 For each set it prints the solves, their iterations (the sum of
 SpectralSolution.iterations: fixed-point steps and line-search trials, per
 start), the lock steps (`euler_residual` calls: one per step of a batch of
-starts, however many starts it holds) and the kernel calls, first in all and
-then (the fp. columns) those made inside ``hspex.spectral._fixed_point_run``:
-every p >= r solve and every p < r polish.  A `gather` holds one kernel
-block.  The solves and iterations are results, the same on any tree that
+starts, however many starts it holds) and the kernel blocks, first in all
+and then (the fp. columns) those made inside
+``hspex.spectral._fixed_point_run``: every p >= r solve and every p < r
+polish.  `gather` counts the blocks (one gather each), and `value` and
+`grad` the blocks that computed L and the gradient.  The solves and iterations are results, the same on any tree that
 solves alike; the steps and calls are the work done for them.  None of these
 counts depends on the machine.  Uses only the stdlib.
 """
@@ -36,8 +37,8 @@ from collections import Counter
 from pathlib import Path
 
 P_VALUES = (1.5, 2.0, 3.0, 4.0)
-# counter name -> the kernel method it counts
-KERNEL_CALLS = {"steps": "euler_residual", "gather": "gather", "value": "value", "grad": "grad"}
+# lock steps, then kernel blocks in all, with L, and with the gradient
+KERNEL_CALLS = ("steps", "gather", "value", "grad")
 BLOW_UPS = [(6, 2, (3, 5, 7, 9, 11, 13)), (5, 3, (2, 4, 6, 8, 10)),
             (5, 4, (2, 3, 5, 7, 9)), (10, 2, (20,) * 10)]
 
@@ -48,16 +49,27 @@ def counted(hspex, counts: Counter) -> None:
     spectral = hspex.spectral
     depth = [0]  # how many _fixed_point_run calls are running
 
-    def wrap(name, inner):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            if depth[0]:
-                counts["fp." + name] += 1
-            return inner(*args, **kwargs)
-        return call
+    def tick(name):
+        counts[name] += 1
+        if depth[0]:
+            counts["fp." + name] += 1
 
-    for name, method in KERNEL_CALLS.items():
-        setattr(spectral._Lagrangian, method, wrap(name, getattr(spectral._Lagrangian, method)))
+    kernel = spectral._Lagrangian
+    euler_residual, block = kernel.euler_residual, kernel._block
+
+    def steps(self, *args):
+        tick("steps")
+        return euler_residual(self, *args)
+
+    def blocks(self, x, value, grad):
+        tick("gather")
+        if value:
+            tick("value")
+        if grad:
+            tick("grad")
+        return block(self, x, value, grad)
+
+    kernel.euler_residual, kernel._block = steps, blocks
     fixed_point_run = spectral._fixed_point_run
 
     def inside_fixed_point(*args, **kwargs):

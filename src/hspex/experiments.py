@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .canonical import canonical_key_string
-from .errors import HypothesisFailed, Infeasible
+from .errors import BadConfig, HypothesisFailed, Infeasible
 from .families import (
     ALL_MASKS_GUARD_BITS,
     ForbiddenFamily,
@@ -32,11 +32,11 @@ from .families import (
     is_member,
     saturate,
 )
-from .hypergraph import Hypergraph, ell_cliques
+from .hypergraph import Hypergraph, _check_size, ell_cliques
 from .jsonio import dumps, rows_to_csv
 from .spectral import (
     SolverConfig,
-    _check_seed,
+    _check_count,
     degree_ratio_lower_bound,
     principal_ratio,
 )
@@ -97,10 +97,12 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     """Uniform-ish random connected r-graph with m edges, deterministic per seed.
 
     Samples m distinct edges and resamples until one component covers all n
-    vertices; raises Infeasible when m cannot support connectivity and
-    BadConfig for a negative seed.
+    vertices; raises Infeasible when m cannot support connectivity,
+    BadConfig for a negative seed, and OutOfRange or WrongArity for an n or
+    r that the Hypergraph constructor refuses.
     """
-    seed = _check_seed(seed)
+    _check_size(n, r)
+    seed = _check_count("seed", seed)
     total = math.comb(n, r)
     if m < math.ceil((n - 1) / (r - 1)) or m > total:
         raise Infeasible(f"m={m} cannot connect n={n} vertices with r={r}")
@@ -170,10 +172,17 @@ def run_degree_bound_suite(
     Non-converged solves are recorded, excluded from the verdict, counted.
     Each solve's seed is drawn from `seed`, replacing the seed of `config`
     (default: 4 starts), so the instance stream does not depend on `config`.
+    A negative count or an empty r_set raises BadConfig, and an r below 2
+    WrongArity.
     """
     from .spectral import solve_rho_p
 
-    seed = _check_seed(seed)
+    count = _check_count("count", count)
+    if not len(r_set):
+        raise BadConfig("r_set must hold at least one uniformity")
+    for r in r_set:
+        _check_size(0, r)  # the constructor's rule for r
+    seed = _check_count("seed", seed)
     rng = random.Random(seed)
     report = ExperimentReport(
         "degree-bound",
@@ -281,8 +290,9 @@ def run_bridgeless_tight_suite(
 ) -> ExperimentReport:
     """Random-order saturations of the empty graph must be k-tight when the
     forbidden graph has no k-bridge; bridged or disconnected graphs are
-    skipped and listed."""
-    seed = _check_seed(seed)
+    skipped and listed.  A negative trials or seed raises BadConfig."""
+    trials = _check_count("trials", trials)
+    seed = _check_count("seed", seed)
     rng = random.Random(seed)
     report = ExperimentReport(
         "bridgeless-tight",

@@ -44,7 +44,7 @@ from .embedding import (
 )
 from .errors import BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
 from .hypergraph import Hypergraph, serialize
-from .spectral import SolverConfig, SpectralSolution, _check_p, _check_seed, solve_rho_p
+from .spectral import SolverConfig, SpectralSolution, _check_count, _check_p, solve_rho_p
 
 ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
 ALL_MASKS_GUARD_BITS = 24  # stricter cap for the sweeps that hold every mask at once
@@ -131,7 +131,7 @@ def saturate(fam: Family, g0: Hypergraph, order: str = "lex", seed: int = 0) -> 
     Membership is monotone under edge addition for plain forbidden
     families, so one pass suffices.
     """
-    seed = _check_seed(seed)
+    seed = _check_count("seed", seed)
     _require_member(fam, g0)
     present = g0.edge_set
     candidates = [e for e in combinations(range(g0.n), g0.r) if e not in present]

@@ -40,6 +40,15 @@ def _integers(raw: Iterable, error: type[Exception], what: str) -> tuple[int, ..
     return ints
 
 
+def _check_size(n: int, r: int) -> None:
+    """The rule for a graph's vertex count and uniformity: OutOfRange unless
+    n is an integer >= 0, WrongArity unless r is an integer >= 2."""
+    if _integers((n,), OutOfRange, "vertex count")[0] < 0:
+        raise OutOfRange(f"vertex count {n} < 0")
+    if _integers((r,), WrongArity, "uniformity")[0] < 2:
+        raise WrongArity(f"uniformity {r} < 2")
+
+
 def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
     """Validate one edge: r distinct integer ids, each in [0, n); return sorted tuple."""
     ids = _integers(raw, OutOfRange, "vertex")
@@ -124,10 +133,7 @@ class Hypergraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self):
-        if self.n < 0:
-            raise OutOfRange(f"vertex count {self.n} < 0")
-        if self.r < 2:
-            raise WrongArity(f"uniformity {self.r} < 2")
+        _check_size(self.n, self.r)
         norm = sorted({_normalize_edge(e, self.r, self.n) for e in self.edges})
         object.__setattr__(self, "edges", tuple(norm))
 

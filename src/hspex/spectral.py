@@ -39,32 +39,19 @@ from .errors import (
     SameVertex,
     UniformityMismatch,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_size
 
 CLAMP_EPS = 1e-14  # output entries below this are reported as exact zeros
 GAP_EPS = 1e-6     # multi-start disagreement threshold
-# A solve steps all its starts as one batch, and its kernel walks every batch
-# in blocks of at most max(1, BATCH_ENTRIES // (r * m)) rows; no kernel call
-# (a block of a step, of a halving ladder, of the polish or of the final
-# pass) holds more, so none gathers more than E = max(BATCH_ENTRIES, r * m)
-# entries: a graph with many edges has blocks of a few rows, or of one row,
-# so memory stays at the one-start level.  The kernel sizes its scratch from
-# it once per solve, the same way for every r: the gather, prefix and
-# leave-one-out buffers hold 2E float64 and the block index, whose row 0 is
-# the edge positions, at most E intp; a short block's gather copies its part
-# of the index for the call, under E intp more, so at most 32E bytes in all.
-# A kernel whose blocks sum position 0's runs (RUN_ENTRIES) adds run
-# tables for all its rows: a sign table of E/r float64, and starts and
-# vertices of 8 bytes each per run.
+# No kernel call (a block of a step, of a halving ladder, of the polish or
+# of the final pass) gathers more than E = max(BATCH_ENTRIES, r * m)
+# entries; `_Lagrangian` states the memory this bounds.
 BATCH_ENTRIES = 1 << 15
 # A block sums position 0's runs once b * (m - K) of its position-0 entries,
-# those after a run's first, reach this.  Measured crossover against
-# bincount (per grad call, 2-core VM): 620-950 entries at r = 3, 4 (dense 3-
-# and 4-graphs, m ~ 200, BENCH_run_sums.json) and 720-890 at r = 2
-# (K4^(2)(8^4) loses at 720 and wins at 1,080, K6^(2)(3..13) wins at 890,
-# BENCH_one_scatter.json), so one cutoff fits every r.  1024 also exceeds
-# the 12 * 80 entries of a graph with m <= 13 in the longest (80-row)
-# halving ladder.
+# those after a run's first, reach this.  The measured crossover against
+# bincount is 620-950 entries at r = 3, 4 (BENCH_run_sums.json) and 720-890
+# at r = 2 (BENCH_one_scatter.json); no graph with m <= 13 reaches it, even
+# in the longest (80-row) halving ladder.
 RUN_ENTRIES = 1024
 
 
@@ -76,149 +63,126 @@ def _as_weights(g: Hypergraph, x) -> np.ndarray:
 
 
 class _Lagrangian:
-    """L and its gradient over one graph, for a batch of iterates; the one
+    """L and its gradient over one graph g for a batch of iterates: the one
     evaluation path.
 
-    Built from a graph g and a block size `rows`; caches r!, (r-1)! and the
-    (r, m) edge positions, whose [j] row holds the j-th vertex of each edge
-    of g.  `evaluate` takes a (b, n) batch of any size and walks it in row
-    blocks of at most `rows` rows, one gather each, whose prefix products
-    the value and the gradient share.  The kernel owns its scratch, sized
-    once from (r, rows, m): the gather buffer, the prefix products
-    P_k = X_0 * ... * X_k for k = 1..r-1 and one leave-one-out buffer.  Its
-    (r, b, m) index holds the positions offset by i*n in row i, their place
-    in a flattened (b, n) block, and is built for the largest block seen.  A
-    smaller block (a short last one, or one that rows have left) is gathered
-    through the index's row prefix, so the index is never rebuilt for it;
-    that prefix is not contiguous, so `take` copies it for the call.  The
-    buffers and the run tables are used through their first rows.
+    `evaluate(x, value, grad)` returns, for a (b, n) batch x of any size, L
+    per row and (1/r) dL/dx_v per row and vertex, None for what is not
+    asked for.  It walks x in blocks of at most `rows` = max(1,
+    BATCH_ENTRIES // (r * m)) rows: a small graph's batch is one block, and
+    a graph with many edges is evaluated a few rows, or one, at a time.
 
-    A block x of up to `rows` iterates is gathered once, ``X = gather(x)``,
-    for both `value` and `grad`; X stays valid until the next gather.
-    `value` builds the prefixes of X and `grad` of the same X reuses them,
-    loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}; `grad` of any other X builds
-    its own, and a gather invalidates them.  Every product multiplies
-    positions left to right: the factor order of np.prod over an (m, r)
+    Memory, with E = max(BATCH_ENTRIES, r * m).  The gather, prefix and
+    leave-one-out buffers, allocated once, hold 2E float64, and the block
+    index at most E intp; a short block's gather copies its part of the
+    index for the call, under E intp more, so at most 32E bytes in all.  A
+    kernel whose blocks sum runs adds run tables for its largest block s:
+    s * m float64 (at most E/r) and two intp per run and row.
+
+    Per block.  The (r, b, m) index holds the edge positions offset by i*n
+    in row i, their place in the flattened block; it is built for the
+    largest block seen, its row 0 is the positions, and a smaller block is
+    gathered through its row prefix.  The block is gathered once, X = x
+    over each edge position, and its prefixes P_k = X_0 * ... * X_k are
+    built up to P_{r-1} when L is asked for, else up to P_{r-2}.  L is r!
+    times the row sums of P_{r-1}.  The gradient scatters loo_j = P_{j-1} *
+    X_{j+1} * ... * X_{r-1} onto the vertices in position j with bincount,
+    adds the positions in order and multiplies by (r-1)!.  Products
+    multiply positions left to right, np.prod's factor order over an (m, r)
     index, so the bits match it for every r (prefix times suffix would
-    regroup them for r >= 4).  `grad` scatters each loo_j onto the vertices
-    in position j with bincount, position 0 first, and adds the positions in
-    order.  Edges are summed in g's sorted order.
+    regroup them for r >= 4); edges are summed in g's sorted order.
 
-    Position 0's entries are sorted by vertex, one run per vertex and row,
-    which bincount adds into one bin back to back, each add waiting on the
-    last.  A block with RUN_ENTRIES entries past a run's first sums each run
-    instead: loo_0 times a sign table (+1 on a run's first entry, -1 on the
-    others; exact), then np.subtract.reduceat over the run starts, which
-    gives ((w1 + w2) + ...) + wL, bincount's order, and a bincount of the
-    run sums, so each bin still starts at +0.0.  numpy sums an add
-    reduction pairwise, so np.add.reduceat would regroup the terms; subtract
-    is reduced in order.  Positions >= 1 keep bincount: a vertex's entries
-    there are split across position-0 runs.  For r = 2 the leave-one-out
-    products are X_1 and X_0 themselves.  Every row gets the bits it would
-    get alone: `np.add.reduce` along a contiguous row, run sums within a row
-    and `bincount` on offset indices add in the one-row order, and a
-    stacked matmul makes one dot product per row.
+    Run sums.  Position 0's entries are sorted, one run per vertex and row,
+    which bincount adds into one bin back to back.  A block with
+    RUN_ENTRIES entries past a run's first sums each run instead: loo_0
+    times a sign table (+1 on a run's first entry, -1 on the rest; exact),
+    then np.subtract.reduceat over the run starts, which adds in bincount's
+    order, ((w1 + w2) + ...) + wL, where np.add.reduceat would sum
+    pairwise, and one bincount of the run sums, so each bin still starts at
+    +0.0.  Positions >= 1 keep bincount.  The run tables grow with the
+    index, once a block reaches RUN_ENTRIES.
+
+    Every row gets the bits it would get alone: elementwise products,
+    np.add.reduce along a contiguous row, run sums within a row and
+    bincount on offset indices add in the one-row order.
     """
 
-    def __init__(self, g: Hypergraph, rows: int = 1):
+    def __init__(self, g: Hypergraph):
         self.n, r, m = g.n, g.r, g.m
-        self.rows = rows
+        self.rows = rows = max(1, BATCH_ENTRIES // (r * m or 1))
         self.rfact = math.factorial(r)
         self.rm1fact = math.factorial(r - 1)
         edges = chain.from_iterable(g.edges)
         self.positions = np.fromiter(edges, np.intp, count=r * m).reshape(m, r).T.copy()
         self._index = self.positions[:, None, :]  # one row needs no offsets, nor a copy
-        self._runs = None  # position 0's run tables, built by the first block to use them
+        self._seen = 0  # the largest block so far, which the index and run tables serve
+        self._runs = None  # position 0's run tables, once a block reaches RUN_ENTRIES
         self._gathered = np.empty(r * rows * m)
         self._prefix = np.empty((r - 1) * rows * m)
         self._loo = np.empty(rows * m)
         self._b = None
-        self._valid = None  # the gather whose products the prefix buffer holds
-
-    def _position0_runs(self, b: int):
-        """The run tables' first b rows, or None when fewer than RUN_ENTRIES
-        of a b-row block's position-0 entries follow a run's first.  They are
-        built once, for `rows` rows, if a block can reach it: per row the
-        runs' starts in a flattened (rows, m) array and their vertices offset
-        by i*n, and a (rows, m) sign table."""
-        m = self.positions.shape[1]
-        if b * m < RUN_ENTRIES:  # fewer than m entries of a row follow a run's first
-            return None
-        if self._runs is None:
-            first = self.positions[0]
-            starts = np.flatnonzero(np.diff(first, prepend=-1))
-            self._runs = ()
-            if self.rows * (m - len(starts)) >= RUN_ENTRIES:
-                offsets = np.arange(self.rows, dtype=np.intp)[:, None]
-                sign = np.full((self.rows, m), -1.0)
-                sign[:, starts] = 1.0
-                vertices = first[starts] + self.n * offsets
-                self._runs = ((starts + m * offsets).ravel(), vertices.ravel(), sign)
-        if self._runs:
-            starts, vertices, sign = self._runs
-            k = len(starts) // self.rows
-            if b * (m - k) >= RUN_ENTRIES:
-                return starts[: b * k], vertices[: b * k], sign[:b]
-        return None
 
     def _batch(self, b: int) -> None:
-        """Point the views at a new block size b: row prefixes of the index,
-        which is rebuilt only for a block larger than any before, and of the
-        buffers."""
+        """Point the views at block size b: row prefixes of the buffers, and of
+        the index and run tables, which grow for a block larger than any before."""
         r, m = self.positions.shape
-        if b > self._index.shape[1]:
-            offsets = self.n * np.arange(b, dtype=np.intp)[:, None]
-            self._index = self.positions[:, None, :] + offsets
-            self.positions = self._index[:, 0]  # a view: no second copy of the positions
+        self._block_runs = None
+        if b > self._seen:
+            self._seen = b
+            self._runs = None  # the old tables are freed before new ones are built
+            i = np.arange(b, dtype=np.intp)[:, None]
+            if b > 1:
+                self._index = self.positions[:, None, :] + self.n * i
+                self.positions = self._index[:, 0]  # a view: no second copy of the positions
+            if b * m >= RUN_ENTRIES:  # else fewer than m entries of a row follow a run's first
+                first = self.positions[0]
+                starts = np.flatnonzero(np.diff(first, prepend=-1))
+                if b * (m - len(starts)) >= RUN_ENTRIES:
+                    sign = np.full((b, m), -1.0)
+                    sign[:, starts] = 1.0
+                    vertices = first[starts] + self.n * i
+                    self._runs = ((starts + m * i).ravel(), vertices.ravel(), sign)
         self._b = b
         # each [j] is contiguous, the whole only at the largest b: one take of
         # a prefix, which copies it, beat r takes of its contiguous [j] rows
         # on small blocks and matched them on large ones
         self._row_index = self._index[:, :b]
-        self._X = self._gathered[: r * b * m].reshape(r, b, m)
+        self._X = X = self._gathered[: r * b * m].reshape(r, b, m)
         self._flat_index = [row.reshape(-1) for row in self._row_index]
-        self._P = tuple(self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
-        self._batch_runs = self._position0_runs(b)
+        self._P = (X[0], *self._prefix[: (r - 1) * b * m].reshape(r - 1, b, m))
         self._L = self._loo[: b * m].reshape(b, m)
+        if self._runs is not None:
+            starts, vertices, sign = self._runs
+            k = len(starts) // len(sign)
+            if b * (m - k) >= RUN_ENTRIES:
+                self._block_runs = starts[: b * k], vertices[: b * k], sign[:b]
 
-    def gather(self, x: np.ndarray) -> np.ndarray:
-        """The (r, b, m) array of a (b, n) block x over each edge position,
-        written into the gather buffer."""
-        if len(x) != self._b:
-            self._batch(len(x))
-        self._valid = None
-        # the indices are in range by construction; mode="raise" would copy out
-        return x.ravel().take(self._row_index, out=self._X, mode="clip")
-
-    def _prefixes(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
-        """P_1 .. P_{r-1} of a gather X into the prefix buffer, left to right."""
-        if X.shape[1] != self._b:
-            self._batch(X.shape[1])
-        prev = X[0]
-        for j in range(1, len(X)):
-            prev = np.multiply(prev, X[j], out=self._P[j - 1])
-        self._valid = X
-        return self._P
-
-    def value(self, X: np.ndarray) -> np.ndarray:
-        """Per row, r! * sum of per-edge products, from a gather X."""
-        out = np.add.reduce(self._prefixes(X)[-1], axis=1)
-        return np.multiply(out, self.rfact, out=out)
-
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        """Per row and vertex, (1/r) dL/dx_v, from a gather X."""
-        r, b, m = X.shape
+    def _block(
+        self, x: np.ndarray, value: bool, grad: bool
+    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """`evaluate` of a block x of at most `rows` rows."""
+        b = len(x)
         if b != self._b:
             self._batch(b)
+        # the indices are in range by construction; mode="raise" would copy out
+        X = x.ravel().take(self._row_index, out=self._X, mode="clip")
+        r, _, m = X.shape
+        P = self._P  # P[k] = P_k, P[0] = X_0
+        for k in range(1, r if value else r - 1):
+            np.multiply(P[k - 1], X[k], out=P[k])
+        val = None
+        if value:
+            val = np.add.reduce(P[r - 1], axis=1)
+            np.multiply(val, self.rfact, out=val)
+        if not grad:
+            return val, None
         if not m:  # bincount of no entries gives int64 zeros
-            return np.zeros((b, self.n))
-        runs = self._batch_runs
-        P = () if r == 2 else self._P if X is self._valid else self._prefixes(X)
-        prefix = (X[0], *P)  # prefix[k] = P_k
+            return val, np.zeros((b, self.n))
+        runs = self._block_runs
         out = None
         for j in range(r):
             # loo_j = P_{j-1} * X_{j+1} * ... * X_{r-1}, left to right
-            loo = prefix[j - 1] if j else X[1]
+            loo = P[j - 1] if j else X[1]
             for k in range(max(j + 1, 2), r):
                 loo = np.multiply(loo, X[k], out=self._L)
             if j or runs is None:
@@ -234,26 +198,23 @@ class _Lagrangian:
                 out += part
         if r > 2:
             np.multiply(out, self.rm1fact, out=out)
-        return out.reshape(b, self.n)
+        return val, out.reshape(b, self.n)
 
     def evaluate(
-        self, x: np.ndarray, value: bool = True
-    ) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """(L per row, or None without `value`; gradient per row) of a (b, n)
-        batch x of any size, in blocks of at most `rows` rows: one gather per
-        block, whose prefixes the gradient takes from the value."""
+        self, x: np.ndarray, value: bool = True, grad: bool = True
+    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """(L per row or None, (1/r) dL/dx per row or None) of a (b, n) batch
+        x of any size, in blocks of at most `rows` rows."""
         rows = self.rows
         if len(x) <= rows:
-            X = self.gather(x)
-            return (self.value(X) if value else None), self.grad(X)
-        vals = np.empty(len(x)) if value else None
-        grads = np.empty(x.shape)
+            return self._block(x, value, grad)
+        # each block's results go straight into the batch's: one block's held at a time
+        out = (np.empty(len(x)) if value else None), (np.empty(x.shape) if grad else None)
         for lo in range(0, len(x), rows):
-            X = self.gather(x[lo : lo + rows])
-            if value:
-                vals[lo : lo + rows] = self.value(X)
-            grads[lo : lo + rows] = self.grad(X)
-        return vals, grads
+            for whole, part in zip(out, self._block(x[lo : lo + rows], value, grad)):
+                if part is not None:
+                    whole[lo : lo + rows] = part
+        return out
 
     def residual(self, xp: np.ndarray, grad: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Per row, max over vertices of |rho * x_v^(p-1) - grad_v|, given xp = x^(p-1)."""
@@ -271,14 +232,12 @@ class _Lagrangian:
 
 def lagrangian(g: Hypergraph, x) -> float:
     """L_G(x) = r! * sum over edges of the product of the edge's weights."""
-    ev = _Lagrangian(g)
-    return float(ev.value(ev.gather(_as_weights(g, x)[None]))[0])
+    return float(_Lagrangian(g).evaluate(_as_weights(g, x)[None], grad=False)[0][0])
 
 
 def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
     """Per-vertex (1/r) dL/dx_v = (r-1)! * sum_{e : v in e} prod_{w in e - v} x_w."""
-    ev = _Lagrangian(g)
-    return ev.grad(ev.gather(_as_weights(g, x)[None]))[0]
+    return _Lagrangian(g).evaluate(_as_weights(g, x)[None], value=False)[1][0]
 
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
@@ -286,7 +245,7 @@ def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     _check_p(p)
     arr = _as_weights(g, x)[None]
     ev = _Lagrangian(g)
-    grad = ev.grad(ev.gather(arr))
+    grad = ev.evaluate(arr, value=False)[1]
     return float(ev.residual(np.power(arr, p - 1.0), grad, np.array([rho], dtype=float))[0])
 
 
@@ -314,6 +273,7 @@ def degree_ratio_lower_bound(g: Hypergraph, p: float) -> float:
 
 def rho_upper_bound(n: int, r: int, p: float) -> float:
     """n^(r(1-1/p)), the universal upper bound for the p-spectral radius."""
+    _check_size(n, r)
     _check_p(p)
     return float(n) ** (r * (1.0 - 1.0 / p))
 
@@ -344,15 +304,16 @@ def _check_integer(name: str, value) -> None:
         raise BadConfig(f"{name} must be an integer, got {value!r}")
 
 
-def _check_seed(seed: int) -> int:
-    # the one seed rule of every seeded path: random.Random(-s) seeds like
-    # random.Random(s), so a negative seed would silently run as its absolute
-    # value; the plain int it returns is what random.Random and reports take
-    # (random.Random refuses a numpy integer)
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise BadConfig("seed must be >= 0")
-    return operator.index(seed)
+def _check_count(name: str, value: int) -> int:
+    # the one rule of every seed, instance count and trial count:
+    # random.Random(-s) seeds like random.Random(s), so a negative seed would
+    # silently run as its absolute value, and a negative count would run no
+    # instance and pass; the plain int it returns is what random.Random and
+    # reports take (random.Random refuses a numpy integer)
+    _check_integer(name, value)
+    if value < 0:
+        raise BadConfig(f"{name} must be >= 0")
+    return operator.index(value)
 
 
 def _check_p(p: float) -> None:
@@ -382,7 +343,7 @@ class SolverConfig:
             raise BadConfig("tol must be positive and starts >= 1")
         if self.max_iter < 0:
             raise BadConfig("max_iter must be >= 0")
-        self.seed = _check_seed(self.seed)
+        self.seed = _check_count("seed", self.seed)
 
 
 class StartRecord(NamedTuple):
@@ -570,7 +531,7 @@ def _halving_ladder(
     for lo in range(0, len(ladder), kernel.rows):
         steps = ladder[lo : lo + kernel.rows]
         cand = _normalize_p(np.maximum(x + steps[:, None] * direction, 0.0), p)
-        cand_val = kernel.value(kernel.gather(cand))
+        cand_val = kernel.evaluate(cand, grad=False)[0]
         wins = np.flatnonzero(cand_val > val)
         if len(wins):
             w = wins[0]
@@ -690,10 +651,8 @@ def solve_rho_p(
     than raising; the best iterate so far is still returned.
 
     The starts iterate together in lock step as one (starts, n) batch, each
-    step one kernel evaluation of all live starts, which the kernel walks in
-    blocks of at most BATCH_ENTRIES // (r * m) rows (at least one); for
-    p < r the halvings of a failed line search are tried as kernel rows, up
-    to a block per call.  Each start ends exactly as it would alone.
+    step one kernel evaluation of all live starts, and each start ends
+    exactly as it would alone.
     """
     _check_p(p)
     cfg = config or SolverConfig()
@@ -715,7 +674,7 @@ def solve_rho_p(
     initials = np.concatenate((uniform[None], _normalize_p(extra, p)))
     del extra  # the run holds only the initials
 
-    kernel = _Lagrangian(g, rows=max(1, BATCH_ENTRIES // (g.r * g.m)))
+    kernel = _Lagrangian(g)
     xs, vals, iters, oks = run(kernel, initials, p, cfg.tol, cfg.max_iter)
 
     val_list, x_list = vals.tolist(), xs.tolist()

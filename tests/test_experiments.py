@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from hspex import families
-from hspex.errors import BadConfig, HypothesisFailed, Infeasible, TooLarge
+from hspex.errors import (
+    BadConfig,
+    HypothesisFailed,
+    Infeasible,
+    OutOfRange,
+    TooLarge,
+    WrongArity,
+)
 from hspex.families import ForbiddenFamily
 from hspex.hypergraph import Hypergraph, complete_r_graph, new_hypergraph
 from hspex.spectral import SolverConfig
@@ -56,6 +63,16 @@ class TestGenerators:
             6, 2, 7, 42
         )
 
+    @pytest.mark.parametrize("n, r, error", [
+        (-1, 2, OutOfRange), (2.5, 2, OutOfRange), (3, 1, WrongArity), (3, 0, WrongArity),
+        (3, 2.5, WrongArity),
+    ])
+    def test_bad_n_or_r_rejected(self, n, r, error):
+        """n and r follow the Hypergraph constructor's rule; r = 1 used to
+        divide by r - 1 = 0."""
+        with pytest.raises(error):
+            random_connected_hypergraph(n, r, 2, 0)
+
     def test_infeasible(self):
         with pytest.raises(Infeasible):
             random_connected_hypergraph(6, 2, 2, seed=0)
@@ -100,6 +117,21 @@ class TestDegreeBoundSuite:
         """random.Random(-5) draws seed 5's instances, so -5 is refused."""
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             run_degree_bound_suite(1, seed=-5)
+
+    def test_negative_count_rejected(self):
+        """A negative count would run no instance and pass."""
+        with pytest.raises(BadConfig, match="^count must be >= 0$"):
+            run_degree_bound_suite(-1)
+        with pytest.raises(BadConfig, match="^count must be an integer, got 2.5$"):
+            run_degree_bound_suite(2.5)
+
+    @pytest.mark.parametrize("r_set, error", [
+        ((), BadConfig), ([], BadConfig), ((1,), WrongArity), ((2, 0), WrongArity),
+    ])
+    def test_bad_r_set_rejected(self, r_set, error):
+        """An empty r_set divided by its length, and r = 1 by r - 1."""
+        with pytest.raises(error):
+            run_degree_bound_suite(2, r_set=r_set)
 
     def test_non_integer_seed_rejected(self):
         """A float seed would be reported as given, with a passing verdict."""
@@ -181,6 +213,11 @@ class TestBridgelessTight:
     def test_negative_seed_rejected(self):
         with pytest.raises(BadConfig, match="^seed must be >= 0$"):
             run_bridgeless_tight_suite([cycle(4)], 1, 6, trials=1, seed=-1)
+
+    def test_negative_trials_rejected(self):
+        """Negative trials would run no saturation and pass."""
+        with pytest.raises(BadConfig, match="^trials must be >= 0$"):
+            run_bridgeless_tight_suite([complete_r_graph(3, 2)], 1, 5, -2)
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(BadConfig, match="^seed must be an integer, got 0.5$"):

@@ -51,6 +51,16 @@ class TestConstruction:
         with pytest.raises(OutOfRange):
             new_hypergraph(3, 2, [(0, 5)])
 
+    @pytest.mark.parametrize("n, r, error", [
+        (-1, 2, OutOfRange), (2.5, 2, OutOfRange), ("3", 2, OutOfRange), (3, 1, WrongArity),
+        (3, 2.5, WrongArity),
+    ])
+    def test_bad_n_or_r(self, n, r, error):
+        """A vertex count or uniformity that is not an integer in range,
+        also with no edges to check."""
+        with pytest.raises(error):
+            Hypergraph(n, r, ())
+
     def test_edges_sorted(self):
         g = new_hypergraph(4, 2, [(3, 2), (1, 0)])
         assert g.edges == ((0, 1), (2, 3))

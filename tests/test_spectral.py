@@ -19,6 +19,7 @@ from hspex.errors import (
     IsolatedVertex,
     OutOfRange,
     SameVertex,
+    WrongArity,
 )
 from hspex import spectral
 from hspex.hypergraph import Hypergraph, complete_r_graph, ell_cliques
@@ -111,6 +112,15 @@ def _every_labeled_graph(r: int, max_n: int):
 CUTOFFS = (0, 1 << 62)
 
 
+def _kernel(g, rows: int, monkeypatch) -> _Lagrangian:
+    """g's kernel with blocks of `rows` rows, set through BATCH_ENTRIES."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "BATCH_ENTRIES", rows * (g.r * g.m or 1))
+        kernel = _Lagrangian(g)
+    assert kernel.rows == rows
+    return kernel
+
+
 def _weights_with_zeros(n: int, rng) -> list[float]:
     return [0.0 if rng.random() < 0.3 else rng.uniform(0.05, 1.0) for _ in range(n)]
 
@@ -154,10 +164,12 @@ class TestKernelOracle:
         zeros, for one row and for several."""
         g = Hypergraph(6, r, ())
         assert lagrangian_gradient(g, [0.5] * 6).dtype == np.float64
-        kernel = _Lagrangian(g, rows=4)
+        kernel = _Lagrangian(g)
         for b in (4, 1, 3):
-            grad = kernel.grad(kernel.gather(np.full((b, 6), 0.5)))
-            assert grad.dtype == np.float64 and grad.shape == (b, 6) and not grad.any()
+            x = np.full((b, 6), 0.5)
+            for val, grad in (kernel.evaluate(x), (None, kernel.evaluate(x, value=False)[1])):
+                assert grad.dtype == np.float64 and grad.shape == (b, 6) and not grad.any()
+                assert val is None or val.tobytes() == np.zeros(b).tobytes()
 
     @pytest.mark.parametrize("cutoff", CUTOFFS)
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -165,75 +177,75 @@ class TestKernelOracle:
         """test_batch_rows_match_single_rows with position 0's run sums taken
         by every batch (cutoff 0) and by none."""
         monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
-        self.test_batch_rows_match_single_rows(r, rng)
+        self.test_batch_rows_match_single_rows(r, rng, monkeypatch)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_batch_rows_match_single_rows(self, r, rng):
-        """Each row of a batched evaluation has the bits of its one-row call."""
+    def test_batch_rows_match_single_rows(self, r, rng, monkeypatch):
+        """Each row of a batched evaluation, walked in blocks of 1 to 16
+        rows, has the bits of its one-row call."""
         for _ in range(40):
             g = random_graph(rng.randint(r, 9), r, rng.uniform(0.1, 0.9), rng)
             rows = rng.randint(1, 16)
             x = np.array([_weights_with_zeros(g.n, rng) for _ in range(rows)]).reshape(rows, g.n)
-            kernel = _Lagrangian(g, rows=16)
-            X = kernel.gather(x)
-            val, grad = kernel.value(X), kernel.grad(X)
+            kernel = _kernel(g, rng.randint(1, 16), monkeypatch)
+            val, grad = kernel.evaluate(x)
             rho, res = kernel.euler_residual(x, np.power(x, 1.5), grad)
             for b in range(rows):
-                one = _Lagrangian(g)
-                Xb = one.gather(x[b : b + 1])
-                assert val[b].tobytes() == one.value(Xb).tobytes()
-                assert grad[b].tobytes() == one.grad(Xb).tobytes()
-                assert grad[b].tobytes() == lagrangian_gradient_percolumn(g, x[b]).tobytes()
                 xb = x[b : b + 1]
-                rho_b, res_b = one.euler_residual(xb, np.power(xb, 1.5), one.grad(Xb))
+                val_b, grad_b = _Lagrangian(g).evaluate(xb)
+                assert val[b].tobytes() == val_b.tobytes()
+                assert grad[b].tobytes() == grad_b.tobytes()
+                assert grad[b].tobytes() == lagrangian_gradient_percolumn(g, x[b]).tobytes()
+                rho_b, res_b = kernel.euler_residual(xb, np.power(xb, 1.5), grad_b)
                 assert (rho[b].tobytes(), res[b].tobytes()) == (rho_b.tobytes(), res_b.tobytes())
                 assert rho[b] == np.dot(x[b], lagrangian_gradient(g, x[b]))
 
 
 class TestKernelScratch:
-    """The kernel's own buffers: gathers written into them, prefix products
-    shared by `value` and `grad` of one gather, and views rebuilt when the
-    batch size changes, all with the per-column oracle's bits."""
+    """The kernel's own buffers: gathers and prefix products written into
+    them, and views rebuilt when the block size changes, all with the
+    per-column oracle's bits."""
 
     @staticmethod
     def check(g, x, val, grad):
+        """val and grad have the oracle's bits for each row of x; either may
+        be None, when the call did not ask for it."""
         for b, xb in enumerate(x):
-            assert val[b].tobytes() == np.float64(lagrangian_percolumn(g, xb)).tobytes()
-            assert grad[b].tobytes() == lagrangian_gradient_percolumn(g, xb).tobytes()
+            if val is not None:
+                assert val[b].tobytes() == np.float64(lagrangian_percolumn(g, xb)).tobytes()
+            if grad is not None:
+                assert grad[b].tobytes() == lagrangian_gradient_percolumn(g, xb).tobytes()
 
     @staticmethod
     def batch(g, b, rng):
         return np.array([_weights_with_zeros(g.n, rng) for _ in range(b)]).reshape(b, g.n)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_every_batch_size(self, r, rng):
-        """b runs down from rows to 1 and back up through every size; at
-        each b, grad before value computes its own prefixes, grad after
-        value reuses value's, a gather in between leaves nothing of the last
-        batch behind, and grad of an X that is not the kernel's current
-        gather computes its own, also for an X of the last batch size.  At
-        r = 2 too, grad scatters one position at a time on the row index,
-        which is rebuilt for each b."""
+    def test_every_batch_size(self, r, rng, monkeypatch):
+        """b runs up from 1 to rows, so the index grows, back down to 1, and
+        from rows + 1 to 2 * rows + 1, where the batch is walked in blocks,
+        the last of them short.  At each b a gradient-only call (prefixes up
+        to P_{r-2} only), a combined call, a value-only call and another
+        gradient-only call alternate between two batches, so each finds the
+        buffers as another batch, or another block size, left them; and the
+        first calls' results still hold their bits after the later calls.
+        At r = 2 too, the gradient scatters one position at a time on the
+        row index, whose views are rebuilt for each b."""
         for _ in range(12):
             g = random_graph(rng.randint(r, 8), r, rng.uniform(0.2, 0.9), rng)
             rows = rng.randint(1, 7)
-            kernel = _Lagrangian(g, rows=rows)
-            last = None
-            for b in [*range(rows, 0, -1), *range(2, rows + 1)]:
-                x = self.batch(g, b, rng)
-                X = kernel.gather(x)
-                first = kernel.grad(X)
-                val = kernel.value(X)
-                self.check(g, x, val, first)
-                self.check(g, x, val, kernel.grad(X))
-                X = X.copy()
-                y = self.batch(g, b, rng)
-                Y = kernel.gather(y)  # the same buffer; value's prefixes were x's
-                self.check(g, y, kernel.value(Y), kernel.grad(Y))
-                self.check(g, x, val, kernel.grad(X))  # the prefixes are y's
-                if last is not None:
-                    self.check(g, last[0], last[1], kernel.grad(last[2]))
-                last = x, val, X
+            kernel = _kernel(g, rows, monkeypatch)
+            sizes = [*range(1, rows + 1), *range(rows - 1, 0, -1), *range(rows + 1, 2 * rows + 2)]
+            for b in sizes:
+                x, y = self.batch(g, b, rng), self.batch(g, b, rng)
+                none, first = kernel.evaluate(y, value=False)
+                assert none is None
+                val, grad = kernel.evaluate(x)
+                only, none = kernel.evaluate(y, grad=False)
+                assert none is None
+                self.check(g, y, only, first)
+                self.check(g, x, val, kernel.evaluate(x, value=False)[1])
+                self.check(g, x, val, grad)
 
     @pytest.mark.parametrize("cutoff", CUTOFFS)
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -241,7 +253,7 @@ class TestKernelScratch:
         """test_every_batch_size with position 0's run sums taken by every
         batch (cutoff 0) and by none."""
         monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
-        self.test_every_batch_size(r, rng)
+        self.test_every_batch_size(r, rng, monkeypatch)
 
     @staticmethod
     def owned(values) -> dict[int, int]:
@@ -260,29 +272,36 @@ class TestKernelScratch:
         (4, 2, (8,) * 4, 4), (4, 2, (8,) * 4, 2), (5, 3, (2, 3, 3, 4, 4), 5),
         (5, 4, (2, 2, 3, 3, 3), 6), (6, 5, (2,) * 6, 7),
     ])
-    def test_scatter_choice_and_scratch_at_every_r(self, t, r, parts, rows, rng):
-        """With the default RUN_ENTRIES, a batch of b rows sums position 0's
+    def test_scatter_choice_and_scratch_at_every_r(self, t, r, parts, rows, rng, monkeypatch):
+        """With the default RUN_ENTRIES, a block of b rows sums position 0's
         runs exactly when b * (m - K) reaches it, K runs per row, and these
-        blow-ups cross it as b grows, except with 2 rows.  The kernel's
-        arrays stay within the BATCH_ENTRIES comment's bound for every r:
-        32E bytes, E = r * rows * m here, plus run tables of E/r float64 and
-        two intp per run and row."""
+        blow-ups cross it as b grows, except with 2 rows.  The index and
+        the run tables grow for the largest block s so far, the tables once
+        a block reaches the cutoff.  The kernel's arrays stay within the
+        `_Lagrangian` docstring's bound for every r: 32E bytes, E = r * rows
+        * m here, plus run tables of s * m float64 (at most E/r) and two
+        intp per run and row."""
         g = complete_r_graph(t, r).blow_up(parts)
         m, k = g.m, len({e[0] for e in g.edges})
         sums = [b * (m - k) >= spectral.RUN_ENTRIES for b in range(1, rows + 1)]
         assert not sums[0] and sums[-1] == (rows > 2)
-        kernel = _Lagrangian(g, rows=rows)
+        kernel = _kernel(g, rows, monkeypatch)
         entries = r * rows * m
+        seen = 0
         for b in [*range(1, rows + 1), *range(rows - 1, 0, -1)]:
             x = self.batch(g, b, rng)
-            X = kernel.gather(x)
-            assert (kernel._batch_runs is not None) == sums[b - 1]
-            self.check(g, x, kernel.value(X), kernel.grad(X))
+            self.check(g, x, *kernel.evaluate(x))
+            seen = max(seen, b)
+            assert kernel._seen == seen
+            assert (kernel._block_runs is not None) == sums[b - 1]
+            assert (kernel._runs is not None) == sums[seen - 1]
+            if kernel._runs is not None:
+                assert len(kernel._runs[2]) == seen
             runs = self.owned(kernel._runs or ())
             scratch = self.owned(vars(kernel).values())
-            assert sum(runs.values()) <= 8 * entries // r + 16 * rows * k
+            assert sum(runs.values()) <= 8 * seen * m + 16 * seen * k
             assert sum(n for a, n in scratch.items() if a not in runs) <= 32 * entries
-        assert bool(kernel._runs) == (rows > 2)
+        assert (kernel._runs is not None) == (rows > 2)
 
     def test_scratch_stays_at_one_row(self):
         """A solve on a graph with r * m > BATCH_ENTRIES walks its batch of
@@ -318,9 +337,9 @@ class TestKernelScratch:
         built = []
         init = _Lagrangian.__init__
 
-        def spy(self, graph, rows=1):
-            built.append(rows)
-            init(self, graph, rows)
+        def spy(self, graph):
+            init(self, graph)
+            built.append(self.rows)
 
         monkeypatch.setattr(_Lagrangian, "__init__", spy)
         for p in (1.5, 3.0):  # both strategies
@@ -370,17 +389,17 @@ class TestPosition0Runs:
     def test_gradient_bits(self, g, cutoff, rng, monkeypatch):
         monkeypatch.setattr(spectral, "RUN_ENTRIES", cutoff)
         rows = 5
-        kernel = _Lagrangian(g, rows=rows)
+        kernel = _kernel(g, rows, monkeypatch)
         xs = [self.zero_runs(g), [-0.0] * g.n, [1.0] * g.n]
         xs += [_signed_weights(g.n, rng) for _ in range(2 * rows)]
         for x in xs:
             assert lagrangian_gradient(g, x).tobytes() == lagrangian_gradient_percolumn(g, x).tobytes()
-        for lo in range(0, len(xs), rows):
-            batch = np.array(xs[lo : lo + rows])
-            X = kernel.gather(batch)
-            assert (kernel._batch_runs is not None) == (cutoff == 0)
-            kernel.value(X)
-            for grad in (kernel.grad(X), kernel.grad(X.copy())):  # shared and own prefixes
+        # blocks of 5, 5 and 3 rows, one call per block and one for them all
+        for lo, hi in ((0, rows), (rows, 2 * rows), (2 * rows, len(xs)), (0, len(xs))):
+            batch = np.array(xs[lo:hi])
+            # with and without P_{r-1}
+            for grad in (kernel.evaluate(batch)[1], kernel.evaluate(batch, value=False)[1]):
+                assert (kernel._block_runs is not None) == (cutoff == 0)
                 for x, row in zip(batch, grad):
                     assert row.tobytes() == lagrangian_gradient_percolumn(g, x).tobytes()
 
@@ -402,7 +421,9 @@ class TestPosition0Runs:
         same bits."""
         t, r, sizes = parts
         g = complete_r_graph(t, r).blow_up(sizes)
-        assert _Lagrangian(g)._position0_runs(1) is not None
+        kernel = _Lagrangian(g)
+        kernel.evaluate(np.ones((1, g.n)), value=False)
+        assert kernel._block_runs is not None
         for p in (1.5, 3.0):  # both strategies
             got = solve_rho_p(g, p)
             monkeypatch.setattr(spectral, "RUN_ENTRIES", CUTOFFS[1])
@@ -454,6 +475,16 @@ class TestResidualAndRatios:
         assert rho_upper_bound(4, 2, 2) == pytest.approx(4.0)
         assert rho_upper_bound(3, 3, 3) == pytest.approx(9.0)
         assert rho_upper_bound(5, 2, 1.0001) == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("n, r, error", [
+        (-1, 2, OutOfRange), (2.5, 2, OutOfRange), (3, 1, WrongArity), (3, 0, WrongArity),
+        (3, 2.5, WrongArity),
+    ])
+    def test_rho_upper_bound_rejects_bad_n_or_r(self, n, r, error):
+        """n and r follow the Hypergraph constructor's rule: n = -1 used to
+        give the complex number (-0.5+0.866j)."""
+        with pytest.raises(error):
+            rho_upper_bound(n, r, 1.5)
 
     def test_rho_infinity(self, k3):
         assert rho_infinity(triple_edge()) == 6.0
@@ -720,7 +751,7 @@ class TestBatchedSolverOracle:
                 continue
             p = (1.5, 2.0, 2.5)[t % 3]
             x0 = _normalize_p(np.random.default_rng(t).uniform(0.1, 1.0, (6, g.n)), p)
-            kernel = _Lagrangian(g, rows=6)
+            kernel = _Lagrangian(g)
             xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, budgets, alphas)
             for b in range(6):
                 want = _fixed_point_start(
@@ -744,7 +775,7 @@ class TestBatchedSolverOracle:
         budgets = np.array([1100, 513, 2000, 1025, 700, 1600])
         alphas = np.array([1.0, 0.5, 2.0, 0.25, 4.0, 1.5])
         x0 = _normalize_p(np.random.default_rng(370).uniform(0.0, 1.0, (6, g.n)) ** 4, p)
-        kernel = _Lagrangian(g, rows=6)
+        kernel = _Lagrangian(g)
         xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, budgets, alphas)
         events = []
         for b in range(6):
@@ -777,7 +808,7 @@ class TestBatchedSolverOracle:
             _normalize_p(np.random.default_rng(seed).uniform(0.0, 1.0, (1, g.n)) ** 4, p)
             for seed in (1938, 1, 2)
         ])
-        kernel = _Lagrangian(g, rows=3)
+        kernel = _Lagrangian(g)
         xs, vals, its, oks = _fixed_point_run(kernel, x0, p, 1e-10, 3000, 1.0)
         events = []
         for b in range(3):
@@ -795,13 +826,16 @@ class TestBatchedSolverOracle:
         class Falling(_Lagrangian):
             calls = 0
 
-            def value(self, X):
-                self.calls += 1
-                return np.full(X.shape[1], -float(self.calls))
+            def _block(self, x, value, grad):
+                val, grad = super()._block(x, value, grad)
+                if value:
+                    self.calls += 1
+                    val = np.full(len(x), -float(self.calls))
+                return val, grad
 
         g = complete_r_graph(4, 3)
         x0 = _normalize_p(np.random.default_rng(3).uniform(0.1, 1.0, (3, 4)), 3.0)
-        kernel = Falling(g, rows=3)
+        kernel = Falling(g)
         alphas = 1e9 / np.array([4.0, 4.0**3, 4.0**5]) + 1
         xs, vals, its, oks = _fixed_point_run(kernel, x0, 3.0, 1e-10, 100, alphas)
         assert its.tolist() == [1, 3, 5] and not oks.any()
@@ -971,14 +1005,14 @@ class TestOneBatchInBlocks:
                     depth[0] -= 1
             return call
 
-        gather = _Lagrangian.gather
+        block = _Lagrangian._block
 
-        def spy_gather(self, x):
+        def spy_block(self, x, value, grad):
             gathered.append(len(x))
             assert len(x) <= self.rows
-            return gather(self, x)
+            return block(self, x, value, grad)
 
-        monkeypatch.setattr(_Lagrangian, "gather", spy_gather)
+        monkeypatch.setattr(_Lagrangian, "_block", spy_block)
         for name in ("_fixed_point_run", "_projected_gradient_run"):
             monkeypatch.setattr(spectral, name, spy_runner(getattr(spectral, name)))
         for p in ps:
