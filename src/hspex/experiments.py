@@ -101,7 +101,7 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     BadConfig for a negative seed, and OutOfRange or WrongArity for an n or
     r that the Hypergraph constructor refuses.
     """
-    _check_size(n, r)
+    n, r = _check_size(n, r)
     seed = _check_count("seed", seed)
     total = math.comb(n, r)
     if m < math.ceil((n - 1) / (r - 1)) or m > total:
@@ -120,7 +120,7 @@ def connected_graph_classes(v: int, r: int = 2) -> list[Hypergraph]:
     """All connected r-graphs on exactly v labeled vertices, one per iso class:
     the first in ascending edge-mask order.  It holds all 2^C(v, r) masks,
     so C(v, r) > ALL_MASKS_GUARD_BITS raises TooLarge."""
-    _check_guard(v, r, ALL_MASKS_GUARD_BITS)
+    v, r = _check_guard(v, r, ALL_MASKS_GUARD_BITS)
     # connectivity is invariant under relabeling: testing one graph per class
     # keeps the same first-seen representatives
     masks = np.arange(1 << math.comb(v, r), dtype=np.int64)
@@ -180,8 +180,7 @@ def run_degree_bound_suite(
     count = _check_count("count", count)
     if not len(r_set):
         raise BadConfig("r_set must hold at least one uniformity")
-    for r in r_set:
-        _check_size(0, r)  # the constructor's rule for r
+    r_set = [_check_size(0, r)[1] for r in r_set]  # the constructor's rule for r
     seed = _check_count("seed", seed)
     rng = random.Random(seed)
     report = ExperimentReport(

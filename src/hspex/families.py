@@ -42,8 +42,8 @@ from .embedding import (
     labeled_copy_edge_sets,
     _search,
 )
-from .errors import BadFamily, NotMember, OutOfRange, TooLarge, UniformityMismatch
-from .hypergraph import Hypergraph, serialize
+from .errors import BadFamily, NotMember, TooLarge, UniformityMismatch
+from .hypergraph import Hypergraph, _check_size, serialize
 from .spectral import SolverConfig, SpectralSolution, _check_count, _check_p, solve_rho_p
 
 ENUM_GUARD_BITS = 28       # candidate-edge cap for the extremal sweeps
@@ -190,25 +190,25 @@ class _SweepData:
     classes: tuple[Hypergraph, ...]
 
 
-def _check_sweepable(fam: Family, n: int, limit: int) -> None:
-    """Raise unless fam is a plain forbidden family whose C(n, r) candidate
-    edges fit the guard `limit`."""
+def _check_sweepable(fam: Family, n: int, limit: int) -> int:
+    """n as an int; raises unless fam is a plain forbidden family and n a
+    vertex count whose C(n, r) candidate edges fit the guard `limit`."""
     if not isinstance(fam, ForbiddenFamily) or fam.induced:
         raise BadFamily(
             "enumeration requires a plain (non-induced) forbidden-subgraph family"
         )
-    if n < 0:
-        raise OutOfRange(f"vertex count {n} < 0")
-    _check_guard(n, fam.r, limit)
+    return _check_guard(n, fam.r, limit)[0]
 
 
-def _check_guard(n: int, r: int, limit: int) -> None:
-    """Raise TooLarge unless the C(n, r) candidate edges fit the guard `limit`."""
+def _check_guard(n: int, r: int, limit: int) -> tuple[int, int]:
+    """(n, r) by `_check_size`; TooLarge unless the C(n, r) candidate edges fit `limit`."""
+    n, r = _check_size(n, r)
     if comb(n, r) > limit:
         raise TooLarge(
             f"C({n},{r}) = {comb(n, r)} candidate edges exceeds the guard ({limit}); "
             "reduce n or r"
         )
+    return n, r
 
 
 def _require_members(count: int) -> None:
@@ -461,7 +461,7 @@ def enumerate_family(fam: Family, n: int) -> Iterator[Hypergraph]:
     member masks (`_orbit_classes`).  They are the cached all-members
     sweep's classes, which `extremal_lambda_p(full=True)` solves.
     """
-    _check_sweepable(fam, n, ALL_MASKS_GUARD_BITS)
+    n = _check_sweepable(fam, n, ALL_MASKS_GUARD_BITS)
     yield from _sweep(fam, n, True).classes
 
 
@@ -502,7 +502,7 @@ class ExtremalResult:
 def extremal_pi(fam: Family, n: int) -> ExtremalResult:
     """Maximum edge count over members on exactly n labeled vertices."""
     t0 = time.perf_counter()
-    _check_sweepable(fam, n, ENUM_GUARD_BITS)
+    n = _check_sweepable(fam, n, ENUM_GUARD_BITS)
     data = _sweep(fam, n, False)
     _require_members(data.count)
     # a maximum-size member of a subgraph-closed family is edge-maximal, and
@@ -532,7 +532,7 @@ def extremal_lambda_p(
     """
     t0 = time.perf_counter()
     _check_p(p)  # before the member walk, which can take seconds
-    _check_sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
+    n = _check_sweepable(fam, n, FULL_MODE_GUARD_BITS if full else ENUM_GUARD_BITS)
     data = _sweep(fam, n, full)
     _require_members(data.count)
 

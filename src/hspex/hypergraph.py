@@ -40,25 +40,34 @@ def _integers(raw: Iterable, error: type[Exception], what: str) -> tuple[int, ..
     return ints
 
 
-def _check_size(n: int, r: int) -> None:
-    """The rule for a graph's vertex count and uniformity: OutOfRange unless
-    n is an integer >= 0, WrongArity unless r is an integer >= 2."""
-    if _integers((n,), OutOfRange, "vertex count")[0] < 0:
+def _check_size(n: int, r: int) -> tuple[int, int]:
+    """The rule for a graph's vertex count and uniformity: (n, r) as ints; OutOfRange
+    unless n is an integer >= 0, WrongArity unless r is an integer >= 2."""
+    (n,) = _integers((n,), OutOfRange, "vertex count")
+    if n < 0:
         raise OutOfRange(f"vertex count {n} < 0")
-    if _integers((r,), WrongArity, "uniformity")[0] < 2:
+    (r,) = _integers((r,), WrongArity, "uniformity")
+    if r < 2:
         raise WrongArity(f"uniformity {r} < 2")
+    return n, r
+
+
+def _vertices(raw: Iterable, n: int) -> tuple[int, ...]:
+    """raw as vertex ids: the `_integers` rule, then OutOfRange outside [0, n)."""
+    ids = _integers(raw, OutOfRange, "vertex")
+    for v in ids:
+        if not 0 <= v < n:
+            raise OutOfRange(f"vertex {v} outside [0, {n})")
+    return ids
 
 
 def _normalize_edge(raw: Iterable[int], r: int, n: int) -> Edge:
     """Validate one edge: r distinct integer ids, each in [0, n); return sorted tuple."""
-    ids = _integers(raw, OutOfRange, "vertex")
+    ids = _vertices(raw, n)
     if len(set(ids)) != len(ids):
         raise RepeatedVertex(f"edge {ids} repeats a vertex")
     if len(ids) != r:
         raise WrongArity(f"edge {ids} has {len(ids)} vertices, expected {r}")
-    for v in ids:
-        if not 0 <= v < n:
-            raise OutOfRange(f"vertex {v} outside [0, {n})")
     return tuple(sorted(ids))
 
 
@@ -133,9 +142,9 @@ class Hypergraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self):
-        _check_size(self.n, self.r)
-        norm = sorted({_normalize_edge(e, self.r, self.n) for e in self.edges})
-        object.__setattr__(self, "edges", tuple(norm))
+        n, r = _check_size(self.n, self.r)
+        norm = sorted({_normalize_edge(e, r, n) for e in self.edges})
+        self.__dict__.update(n=n, r=r, edges=tuple(norm))
 
     @classmethod
     def _trusted(cls, n: int, r: int, edges: tuple[Edge, ...]) -> "Hypergraph":
@@ -191,9 +200,7 @@ class Hypergraph:
 
     def degree(self, v: int) -> int:
         """Number of edges containing v."""
-        if not 0 <= v < self.n:
-            raise OutOfRange(f"vertex {v} outside [0, {self.n})")
-        return self.degree_list[v]
+        return self.degree_list[_vertices((v,), self.n)[0]]
 
     def degrees(self) -> list[int]:
         return list(self.degree_list)
@@ -219,6 +226,14 @@ class Hypergraph:
                 seen.update(comps[-1])
         return comps
 
+    def _edge_index(self, e: Iterable[int]) -> int:
+        """Index of e (ids in any order) in `edges`; NoSuchEdge if it is not there."""
+        key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
+        i = bisect_left(self.edges, key)
+        if i == self.m or self.edges[i] != key:
+            raise NoSuchEdge(f"edge {key} not in graph")
+        return i
+
     def is_2_covering(self) -> bool:
         """True iff every unordered vertex pair lies in some edge."""
         covered: set[tuple[int, int]] = set()
@@ -230,10 +245,7 @@ class Hypergraph:
 
     def induced_subgraph(self, vertex_set: Iterable[int]) -> "Hypergraph":
         """Relabeled subgraph on the given vertices (order-preserving relabel)."""
-        s = sorted(set(_integers(vertex_set, OutOfRange, "vertex")))
-        for v in s:
-            if not 0 <= v < self.n:
-                raise OutOfRange(f"vertex {v} outside [0, {self.n})")
+        s = sorted(set(_vertices(vertex_set, self.n)))
         relabel = {v: i for i, v in enumerate(s)}
         keep = set(s)
         # an increasing relabel keeps every edge increasing and the list sorted
@@ -242,10 +254,7 @@ class Hypergraph:
 
     def remove_edge(self, e: Iterable[int]) -> "Hypergraph":
         """Same vertex set, one edge removed.  Raises NoSuchEdge if absent."""
-        key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
-        i = bisect_left(self.edges, key)
-        if i == self.m or self.edges[i] != key:
-            raise NoSuchEdge(f"edge {key} not in graph")
+        i = self._edge_index(e)
         return Hypergraph._trusted(self.n, self.r, self.edges[:i] + self.edges[i + 1:])
 
     def add_edge(self, e: Iterable[int]) -> "Hypergraph":
@@ -277,10 +286,7 @@ class Hypergraph:
         v in e and u not in e adds e + u - v.  With u == v this is the
         identity.
         """
-        u, v = _integers((u, v), OutOfRange, "vertex")
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise OutOfRange(f"vertex {w} outside [0, {self.n})")
+        u, v = _vertices((u, v), self.n)
         if u == v:
             return self
         # kept edges miss u and clones hold it, and distinct edges through v
@@ -328,11 +334,12 @@ def disjoint_union(g1: Hypergraph, g2: Hypergraph) -> Hypergraph:
 
 def ell_cliques(ell: int, t: int, r: int) -> Hypergraph:
     """ell disjoint complete r-graphs on t vertices each."""
+    ell, t = _integers((ell, t), TooSmall, "clique count or size")
     if ell < 0 or t < 0:
         raise TooSmall(f"ell={ell}, t={t} must be nonnegative")
     g = Hypergraph(0, r)
     for _ in range(ell):
-        g = disjoint_union(g, complete_r_graph(t, r))
+        g = disjoint_union(g, complete_r_graph(t, g.r))
     return g
 
 
@@ -343,7 +350,8 @@ def l_gadget(ell: int, lam: Sequence[int], t: int) -> Hypergraph:
     ell >= 2) of r = sum(lam); the extra edge uses the lam[j] lowest-id
     vertices of clique j.
     """
-    lam = tuple(int(x) for x in lam)
+    lam = _integers(lam, BadPartition, "part")
+    (t,) = _integers((t,), TooSmall, "clique size")
     if len(lam) != ell:
         raise BadPartition(f"ell={ell} != len(lam)={len(lam)}")
     if len(lam) < 2:
@@ -389,20 +397,19 @@ def parse_hypergraph(text: str) -> Hypergraph:
     body = rows[1:]
     if len(body) != m:
         raise ParseError(header_line, f"header declares {m} edges, found {len(body)}")
-    edges = []
+    try:
+        n, r = _check_size(n, r)
+    except (WrongArity, OutOfRange) as exc:
+        raise ParseError(header_line, str(exc)) from exc
+    edges: dict[Edge, int] = {}  # each edge to its line
     for lineno, tokens in body:
         try:
-            ids = [int(x) for x in tokens]
+            e = _normalize_edge([int(x) for x in tokens], r, n)
         except ValueError:
             raise ParseError(lineno, f"non-integer vertex id in {tokens}") from None
-        edges.append((lineno, ids))
-    try:
-        return Hypergraph(n, r, tuple(ids for _, ids in edges))
-    except (WrongArity, RepeatedVertex, OutOfRange) as exc:
-        # report the first offending line
-        for lineno, ids in edges:
-            try:
-                _normalize_edge(ids, r, n)
-            except (WrongArity, RepeatedVertex, OutOfRange) as inner:
-                raise ParseError(lineno, str(inner)) from inner
-        raise ParseError(header_line, str(exc)) from exc
+        except (WrongArity, RepeatedVertex, OutOfRange) as exc:
+            raise ParseError(lineno, str(exc)) from exc
+        if e in edges:
+            raise ParseError(lineno, f"edge {e} repeats line {edges[e]}")
+        edges[e] = lineno
+    return Hypergraph._trusted(n, r, tuple(sorted(edges)))

@@ -273,7 +273,7 @@ def degree_ratio_lower_bound(g: Hypergraph, p: float) -> float:
 
 def rho_upper_bound(n: int, r: int, p: float) -> float:
     """n^(r(1-1/p)), the universal upper bound for the p-spectral radius."""
-    _check_size(n, r)
+    n, r = _check_size(n, r)
     _check_p(p)
     return float(n) ** (r * (1.0 - 1.0 / p))
 

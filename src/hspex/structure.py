@@ -8,7 +8,6 @@ all vertex subsets.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral
@@ -17,12 +16,10 @@ from typing import Iterable, Optional
 from .errors import (
     BadK,
     EmptyGraph,
-    NoSuchEdge,
-    OutOfRange,
     TargetMismatch,
     TrivialPartition,
 )
-from .hypergraph import Hypergraph, _integers, _k_closure
+from .hypergraph import Hypergraph, _integers, _k_closure, _vertices
 
 Partition = tuple[int, ...]
 
@@ -32,7 +29,7 @@ Partition = tuple[int, ...]
 
 def validate_partition(parts, r: Optional[int] = None) -> Partition:
     """Normalize-check a partition: positive nonincreasing parts (of r if given)."""
-    p = tuple(int(x) for x in parts)
+    p = _integers(parts, TargetMismatch, "part")
     if not p or any(x < 1 for x in p):
         raise TargetMismatch(f"{p} has non-positive parts")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -47,6 +44,7 @@ def partitions_of(r: int, min_largest: int = 1, max_largest: Optional[int] = Non
     in descending lexicographic order."""
     if max_largest is None:
         max_largest = r
+    r, min_largest, max_largest = _integers((r, min_largest, max_largest), TargetMismatch, "size")
     out: list[Partition] = []
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
@@ -166,7 +164,7 @@ def _uncut_edge_set(masks: Iterable[int], umask: int, k: int, r: int) -> bool:
 def tightness_violation_holds(g: Hypergraph, k: int, subset) -> bool:
     """Raw-definition recheck: does this proper edge-containing subset witness
     failure of k-tightness (no edge meets it in k..r-1 vertices)?"""
-    u = set(_integers(subset, OutOfRange, "vertex"))
+    u = set(_vertices(subset, g.n))
     if not u or len(u) >= g.n:
         return False
     return _uncut_edge_set(g.edge_masks, sum(1 << v for v in u), k, g.r)
@@ -204,11 +202,9 @@ def is_k_bridge(g: Hypergraph, e, k: int) -> BridgeCertificate:
     lex order: the first k-closure in H - e of a k-subset of e that misses a
     vertex of e (a valid A contains such a closure, which is valid itself).
     A closure stops once it holds all of e."""
-    key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
-    if key not in g.edge_set:
-        raise NoSuchEdge(f"{key} not an edge")
+    skip = g._edge_index(e)
     _check_k(g, k)
-    skip = bisect_left(g.edges, key)
+    key = g.edges[skip]
     masks, inc = g.edge_masks, g.incidence
     closures = (_k_closure(masks, inc, s, k, skip, key) for s in combinations(key, k))
     a = min((u for u in closures if u is not None), key=_size_lex, default=None)
@@ -242,11 +238,8 @@ def is_lambda_plateau(
     lam = validate_partition(lam, r=h.r)
     if len(lam) < 2:
         raise TrivialPartition("a plateau requires a nontrivial partition")
-    key = tuple(sorted(_integers(e, OutOfRange, "vertex")))
-    if key not in h.edge_set:
-        raise NoSuchEdge(f"{key} not an edge")
-    comps = h.remove_edge(key).components()
-    eset = set(key)
+    eset = set(h.edges[h._edge_index(e)])
+    comps = h.remove_edge(e).components()
     weights = [len(eset.intersection(c)) for c in comps]
     positive = [(w, c) for w, c in zip(weights, comps) if w > 0]
     zero = [c for w, c in zip(weights, comps) if w == 0]
