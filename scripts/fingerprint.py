@@ -50,7 +50,10 @@ bytes of what comes back, layer by layer:
              creates_copy on every non-edge, is_member, is_edge_maximal and
              isomorphic on random 2- and 3-graphs; the same witnesses and
              copy checks on random 4-graphs; lex and random saturate runs,
-             and the benchmark's certify-mix saturations for seeds 401-403
+             the benchmark's certify-mix saturations for seeds 401-403, and
+             creates_copy on every non-edge of seeded hosts and random
+             saturate for patterns whose edge stabilizers are trivial,
+             proper and full
   construction  every graph constructor's value (repr, which holds n, r and
              the edges): blow-ups, complete r-graphs, disjoint unions, clique
              families and gadgets, canonical relabelings, random connected
@@ -364,6 +367,23 @@ def membership_layer(hspex, emit) -> None:
                 g = hspex.saturate(hspex.ForbiddenFamily((h,)), hspex.Hypergraph(n, h.r),
                                    order="random", seed=s)
                 emit(("certify", seed, cycle, h.edges, n), g.edges)
+    # copy checks and saturations for each kind of edge stabilizer, which sets
+    # how many placements of the new edge a check tries: trivial (a rigid
+    # 3-graph), proper ({012, 013}: 3; P4: 2 and 1) and full (K4^(3), K5^(4))
+    kinds = [hspex.new_hypergraph(6, 3, [(0, 1, 3), (0, 2, 4), (0, 4, 5), (2, 3, 4)]),
+             hspex.new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)]),
+             hspex.new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]),
+             k4_3, hspex.complete_r_graph(5, 4)]
+    rng = random.Random(625)
+    for h in kinds:
+        fam = hspex.ForbiddenFamily((h,))
+        for i in range(12):
+            host = _random_graph(hspex, rng, rng.randint(h.r + 1, 8), h.r, rng.uniform(0.1, 0.6))
+            emit(("creates", h.edges, i), [creates_copy(host, e, h) for e in
+                                           combinations(range(host.n), h.r)
+                                           if e not in host.edge_set])
+            emit(("saturate", h.edges, i),
+                 hspex.saturate(fam, hspex.Hypergraph(host.n, h.r), "random", seed=i).edges)
 
 
 def construction_layer(hspex, emit) -> None:

@@ -10,17 +10,20 @@ order, so the first witness found is deterministic ("lexicographically
 first" under this fixed order).  A plan may list pattern r-sets that must
 map to host non-edges (their link masks are masked out): induced
 containment avoids the pattern's non-edges.  A plan may also place pinned
-pattern vertices first, each run taking their allowed host vertices: the
-incremental copy check runs a cached plan of the rest of the pattern after
-pinning one edge per orbit onto the new host edge, with the edge orbits
-closed under the automorphisms `canonical.canonical_form` finds.
+pattern vertices first, each run taking a sequence of placements, one host
+vertex per pinned depth, tried in order.  The incremental copy check runs a
+cached plan of the rest of the pattern per edge orbit, its edge pinned onto
+the new host edge in one placement per class of its vertex orders: the
+orbits of ordered edges under the automorphisms `canonical.canonical_form`
+finds.  K3, C5 and K4^(3) need one placement, a rigid pattern all r!.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, permutations
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .canonical import canonical_form, close_orbits
 from .errors import UniformityMismatch
@@ -59,19 +62,24 @@ def _compile(
                  pattern.m)
 
 
-def _run(plan: _Plan, host: Hypergraph, pins: Sequence[Iterable[int]]) -> Optional[Embedding]:
+def _run(
+    plan: _Plan, host: Hypergraph, placements: Sequence[Sequence[int]]
+) -> Optional[Embedding]:
     """The first embedding of plan's pattern into host, or None.
 
-    ``pins[d]`` holds the host vertices allowed at pinned depth d.
+    Each placement holds one host vertex per pinned depth.  They are tried
+    in order, each one whose vertices pass the degree filter followed by a
+    search of the other depths; unpinned callers pass ``((),)``.
     """
     order, pdeg, edges_at, avoid_at, m = plan
     pn, hn = len(order), host.n
-    if pn > hn or m > host.m:
+    if pn > hn or m > host.m or not placements:
         return None
     link = host.links.get
     hdeg = host.degree_list
-    allowed = [sum(1 << w for w in pin if hdeg[w] >= k) for pin, k in zip(pins, pdeg)]
-    for k in pdeg[len(pins):]:
+    pinned = len(placements[0])
+    allowed = [0] * pinned
+    for k in pdeg[pinned:]:
         allowed.append(sum(1 << w for w in range(hn) if hdeg[w] >= k) if k else (1 << hn) - 1)
     bits = [0] * pn  # bits[d] = 1 << (host image at depth d)
     image = bits.__getitem__
@@ -92,12 +100,15 @@ def _run(plan: _Plan, host: Hypergraph, pins: Sequence[Iterable[int]]) -> Option
             cand ^= low
         return False
 
-    if not extend(0, 0):
-        return None
-    phi = [0] * pn
-    for v, b in zip(order, bits):
-        phi[v] = b.bit_length() - 1
-    return tuple(phi)
+    for place in placements:
+        if all(hdeg[w] >= k for w, k in zip(place, pdeg)):
+            allowed[:pinned] = [1 << w for w in place]
+            if extend(0, 0):
+                phi = [0] * pn
+                for v, b in zip(order, bits):
+                    phi[v] = b.bit_length() - 1
+                return tuple(phi)
+    return None
 
 
 def _search(
@@ -105,7 +116,7 @@ def _search(
 ) -> Optional[Embedding]:
     """Injective edge-preserving map of pattern into host, or None; every
     r-set in ``avoid`` must map to a host non-edge."""
-    return _run(_compile(pattern, (), avoid), host, ())
+    return _run(_compile(pattern, (), avoid), host, ((),))
 
 
 def contains_subgraph(
@@ -118,35 +129,66 @@ def contains_subgraph(
     return (phi is not None, phi)
 
 
+def _edge_classes(pattern: Hypergraph) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The first edge f of each edge orbit of Aut(pattern), in ``pattern.edges``
+    order, with the first vertex order of f in each orbit of ordered edges
+    that meets f: one per class of f's orders under the automorphisms fixing f."""
+    auts, seen, classes = canonical_form(pattern)[1], set(), []
+    for e in pattern.edges:
+        for t in permutations(e):  # e itself first: if it was seen, so was every order of it
+            if t not in seen:
+                if t == e:
+                    classes.append((e, []))
+                classes[-1][1].append(t)
+                close_orbits(seen, [t], auts, lambda p, u: tuple(p[v] for v in u))
+    return classes
+
+
 def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges`` order."""
-    auts, seen, reps = canonical_form(pattern)[1], set(), []
-    for e in pattern.edges:
-        if e not in seen:
-            reps.append(e)
-            close_orbits(seen, [e], auts, lambda p, f: tuple(sorted(p[v] for v in f)))
-    return tuple(reps)
+    return tuple(f for f, _ in _edge_classes(pattern))
 
 
 @cache
-def _orbit_pins(pattern: Hypergraph) -> tuple[_Plan, ...]:
-    """For each edge orbit representative f, the plan of pattern - f with f pinned."""
-    return tuple(_compile(pattern.remove_edge(f), f) for f in _edge_orbit_reps(pattern))
+def _orbit_pins(pattern: Hypergraph) -> tuple[tuple[_Plan, tuple[itemgetter, ...]], ...]:
+    """For each edge orbit representative f, the plan of pattern - f with f
+    pinned, and per recorded order t of f the placement that puts t[i] on
+    the new edge's i-th vertex, as a getter of its pinned depths' images."""
+    out = []
+    for f, orders in _edge_classes(pattern):
+        plan = _compile(pattern.remove_edge(f), f)
+        pinned = plan.order[:len(f)]
+        out.append((plan, tuple(itemgetter(*(t.index(v) for v in pinned)) for t in orders)))
+    return tuple(out)
 
 
 def creates_copy(host: Hypergraph, new_edge: tuple[int, ...], pattern: Hypergraph) -> bool:
     """Does host + ``new_edge`` hold a pattern copy that uses ``new_edge``?
 
-    Such a copy maps one pattern edge f onto the new edge, and no other (it
-    is injective), so pattern - f is searched in the host with f pinned onto
-    the new edge as a vertex set.  A copy pinning g composed with an
-    automorphism sending f onto g pins f, so one f per edge orbit suffices.
-    Exact for any host, pattern-free or not.
+    For each edge orbit's first edge f, pattern - f is searched in the host
+    once, with f placed on the new edge e by each recorded order t* of f
+    (t*[i] on the i-th vertex of sorted e).  This is exact for any host,
+    pattern-free or not:
+
+    - a copy in host + e that uses e maps exactly one pattern edge g onto
+      e, and no other (it is injective);
+    - composed with an automorphism σ with σ(f) = g, for f the first edge of
+      g's orbit, it is a copy that maps f onto e;
+    - composed further with an automorphism τ that fixes f and moves t*,
+      the recorded order in its class, onto that copy's order of f (the
+      order whose i-th vertex it sends to e's i-th), it is a copy that
+      places t* on e.
+
+    So a search for pattern - f in the host from placement t* decides the
+    check.  The orders of f fall into r!/|G_f| classes, G_f the group the
+    automorphisms fixing f induce on it: one for K3, C5 and K4^(3), r! for
+    a rigid pattern.
     """
     if host.r != pattern.r:
         raise UniformityMismatch(f"r={host.r} vs r={pattern.r}")
-    pins = (_normalize_edge(new_edge, host.r, host.n),) * host.r
-    return any(_run(plan, host, pins) is not None for plan in _orbit_pins(pattern))
+    e = _normalize_edge(new_edge, host.r, host.n)
+    return any(_run(plan, host, [get(e) for get in places]) is not None
+               for plan, places in _orbit_pins(pattern))
 
 
 def contains_induced_subgraph(

@@ -32,7 +32,7 @@ from .families import (
     is_member,
     saturate,
 )
-from .hypergraph import Hypergraph, _check_size, ell_cliques
+from .hypergraph import Hypergraph, _check_size, _integers, ell_cliques
 from .jsonio import dumps, rows_to_csv
 from .spectral import (
     SolverConfig,
@@ -97,11 +97,12 @@ def random_connected_hypergraph(n: int, r: int, m: int, seed: int) -> Hypergraph
     """Uniform-ish random connected r-graph with m edges, deterministic per seed.
 
     Samples m distinct edges and resamples until one component covers all n
-    vertices; raises Infeasible when m cannot support connectivity,
-    BadConfig for a negative seed, and OutOfRange or WrongArity for an n or
-    r that the Hypergraph constructor refuses.
+    vertices; raises Infeasible when m is not an integer or cannot support
+    connectivity, BadConfig for a negative seed, and OutOfRange or
+    WrongArity for an n or r that the Hypergraph constructor refuses.
     """
     n, r = _check_size(n, r)
+    (m,) = _integers((m,), Infeasible, "edge count")
     seed = _check_count("seed", seed)
     total = math.comb(n, r)
     if m < math.ceil((n - 1) / (r - 1)) or m > total:

@@ -104,10 +104,11 @@ def _require_member(fam: Family, g: Hypergraph) -> None:
 
 
 def _addition_violates(fam: Family, g: Hypergraph, e: tuple[int, ...]) -> bool:
-    """Would g + e leave the family?  Incremental for plain forbidden families."""
+    """Would g + e leave the family?  Incremental for plain forbidden families.
+    e is a non-edge of g from combinations(range(g.n), g.r), so valid."""
     if isinstance(fam, ForbiddenFamily) and not fam.induced:
         return any(creates_copy(g, e, h) for h in fam.forbidden)
-    return not is_member(fam, g.add_edge(e))
+    return not is_member(fam, g._trusted_add(e))
 
 
 def is_edge_maximal(fam: Family, g: Hypergraph) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -146,7 +147,7 @@ def saturate(fam: Family, g0: Hypergraph, order: str = "lex", seed: int = 0) -> 
         present = g.edge_set
         for e in candidates:
             if e not in present and not _addition_violates(fam, g, e):
-                g = g.add_edge(e)
+                g = g._trusted_add(e)
                 added = True
         if monotone or not added:
             return g

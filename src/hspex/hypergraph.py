@@ -263,7 +263,11 @@ class Hypergraph:
         The new value starts with this one's ``links`` and ``degree_list``,
         updated by the edge, if they were built.
         """
-        key = _normalize_edge(e, self.r, self.n)
+        return self._trusted_add(_normalize_edge(e, self.r, self.n))
+
+    def _trusted_add(self, key: Edge) -> "Hypergraph":
+        """`add_edge` without validation: the caller guarantees an increasing
+        r-tuple over [0, n)."""
         i = bisect_left(self.edges, key)
         if i < self.m and self.edges[i] == key:
             return self

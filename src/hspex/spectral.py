@@ -299,8 +299,8 @@ def cloning_lagrangian_delta(g: Hypergraph, u: int, z: int, x) -> float:
 
 def _check_integer(name: str, value) -> None:
     # numpy integers are Integral too; a float would run truncated or rounded,
-    # or fail inside numpy at solve time
-    if not isinstance(value, Integral):
+    # or fail inside numpy at solve time; a bool is Integral but no setting
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise BadConfig(f"{name} must be an integer, got {value!r}")
 
 

@@ -138,7 +138,8 @@ class BridgeCertificate:
 
 
 def _check_k(g: Hypergraph, k: int) -> None:
-    if not isinstance(k, Integral):  # numpy integers are Integral too
+    # numpy integers are Integral too; a bool is Integral but no k
+    if not isinstance(k, Integral) or isinstance(k, bool):
         raise BadK(f"k={k!r} is not an integer")
     if not 1 <= k <= g.r - 1:
         raise BadK(f"k={k} outside [1, {g.r - 1}]")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -519,11 +519,26 @@ def pinned_search(
 ) -> Optional[tuple[int, ...]]:
     """`embedding._search` with pattern vertices pinned, compiled and run the
     way `creates_copy` runs its plans: ``fixed`` maps a pinned pattern vertex
-    to the host vertices it may take, placed first and tried in ascending id
-    order."""
+    to the host vertices it may take, placed first.  Its sets expand into
+    every injective placement in lexicographic order, the order in which a
+    search that tries each pinned depth's vertices in ascending id order
+    meets them."""
     fixed = fixed or {}
     plan = _compile(pattern, fixed, avoid)
-    return _run(plan, host, [set(fixed[v]) for v in plan.order[:len(fixed)]])
+    sets = [sorted(set(fixed[v])) for v in plan.order[:len(fixed)]]
+    return _run(plan, host, [p for p in product(*sets) if len(set(p)) == len(p)])
+
+
+def edge_stabilizers_bruteforce(pattern: Hypergraph) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    """For each pattern edge f, the group G_f that the automorphisms fixing f
+    induce on it, each element as the images of f's vertices in order; the
+    automorphisms taken from every vertex permutation."""
+    auts = [
+        p for p in permutations(range(pattern.n))
+        if all(tuple(sorted(p[v] for v in e)) in pattern.edge_set for e in pattern.edges)
+    ]
+    return {f: {tuple(p[v] for v in f) for p in auts if tuple(sorted(p[v] for v in f)) == f}
+            for f in pattern.edges}
 
 
 def creates_copy_every_edge(

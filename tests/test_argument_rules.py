@@ -25,7 +25,14 @@ from hspex import (
     serialize,
     solve_rho_p,
 )
-from hspex.errors import BadPartition, NoSuchEdge, OutOfRange, ParseError, TargetMismatch
+from hspex.errors import (
+    BadPartition,
+    Infeasible,
+    NoSuchEdge,
+    OutOfRange,
+    ParseError,
+    TargetMismatch,
+)
 from hspex.experiments import (
     connected_graph_classes,
     random_connected_hypergraph,
@@ -63,6 +70,14 @@ CASES = [
                  solve_rho_p(path3(), 2.0).rho, id="r-float-solves"),
     pytest.param(lambda: random_connected_hypergraph(5.0, 2, 5, 1).edges,
                  random_connected_hypergraph(5, 2, 5, 1).edges, id="random-connected-n-float"),
+    pytest.param(lambda: random_connected_hypergraph(5, 2, 5.0, 1).edges,
+                 random_connected_hypergraph(5, 2, 5, 1).edges, id="random-connected-m-float"),
+    pytest.param(lambda: random_connected_hypergraph(5, 2, 5.5, 1),
+                 Raises(Infeasible, "edge count 5.5 is not an integer"),
+                 id="random-connected-m-non-integer"),
+    pytest.param(lambda: random_connected_hypergraph(5, 2, "5", 1),
+                 Raises(Infeasible, "edge count '5' is not an integer"),
+                 id="random-connected-m-string"),
     pytest.param(lambda: run_degree_bound_suite(1, r_set=(2.0,)).parameters["r_set"], [2],
                  id="degree-bound-r-float"),
     pytest.param(lambda: extremal_pi(K3_FREE, 4.0).n, 4, id="extremal-pi-n-float"),

@@ -7,11 +7,15 @@ they read would otherwise surface only in a traced benchmark run.
 
 import importlib
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from hspex import SolverConfig, complete_r_graph, solve_rho_p
+import hspex.embedding
+import hspex.families
+import hspex.hypergraph
+from hspex import ForbiddenFamily, Hypergraph, SolverConfig, complete_r_graph, saturate, solve_rho_p
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,3 +43,30 @@ def test_solve_note_names_the_strategy_that_ran(p):
     note = _spans()._solve_note((g, p, cfg), {}, sol)
     assert note["fp"] == (sol.per_start[0].strategy == "fixed-point-shifted")
     assert note["iterations"] == sol.iterations
+
+
+def test_saturate_checks_and_validates_each_candidate_once(monkeypatch):
+    """`embedding.creates_copy_calls` counts calls through the
+    ``hspex.families.creates_copy`` binding: saturating the empty graph in
+    F({K4^(3)}) makes one per candidate non-edge, and validates each
+    candidate once, in that check, not again when it adds the edge."""
+    checked, validated = [], []
+    create, normalize = hspex.families.creates_copy, hspex.hypergraph._normalize_edge
+
+    def counted_create(host, e, pattern):
+        checked.append(e)
+        return create(host, e, pattern)
+
+    def counted_normalize(*args):
+        validated.append(args[0])
+        return normalize(*args)
+
+    fam, empty = ForbiddenFamily((complete_r_graph(4, 3),)), Hypergraph(8, 3)
+    monkeypatch.setattr(hspex.families, "creates_copy", counted_create)
+    for module in (hspex.embedding, hspex.hypergraph):
+        monkeypatch.setattr(module, "_normalize_edge", counted_normalize)
+    g = saturate(fam, empty, "random", seed=3)
+    candidates = sorted(combinations(range(8), 3))
+    assert sorted(checked) == candidates
+    assert sorted(validated) == candidates
+    assert 0 < g.m < len(candidates)

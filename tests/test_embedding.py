@@ -2,11 +2,13 @@
 
 import random
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
 from hspex import embedding
 from hspex.embedding import (
+    _edge_classes,
     _edge_orbit_reps,
     contains_induced_subgraph,
     contains_subgraph,
@@ -19,6 +21,7 @@ from conftest import bowtie3, cycle, path3, random_graph
 from oracles import (
     creates_copy_every_edge,
     creates_copy_required_edge,
+    edge_stabilizers_bruteforce,
     induced_search_dfs,
     pinned_search,
     search_sorted_tuples,
@@ -316,11 +319,63 @@ def test_edge_orbit_reps_match_bruteforce(rng):
         assert _edge_orbit_reps(pattern) == edge_orbit_reps_bruteforce(pattern), pattern
 
 
+RIGID_4 = new_hypergraph(7, 4, [(0, 1, 3, 4), (0, 1, 4, 5), (0, 2, 3, 5), (2, 4, 5, 6)])
+TWO_3 = new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
+
+
+def check_placements(pattern: Hypergraph) -> tuple[int, ...]:
+    """Each edge orbit's recorded orders lie in distinct classes under the
+    brute-force stabilizer G_f and number r!/|G_f|, so they meet every class
+    once; returns the numbers."""
+    stab = edge_stabilizers_bruteforce(pattern)
+    assert tuple(f for f, _ in _edge_classes(pattern)) == edge_orbit_reps_bruteforce(pattern)
+    for f, orders in _edge_classes(pattern):
+        assert len(orders) == factorial(pattern.r) // len(stab[f])
+        for i, t in enumerate(orders):
+            images = {tuple(dict(zip(f, s))[v] for v in t) for s in stab[f]}
+            assert t in images and not images.intersection(orders[i + 1:]), (pattern, f)
+    return tuple(len(orders) for _, orders in _edge_classes(pattern))
+
+
+@pytest.mark.parametrize(
+    "pattern, placements",
+    [
+        (RIGID_2, (2,) * RIGID_2.m),  # trivial stabilizers
+        (complete_r_graph(3, 2), (1,)),  # full
+        (cycle(5), (1,)),
+        (new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]), (2, 1)),  # P4: trivial and full
+        (RIGID_3, (6,) * RIGID_3.m),
+        (TWO_3, (3,)),  # proper: the swap of 0 and 1
+        (new_hypergraph(6, 3, [(0, 1, 2), (0, 1, 3), (0, 4, 5)]), (6, 3)),
+        (complete_r_graph(4, 3), (1,)),
+        (RIGID_4, (24,) * RIGID_4.m),
+        (new_hypergraph(5, 4, [(0, 1, 2, 3), (0, 1, 2, 4)]), (4,)),  # proper: S3 on 0, 1, 2
+        (new_hypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 4, 5)]), (6,)),  # proper, order 4
+        (complete_r_graph(5, 4), (1,)),
+        (Hypergraph(3, 2, ()), ()),
+    ],
+)
+def test_placements_per_edge_orbit(pattern, placements):
+    """One placement of the pinned edge per class of its vertex orders."""
+    assert check_placements(pattern) == placements
+
+
+def test_placements_match_bruteforce_stabilizers(rng):
+    for _ in range(300):
+        r = rng.choice([2, 3, 4])
+        pattern = random_graph(rng.randint(r, 6), r, rng.uniform(0.2, 0.8), rng)
+        check_placements(pattern)
+
+
 NON_TRANSITIVE = [
     new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)]),  # P4
     new_hypergraph(5, 2, [(0, 1), (0, 2), (0, 3), (3, 4)]),  # star plus a pendant edge
     new_hypergraph(5, 2, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # vertex 4 isolated
     RIGID_3,
+    # proper edge stabilizers at r = 3: 3 placements, then 3 and 6, then 6 and 3
+    TWO_3,
+    new_hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 4)]),
+    new_hypergraph(6, 3, [(0, 1, 2), (0, 1, 3), (0, 4, 5)]),
 ]
 
 
@@ -414,8 +469,11 @@ def test_bitmask_search_returns_oracle_witness(r, n):
     assert found  # the cases are not all misses
 
 
-@pytest.mark.parametrize("pattern", SEARCH_PATTERNS[4][1:4] + [new_hypergraph(
-    6, 4, [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)])])
+@pytest.mark.parametrize("pattern", SEARCH_PATTERNS[4][1:4] + [
+    new_hypergraph(6, 4, [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]),
+    # proper edge stabilizers: 12 placements for 0123, 6 for 0124
+    new_hypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 4, 5)]),
+])
 def test_creates_copy_on_4_graphs_matches_every_edge_pin(pattern):
     """On 4-graphs, pinning one edge per orbit decides every non-edge like
     pinning every edge, and like the brute-force check on n = 6."""

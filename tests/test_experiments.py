@@ -125,6 +125,13 @@ class TestDegreeBoundSuite:
         with pytest.raises(BadConfig, match="^count must be an integer, got 2.5$"):
             run_degree_bound_suite(2.5)
 
+    def test_bool_count_and_seed_rejected(self):
+        """count=True would run one instance, seed=True seed 1's."""
+        with pytest.raises(BadConfig, match="^count must be an integer, got True$"):
+            run_degree_bound_suite(True)
+        with pytest.raises(BadConfig, match="^seed must be an integer, got True$"):
+            run_degree_bound_suite(1, seed=True)
+
     @pytest.mark.parametrize("r_set, error", [
         ((), BadConfig), ([], BadConfig), ((1,), WrongArity), ((2, 0), WrongArity),
     ])

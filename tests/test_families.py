@@ -152,6 +152,11 @@ class TestSaturation:
         with pytest.raises(BadConfig, match="^seed must be an integer, got 1.5$"):
             saturate(k3_family(), Hypergraph(6, 2, ()), order, seed=1.5)
 
+    def test_bool_seed_rejected(self):
+        """seed=True would shuffle as seed 1."""
+        with pytest.raises(BadConfig, match="^seed must be an integer, got True$"):
+            saturate(k3_family(), Hypergraph(6, 2, ()), "random", seed=True)
+
 
 class TestInducedFamilies:
     """Membership of an induced family is not monotone under edge addition:

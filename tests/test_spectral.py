@@ -656,10 +656,12 @@ class TestSolver:
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.5), ("seed", 2.0), ("seed", np.float64(3.0)), ("seed", "3"),
         ("starts", 2.5), ("starts", 2.0), ("max_iter", 10.5), ("max_iter", 10.0),
+        ("starts", True), ("max_iter", True), ("seed", True), ("seed", False),
     ])
     def test_integer_settings_must_be_integers(self, name, value):
         """A float seed or starts would fail inside numpy at solve time, and a
-        float max_iter would run rounded up; each is refused at construction."""
+        float max_iter would run rounded up; starts=True would run one start
+        and keep True.  Each is refused at construction."""
         with pytest.raises(BadConfig, match=f"^{name} must be an integer, got "):
             SolverConfig(**{name: value})
 

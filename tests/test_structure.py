@@ -96,7 +96,7 @@ class TestTightness:
         with pytest.raises(BadK):
             is_k_tight(k4_3, 0)
 
-    @pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", None, True])
     def test_non_integer_k(self, k4_3, k):
         """k = 1.5 once gave a certificate from is_k_tight and a bare
         TypeError from the other two deciders."""
