@@ -6,12 +6,18 @@ Runs a fixed, seeded set of inputs through the public API of the hspex
 package found in DIR (default: this checkout's src/) and hashes the exact
 bytes of what comes back, layer by layer:
 
-  solver     every SpectralSolution field, x as x.tobytes(), floats as hex:
-             random 2-, 3- and 4-graphs at p in {1.5, 2, 3, 4} (both
-             strategies at each r), K_t^(r) blow-ups, two blow-ups
-             whose batch of 16 starts the kernel walks in one-row blocks
-             and in blocks with a short last one, and a 30-instance
-             run_degree_bound_suite report as JSON
+  solver     every SpectralSolution field, x as x.tobytes(), floats as hex,
+             per_start record by record: random 2-, 3- and 4-graphs at p in
+             {1.5, 2, 3, 4} (both strategies at each r), K_t^(r) blow-ups,
+             two blow-ups whose batch of 16 starts the kernel walks in
+             one-row blocks and in blocks with a short last one, and a
+             30-instance run_degree_bound_suite report as JSON; and the
+             fixed-point run's rare paths: solves of random 3-graphs with
+             max_iter 0-8 (the budget stop), an 8-vertex 4-graph at p = 1.3
+             whose stagnant rows collapse onto a face at the 512-step
+             checkpoints, and one `_fixed_point_run` batch, called directly,
+             whose rows collapse, reset their shift after a value drop and
+             stop on budget right after steps in which every row improved
   kernel     lagrangian, lagrangian_gradient, eigen_residual and
              cloning_lagrangian_delta bytes on random 2- to 5-graphs, with
              weight vectors that hold exact zeros, and the classical oracle
@@ -119,6 +125,8 @@ def _solution(sol) -> tuple:
         sol.starts_used,
         float(sol.agreement_gap).hex(),
         sol.flags,
+        [(float(rec.value).hex(), rec.iterations, rec.converged, rec.strategy)
+         for rec in sol.per_start],
     )
 
 
@@ -165,6 +173,30 @@ def solver_layer(hspex, emit) -> None:
     from hspex.experiments import run_degree_bound_suite
 
     emit(("degree-bound",), run_degree_bound_suite(30, seed=11).to_json())
+    # the fixed-point run's rare paths, on the inputs of the solver tests that
+    # reach them: stops on a budget of 0-8 steps, in either strategy ...
+    rng = random.Random(20260808)
+    for i in range(40):
+        g = _random_graph(hspex, rng, rng.randint(3, 6), 3, 0.6)
+        starts = 1 + (i // 4) % 16 if i % 4 == 0 else 1 + i % 4
+        cfg = hspex.SolverConfig(starts=starts, seed=i, max_iter=i % 9)
+        p = (1.5, 2.0, 2.5, 3.0, 4.0)[i % 5]
+        emit(("budget", g.n, g.edges, p, starts, i), _solution(hspex.solve_rho_p(g, p, cfg)))
+    # ... a polish whose stagnant rows collapse onto a face at the checkpoints ...
+    g = hspex.Hypergraph(8, 4, ((0, 3, 4, 7), (0, 4, 5, 7), (1, 2, 6, 7), (1, 3, 4, 7),
+                                (2, 4, 5, 7)))
+    emit(("collapse", g.edges), _solution(hspex.solve_rho_p(g, 1.3, hspex.SolverConfig(
+        starts=4, seed=1173))))
+    # ... and one batch, each row with its own budget and shift, whose rows
+    # collapse, reset their shift and stop on budget after all-improved steps
+    spectral = hspex.spectral
+    g, p = hspex.Hypergraph(5, 4, ((0, 2, 3, 4),)), 1.3
+    x0 = spectral._normalize_p(np.random.default_rng(370).uniform(0.0, 1.0, (6, g.n)) ** 4, p)
+    budgets = np.array([1100, 513, 2000, 1025, 700, 1600])
+    alphas = np.array([1.0, 0.5, 2.0, 0.25, 4.0, 1.5])
+    xs, vals, its, oks = spectral._fixed_point_run(spectral._Lagrangian(g), x0, p, 1e-10,
+                                                   budgets, alphas)
+    emit(("reset", g.edges), (xs.tobytes(), vals.tobytes(), its.tolist(), oks.tolist()))
 
 
 def kernel_layer(hspex, emit) -> None:

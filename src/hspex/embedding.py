@@ -144,11 +144,6 @@ def _edge_classes(pattern: Hypergraph) -> list[tuple[tuple[int, ...], list[tuple
     return classes
 
 
-def _edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges`` order."""
-    return tuple(f for f, _ in _edge_classes(pattern))
-
-
 @cache
 def _orbit_pins(pattern: Hypergraph) -> tuple[tuple[_Plan, tuple[itemgetter, ...]], ...]:
     """For each edge orbit representative f, the plan of pattern - f with f

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .canonical import canonical_key_string
-from .errors import BadConfig, HypothesisFailed, Infeasible
+from .errors import BadConfig, HypothesisFailed, Infeasible, TooSmall
 from .families import (
     ALL_MASKS_GUARD_BITS,
     ForbiddenFamily,
@@ -37,6 +37,7 @@ from .jsonio import dumps, rows_to_csv
 from .spectral import (
     SolverConfig,
     _check_count,
+    _check_p,
     degree_ratio_lower_bound,
     principal_ratio,
 )
@@ -241,6 +242,7 @@ def run_ratio_scaling(
     triangle-free p=2 sweep where the exact odd-n value is
     (sqrt((a+1)/a) - 1) * n < 2; it is a suite constant, not a theorem.
     """
+    _check_p(p)
     for h in fam.forbidden:
         if not h.is_2_covering():
             warnings.warn("hypothesis: a forbidden graph is not 2-covering")
@@ -342,6 +344,7 @@ def run_plateau_construction(h: Hypergraph, k: int, ell: int) -> ExperimentRepor
     edge-maximal, H-free, and not k-tight, the first clique's vertex block
     witnessing the failure.
     """
+    (ell,) = _integers((ell,), TooSmall, "clique count")  # ell_cliques' rule for it
     if ell < 2:
         raise HypothesisFailed("need at least two cliques (ell >= 2)")
     plateaued, missing = is_k_plateaued(h, k)
@@ -387,6 +390,7 @@ def run_coarseness_probe(
     config: Optional[SolverConfig] = None,
 ) -> ExperimentReport:
     """Degree spread of spectral-extremal members; exploratory, no verdict."""
+    _check_p(p)
     report = ExperimentReport(
         "coarseness-probe", {"p": p, "n_range": list(n_range)}, (config or SolverConfig()).seed
     )

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from hspex.canonical import _refine, _relabeled_edges, canonical_key, refinement_signature
-from hspex.embedding import _compile, _run, _search
+from hspex.embedding import _compile, _edge_classes, _run, _search
 from hspex.errors import BadP
 from hspex.families import ForbiddenFamily, _candidate_edges, _copy_masks
 from hspex.hypergraph import Hypergraph
@@ -527,6 +527,12 @@ def pinned_search(
     plan = _compile(pattern, fixed, avoid)
     sets = [sorted(set(fixed[v])) for v in plan.order[:len(fixed)]]
     return _run(plan, host, [p for p in product(*sets) if len(set(p)) == len(p)])
+
+
+def edge_orbit_reps(pattern: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The first edge of each edge orbit of Aut(pattern), in ``pattern.edges``
+    order, read off the copy check's edge classes."""
+    return tuple(f for f, _ in _edge_classes(pattern))
 
 
 def edge_stabilizers_bruteforce(pattern: Hypergraph) -> dict[tuple[int, ...], set[tuple[int, ...]]]:

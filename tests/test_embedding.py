@@ -9,7 +9,6 @@ import pytest
 from hspex import embedding
 from hspex.embedding import (
     _edge_classes,
-    _edge_orbit_reps,
     contains_induced_subgraph,
     contains_subgraph,
     creates_copy,
@@ -21,6 +20,7 @@ from conftest import bowtie3, cycle, path3, random_graph
 from oracles import (
     creates_copy_every_edge,
     creates_copy_required_edge,
+    edge_orbit_reps,
     edge_stabilizers_bruteforce,
     induced_search_dfs,
     pinned_search,
@@ -270,7 +270,7 @@ def test_creates_copy_searches_once_per_pattern_edge(rng, monkeypatch):
                 hosts.clear()
                 creates_copy(host, e, pattern)
                 searches = sum(h is host for h in hosts)
-                assert searches <= len(_edge_orbit_reps(pattern))
+                assert searches <= len(edge_orbit_reps(pattern))
                 assert (searches > 0) == (pattern.m > 0)
 
 
@@ -307,7 +307,7 @@ RIGID_3 = new_hypergraph(6, 3, [(0, 1, 3), (0, 2, 4), (0, 4, 5), (2, 3, 4)])
     ],
 )
 def test_edge_orbit_counts(pattern, orbits):
-    reps = _edge_orbit_reps(pattern)
+    reps = edge_orbit_reps(pattern)
     assert len(reps) == orbits
     assert reps == edge_orbit_reps_bruteforce(pattern)
 
@@ -316,7 +316,7 @@ def test_edge_orbit_reps_match_bruteforce(rng):
     for _ in range(300):
         r = rng.choice([2, 3])
         pattern = random_graph(rng.randint(r, 6), r, rng.uniform(0.2, 0.8), rng)
-        assert _edge_orbit_reps(pattern) == edge_orbit_reps_bruteforce(pattern), pattern
+        assert edge_orbit_reps(pattern) == edge_orbit_reps_bruteforce(pattern), pattern
 
 
 RIGID_4 = new_hypergraph(7, 4, [(0, 1, 3, 4), (0, 1, 4, 5), (0, 2, 3, 5), (2, 4, 5, 6)])

@@ -11,10 +11,12 @@ import pytest
 from hspex import families
 from hspex.errors import (
     BadConfig,
+    BadP,
     HypothesisFailed,
     Infeasible,
     OutOfRange,
     TooLarge,
+    TooSmall,
     WrongArity,
 )
 from hspex.families import ForbiddenFamily
@@ -260,6 +262,24 @@ class TestPlateauConstruction:
     def test_single_clique_rejected(self):
         with pytest.raises(HypothesisFailed):
             run_plateau_construction(path4(), 1, 1)
+
+
+K3_FREE = ForbiddenFamily((complete_r_graph(3, 2),))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: run_ratio_scaling(K3_FREE, 0.5, []), BadP, "p=0.5 outside (1, inf)",
+                 id="ratio-scaling-p-no-n"),
+    pytest.param(lambda: run_coarseness_probe(K3_FREE, math.nan, []), BadP,
+                 "p=nan outside (1, inf)", id="coarseness-probe-p-nan-no-n"),
+    pytest.param(lambda: run_plateau_construction(path4(), 1, "3"), TooSmall,
+                 "clique count '3' is not an integer", id="plateau-construct-ell-string"),
+])
+def test_suite_checks_parameters_before_any_work(call, error, message):
+    """A suite rejects a bad parameter even when it has no work to do."""
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestTables:
