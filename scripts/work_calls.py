@@ -9,15 +9,16 @@ run_degree_bound_suite(50, seed=0); sweep: extremal_lambda_p, 8 starts, for
 K3 at n = 8 and K4^(3) at n = 6, p = 2 and 3; rho-large: solve_rho_p on four
 K_t^(r) blow-ups at p = 1.5, 2, 3 and 4) it prints the solves and iterations
 solve_rho_p returns, the lock steps (`euler_residual` calls) and the kernel
-blocks (`_block` calls: `gather` all, `value` and `grad` those asked for L
-and for the gradient), in all and (fp.) inside `_fixed_point_run`.  Per
-seed 401-410 of the benchmark's certify mix (five cycles of random-order
-saturate of the empty graph in F({H}), is_k_tight and find_k_bridges for
-H = K3, C5, K4^(3) on 12, 11, 9 vertices) it prints the calls of
-`creates_copy` (copy checks), `_run` (search plan runs), `extend` (search
-nodes), `_normalize_edge` (edge validations) and `_k_closure`, then their
-mean.  Solves and iterations are results, the rest the work done for them;
-no count depends on the machine.  Uses only the stdlib.
+blocks (`_block` calls: `gather` all, each of which computes L, and
+`grad` those asked for the gradient), in all and (fp.) inside
+`_fixed_point_run`.  Per seed 401-410 of the benchmark's certify mix
+(five cycles of random-order saturate of the empty graph in F({H}),
+is_k_tight and find_k_bridges for H = K3, C5, K4^(3) on 12, 11, 9
+vertices) it prints the calls of `creates_copy` (copy checks), `_run`
+(search plan runs), `extend` (search nodes), `_normalize_edge` (edge
+validations) and `_k_closure`, then their mean.  Solves and iterations
+are results, the rest the work done for them; no count depends on the
+machine.  Uses only the stdlib.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 BLOW_UPS = [(6, 2, (3, 5, 7, 9, 11, 13)), (5, 3, (2, 4, 6, 8, 10)),
             (5, 4, (2, 3, 5, 7, 9)), (10, 2, (20,) * 10)]
-KERNEL = ("steps", "gather", "value", "grad")  # lock steps, then kernel blocks
+KERNEL = ("steps", "gather", "grad")  # lock steps, then kernel blocks
 SOLVER = ("solves", "iterations", *KERNEL, *(f"fp.{k}" for k in KERNEL))
 SEARCH = ("creates_copy", "_run", "extend", "_normalize_edge", "_k_closure")
 COUNTED = ("solve_rho_p", "euler_residual", "_block", "_fixed_point_run", *SEARCH)
@@ -55,8 +56,8 @@ def counted(run, package: str) -> Counter:
             if name == "solve_rho_p" and arg is not None:  # None: it raised
                 counts.update(solves=1, iterations=arg.iterations)
         elif name in ("euler_residual", "_block"):
-            kinds = ("steps",) if name == "euler_residual" else (
-                "gather", *(k for k in ("value", "grad") if frame.f_locals[k]))
+            kinds = (("steps",) if name == "euler_residual"
+                     else ("gather", "grad") if frame.f_locals["grad"] else ("gather",))
             counts.update(kinds)
             if depth:
                 counts.update("fp." + k for k in kinds)

@@ -42,6 +42,7 @@ from .spectral import (
     principal_ratio,
 )
 from .structure import (
+    _check_k,
     find_k_bridges,
     is_k_plateaued,
     is_k_tight,
@@ -292,9 +293,13 @@ def run_bridgeless_tight_suite(
 ) -> ExperimentReport:
     """Random-order saturations of the empty graph must be k-tight when the
     forbidden graph has no k-bridge; bridged or disconnected graphs are
-    skipped and listed.  A negative trials or seed raises BadConfig."""
+    skipped and listed.  A negative trials or seed raises BadConfig; k and n
+    are checked before any work, even when no pattern runs."""
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
+    for h in h_list or (None,):  # the deciders' rule for k, against every pattern
+        _check_k(h, k)
+    _check_size(n, 2)  # the constructor's rule for n
     rng = random.Random(seed)
     report = ExperimentReport(
         "bridgeless-tight",

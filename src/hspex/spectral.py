@@ -66,9 +66,9 @@ class _Lagrangian:
     """L and its gradient over one graph g for a batch of iterates: the one
     evaluation path.
 
-    `evaluate(x, value, grad)` returns, for a (b, n) batch x of any size, L
-    per row and (1/r) dL/dx_v per row and vertex, None for what is not
-    asked for.  It walks x in blocks of at most `rows` = max(1,
+    `evaluate(x, grad)` returns, for a (b, n) batch x of any size, L per
+    row and (1/r) dL/dx_v per row and vertex, or None for the gradient when
+    grad is false.  It walks x in blocks of at most `rows` = max(1,
     BATCH_ENTRIES // (r * m)) rows: a small graph's batch is one block, and
     a graph with many edges is evaluated a few rows, or one, at a time.
 
@@ -84,13 +84,13 @@ class _Lagrangian:
     largest block seen, its row 0 is the positions, and a smaller block is
     gathered through its row prefix.  The block is gathered once, X = x
     over each edge position, and its prefixes P_k = X_0 * ... * X_k are
-    built up to P_{r-1} when L is asked for, else up to P_{r-2}.  L is r!
-    times the row sums of P_{r-1}.  The gradient scatters loo_j = P_{j-1} *
-    X_{j+1} * ... * X_{r-1} onto the vertices in position j with bincount,
-    adds the positions in order and multiplies by (r-1)!.  Products
-    multiply positions left to right, np.prod's factor order over an (m, r)
-    index, so the bits match it for every r (prefix times suffix would
-    regroup them for r >= 4); edges are summed in g's sorted order.
+    built up to P_{r-1}; L is r! times the row sums of P_{r-1}.  The
+    gradient, when asked for, scatters loo_j = P_{j-1} * X_{j+1} * ... *
+    X_{r-1} onto the vertices in position j with bincount, adds the
+    positions in order and multiplies by (r-1)!.  Products multiply
+    positions left to right, np.prod's factor order over an (m, r) index,
+    so the bits match it for every r (prefix times suffix would regroup
+    them for r >= 4); edges are summed in g's sorted order.
 
     Run sums.  Position 0's entries are sorted, one run per vertex and row,
     which bincount adds into one bin back to back.  A block with
@@ -157,9 +157,7 @@ class _Lagrangian:
             if b * (m - k) >= RUN_ENTRIES:
                 self._block_runs = starts[: b * k], vertices[: b * k], sign[:b]
 
-    def _block(
-        self, x: np.ndarray, value: bool, grad: bool
-    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    def _block(self, x: np.ndarray, grad: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """`evaluate` of a block x of at most `rows` rows."""
         b = len(x)
         if b != self._b:
@@ -168,12 +166,10 @@ class _Lagrangian:
         X = x.ravel().take(self._row_index, out=self._X, mode="clip")
         r, _, m = X.shape
         P = self._P  # P[k] = P_k, P[0] = X_0
-        for k in range(1, r if value else r - 1):
+        for k in range(1, r):
             np.multiply(P[k - 1], X[k], out=P[k])
-        val = None
-        if value:
-            val = np.add.reduce(P[r - 1], axis=1)
-            np.multiply(val, self.rfact, out=val)
+        val = np.add.reduce(P[r - 1], axis=1)
+        np.multiply(val, self.rfact, out=val)
         if not grad:
             return val, None
         if not m:  # bincount of no entries gives int64 zeros
@@ -201,17 +197,17 @@ class _Lagrangian:
         return val, out.reshape(b, self.n)
 
     def evaluate(
-        self, x: np.ndarray, value: bool = True, grad: bool = True
-    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """(L per row or None, (1/r) dL/dx per row or None) of a (b, n) batch
-        x of any size, in blocks of at most `rows` rows."""
+        self, x: np.ndarray, grad: bool = True
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(L per row, (1/r) dL/dx per row or None) of a (b, n) batch x of any
+        size, in blocks of at most `rows` rows."""
         rows = self.rows
         if len(x) <= rows:
-            return self._block(x, value, grad)
+            return self._block(x, grad)
         # each block's results go straight into the batch's: one block's held at a time
-        out = (np.empty(len(x)) if value else None), (np.empty(x.shape) if grad else None)
+        out = np.empty(len(x)), (np.empty(x.shape) if grad else None)
         for lo in range(0, len(x), rows):
-            for whole, part in zip(out, self._block(x[lo : lo + rows], value, grad)):
+            for whole, part in zip(out, self._block(x[lo : lo + rows], grad)):
                 if part is not None:
                     whole[lo : lo + rows] = part
         return out
@@ -237,7 +233,7 @@ def lagrangian(g: Hypergraph, x) -> float:
 
 def lagrangian_gradient(g: Hypergraph, x) -> np.ndarray:
     """Per-vertex (1/r) dL/dx_v = (r-1)! * sum_{e : v in e} prod_{w in e - v} x_w."""
-    return _Lagrangian(g).evaluate(_as_weights(g, x)[None], value=False)[1][0]
+    return _Lagrangian(g).evaluate(_as_weights(g, x)[None])[1][0]
 
 
 def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
@@ -245,7 +241,7 @@ def eigen_residual(g: Hypergraph, x, p: float, rho: float) -> float:
     _check_p(p)
     arr = _as_weights(g, x)[None]
     ev = _Lagrangian(g)
-    grad = ev.evaluate(arr, value=False)[1]
+    grad = ev.evaluate(arr)[1]
     return float(ev.residual(np.power(arr, p - 1.0), grad, np.array([rho], dtype=float))[0])
 
 
@@ -424,7 +420,7 @@ def _fixed_point_run(
     the best one by reference, so a collapse, the one write into x that can
     follow such a step, copies x first.  Each step makes one kernel
     evaluation, value and gradient, of all live rows; a row that a collapse
-    or a reset moves gets its gradient anew.
+    moves gets its gradient anew, and one that a reset moves both.
     """
     n_rows = len(x)
     out_x, out_val = np.empty_like(x), np.empty(n_rows)
@@ -467,7 +463,7 @@ def _fixed_point_run(
             if np.count_nonzero(collapse):
                 x = x.copy()  # best_x may be x itself
                 x[collapse] = _normalize_p(np.where(tiny, 0.0, x)[collapse], p)
-                grad[collapse] = evaluate(x[collapse], value=False)[1]
+                grad[collapse] = evaluate(x[collapse])[1]
                 xp = np.power(x, pm1)
             res_checkpoint = res
         y = np.add(np.multiply(alpha, xp, out=xp), grad, out=xp)  # xp is not read again
@@ -498,8 +494,7 @@ def _fixed_point_run(
             # non-monotone: shift too small for this regime; enlarge and restart
             alpha[down] *= 4.0
             x[down] = best_x[down]
-            val[down] = best_val[down]
-            grad[down] = evaluate(x[down], value=False)[1]
+            val[down], grad[down] = evaluate(x[down])
             hopeless = alpha[:, 0] > 1e9
             if np.count_nonzero(hopeless):
                 budget[hopeless] = it  # return the best iterate now
@@ -620,7 +615,7 @@ def _projected_gradient_run(
         if searched:  # a searched row that goes on needs the gradient at its new iterate
             moved = ~up & ~done
             if np.count_nonzero(moved):
-                cand_grad[moved] = evaluate(cand[moved], value=False)[1]
+                cand_grad[moved] = evaluate(cand[moved])[1]
         x, val, grad = cand, cand_val, cand_grad
         del cand, cand_grad, direction  # a retire then frees the rows that leave
         np.minimum(np.multiply(eta, 1.5, out=eta), 1e6, out=eta)

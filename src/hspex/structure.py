@@ -8,6 +8,7 @@ all vertex subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral
@@ -137,12 +138,14 @@ class BridgeCertificate:
         }
 
 
-def _check_k(g: Hypergraph, k: int) -> None:
+def _check_k(g: Optional[Hypergraph], k: int) -> None:
+    """BadK unless k is an integer in [1, r - 1], r = g.r; with no g, >= 1."""
     # numpy integers are Integral too; a bool is Integral but no k
     if not isinstance(k, Integral) or isinstance(k, bool):
         raise BadK(f"k={k!r} is not an integer")
-    if not 1 <= k <= g.r - 1:
-        raise BadK(f"k={k} outside [1, {g.r - 1}]")
+    top = math.inf if g is None else g.r - 1
+    if not 1 <= k <= top:
+        raise BadK(f"k={k} outside [1, {top}]")
 
 
 def _size_lex(u: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -45,6 +45,14 @@ def random_graph(n: int, r: int, density: float, rng: random.Random) -> Hypergra
     return Hypergraph(n, r, tuple(edges))
 
 
+def labeled_graphs(n: int, r: int):
+    """Every labeled r-graph on n vertices, in ascending mask order: the graph
+    of a mask holds the i-th r-set in lex order iff bit i is set."""
+    cand = list(combinations(range(n), r))
+    for mask in range(1 << len(cand)):
+        yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
+
+
 def relabel(g: Hypergraph, perm: list[int]) -> Hypergraph:
     return Hypergraph(
         g.n, g.r, tuple(tuple(sorted(perm[v] for v in e)) for e in g.edges)

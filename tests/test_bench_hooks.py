@@ -53,17 +53,17 @@ def test_counted_names_are_package_functions():
 
 
 def test_work_calls_count_one_solve():
-    """The hook reads `_block`'s value and grad arguments by name and each
+    """The hook reads `_block`'s grad argument by name and each
     solve's iterations from solve_rho_p's return: one fixed-point solve
     (p >= r) makes every lock step inside the run, and every kernel block
     but the one that gives the returned vector's value and residual."""
-    assert {"value", "grad"} <= set(inspect.signature(_Lagrangian._block).parameters)
+    assert "grad" in inspect.signature(_Lagrangian._block).parameters
     g, cfg = complete_r_graph(5, 3), SolverConfig(starts=3, seed=2)
     sol = solve_rho_p(g, 4.0, cfg)
     counts = _work_calls().counted(lambda: solve_rho_p(g, 4.0, cfg), str(PACKAGE))
     assert (counts["solves"], counts["iterations"]) == (1, sol.iterations)
     assert counts["steps"] > 0 and counts["fp.steps"] == counts["steps"]
-    for kind in ("gather", "value", "grad"):
+    for kind in ("gather", "grad"):
         assert counts["fp." + kind] == counts[kind] - 1
 
 

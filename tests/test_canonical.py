@@ -2,7 +2,7 @@
 the pruned search against the unpruned one, and the automorphisms it finds."""
 
 import random
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
@@ -15,7 +15,7 @@ from hspex.canonical import (
     refinement_signature,
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph
-from conftest import cycle, path3, random_graph, relabel
+from conftest import cycle, labeled_graphs, path3, random_graph, relabel
 from oracles import canonical_form_unpruned, canonical_key_unpruned, isomorphic_bruteforce
 
 
@@ -109,9 +109,7 @@ def all_small_graphs():
     """Every labeled r-graph on n <= 5 vertices for r = 2, 3, 4."""
     for r in (2, 3, 4):
         for n in range(6):
-            cand = list(combinations(range(n), r))
-            for mask in range(1 << len(cand)):
-                yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
+            yield from labeled_graphs(n, r)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from hspex.embedding import (
 )
 from hspex.errors import OutOfRange, RepeatedVertex, UniformityMismatch, WrongArity
 from hspex.hypergraph import Hypergraph, complete_r_graph, l_gadget, new_hypergraph
-from conftest import bowtie3, cycle, path3, random_graph
+from conftest import bowtie3, cycle, labeled_graphs, path3, random_graph
 from oracles import (
     creates_copy_every_edge,
     creates_copy_required_edge,
@@ -384,7 +384,7 @@ def test_creates_copy_matches_every_edge_pin(pattern):
     """Pinning one edge per orbit decides every non-edge of every labeled host
     up to n = 5 (r = 2) and of seeded hosts up to n = 7 like pinning every edge."""
     r = pattern.r
-    hosts = [h for n in range(r, 6) for h in all_hosts(n, r)] if r == 2 else []
+    hosts = [h for n in range(r, 6) for h in labeled_graphs(n, r)] if r == 2 else []
     rng = random.Random(pattern.m)
     hosts += [random_graph(rng.randint(6, 7), r, rng.uniform(0.1, 0.6), rng) for _ in range(120)]
     results = set()
@@ -441,12 +441,6 @@ def search_constraints(host: Hypergraph, pattern: Hypergraph):
         yield {0: tuple(range(0, host.n, 2))}, ()
 
 
-def all_hosts(n: int, r: int):
-    cand = list(combinations(range(n), r))
-    for mask in range(1 << len(cand)):
-        yield Hypergraph(n, r, tuple(e for i, e in enumerate(cand) if mask >> i & 1))
-
-
 @pytest.mark.parametrize(
     "r, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
 )
@@ -455,7 +449,7 @@ def test_bitmask_search_returns_oracle_witness(r, n):
     link-mask search returns the very witness of the sorted-tuple search.
     At r = 4 the links are keyed on 3-sets."""
     if n <= 5:
-        hosts = all_hosts(n, r)
+        hosts = labeled_graphs(n, r)
     else:
         rng = random.Random(n * r)
         hosts = (random_graph(n, r, rng.uniform(0.2, 0.8), rng) for _ in range(150))

@@ -11,6 +11,7 @@ import pytest
 from hspex import families
 from hspex.errors import (
     BadConfig,
+    BadK,
     BadP,
     HypothesisFailed,
     Infeasible,
@@ -274,6 +275,10 @@ K3_FREE = ForbiddenFamily((complete_r_graph(3, 2),))
                  "p=nan outside (1, inf)", id="coarseness-probe-p-nan-no-n"),
     pytest.param(lambda: run_plateau_construction(path4(), 1, "3"), TooSmall,
                  "clique count '3' is not an integer", id="plateau-construct-ell-string"),
+    pytest.param(lambda: run_bridgeless_tight_suite([], 0, 5, 1), BadK, "k=0 outside [1, inf]",
+                 id="bridgeless-tight-k-no-pattern"),
+    pytest.param(lambda: run_bridgeless_tight_suite([], 1, -5, 1), OutOfRange,
+                 "vertex count -5 < 0", id="bridgeless-tight-n-no-pattern"),
 ])
 def test_suite_checks_parameters_before_any_work(call, error, message):
     """A suite rejects a bad parameter even when it has no work to do."""

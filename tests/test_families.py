@@ -25,7 +25,9 @@ from hspex.families import (
 )
 from hspex.hypergraph import Hypergraph, complete_r_graph, disjoint_union, new_hypergraph
 from hspex.spectral import SolverConfig, rho_infinity
-from conftest import complete_bipartite, cycle, path3, path4, path5, random_graph, relabel
+from conftest import (
+    complete_bipartite, cycle, labeled_graphs, path3, path4, path5, random_graph, relabel,
+)
 from oracles import (
     _classes,
     classes_by_key,
@@ -44,24 +46,11 @@ def k3_family() -> ForbiddenFamily:
 
 def brute_member_count(fam: ForbiddenFamily, n: int) -> int:
     """Independent labeled-member count by direct sweep + membership test."""
-    pool = list(combinations(range(n), fam.r))
-    count = 0
-    for mask in range(1 << len(pool)):
-        edges = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        if is_member(fam, Hypergraph(n, fam.r, edges)):
-            count += 1
-    return count
+    return sum(is_member(fam, g) for g in labeled_graphs(n, fam.r))
 
 
 def brute_class_count(fam: ForbiddenFamily, n: int) -> int:
-    pool = list(combinations(range(n), fam.r))
-    keys = set()
-    for mask in range(1 << len(pool)):
-        edges = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        g = Hypergraph(n, fam.r, edges)
-        if is_member(fam, g):
-            keys.add(canonical_key(g))
-    return len(keys)
+    return len({canonical_key(g) for g in labeled_graphs(n, fam.r) if is_member(fam, g)})
 
 
 class TestMembership:

@@ -29,7 +29,7 @@ from hspex.structure import (
     refines,
     tightness_violation_holds,
 )
-from conftest import bowtie3, path3, path4, random_graph
+from conftest import bowtie3, labeled_graphs, path3, path4, random_graph
 from oracles import (
     is_k_bridge_bruteforce,
     is_k_bridge_full_closures,
@@ -158,12 +158,6 @@ class TestTightness:
         assert d["result"] is False and d["witness"] == [0, 1, 2]
 
 
-def all_graphs(n: int, r: int):
-    pool = list(combinations(range(n), r))
-    for mask in range(1 << len(pool)):
-        yield Hypergraph(n, r, tuple(pool[i] for i in range(len(pool)) if mask >> i & 1))
-
-
 def assert_certificates_match_oracles(g: Hypergraph) -> None:
     """Closure deciders equal the subset searches: result, witness, A and B."""
     for k in range(1, g.r):
@@ -176,7 +170,7 @@ class TestOracles:
     def test_all_2graphs_and_3graphs_up_to_n5(self):
         for r in (2, 3):
             for n in range(r, 6):
-                for g in all_graphs(n, r):
+                for g in labeled_graphs(n, r):
                     if g.m:
                         assert_certificates_match_oracles(g)
 
@@ -206,7 +200,7 @@ class TestFullClosureOracles:
     def test_all_labeled_2graphs_up_to_n5(self):
         verdicts, found = set(), 0
         for n in range(2, 6):
-            for g in all_graphs(n, 2):
+            for g in labeled_graphs(n, 2):
                 if g.m:
                     tight, bridges = assert_deciders_match_full_closures(g, [1])
                     verdicts.add(tight)
@@ -283,7 +277,7 @@ class TestClosureOracle:
     def test_every_labeled_graph_up_to_n5(self, r):
         stopped = sum(
             assert_closure_matches_oracle(g)
-            for n in range(1, 6) for g in all_graphs(n, r)
+            for n in range(1, 6) for g in labeled_graphs(n, r)
         )
         assert stopped
 
@@ -345,7 +339,7 @@ class TestBridges:
     def test_matches_classical_bridges_exhaustively(self):
         """All connected 2-graphs with n <= 5: 1-bridges == removal bridges."""
         for n in (3, 4, 5):
-            for g in all_graphs(n, 2):
+            for g in labeled_graphs(n, 2):
                 if not g.is_connected() or g.m == 0:
                     continue
                 found = {c.edge for c in find_k_bridges(g, 1)}
